@@ -213,8 +213,8 @@ func main() {
 	// prove the superset rewrite is exact.
 	fmt.Printf("batch digest: %x\n", digest.Sum(nil))
 	rs := svc.ReuseStats()
-	fmt.Printf("reuse: superset_hits=%d superset_misses=%d residual_skipped=%d\n",
-		rs.SupersetHits, rs.SupersetMisses, rs.ResidualSkipped)
+	fmt.Printf("reuse: superset_hits=%d superset_misses=%d\n",
+		rs.SupersetHits, rs.SupersetMisses)
 
 	fmt.Println()
 	if err := reg.WriteText(os.Stdout); err != nil {

@@ -86,99 +86,6 @@ type windowed interface {
 	window(srcW, srcH int, rng *rand.Rand) (x, y, w, h int, ok bool)
 }
 
-// Pointwise is implemented by ops whose every output sample depends only
-// on the input samples at the same spatial coordinate (per-pixel maps:
-// color LUTs, channel mixes). Such ops commute with crops and can be run
-// on an arbitrary sub-window of their input to produce exactly that
-// sub-window of their output — the property the tile-gated partial
-// recompute path relies on when it splices freshly computed tiles into a
-// previous frame's augmented output.
-type Pointwise interface {
-	Op
-	// Pointwise is a marker; implementations guarantee the per-pixel
-	// contract above for their Apply (and ApplyInPlace) paths.
-	Pointwise()
-}
-
-// Pointwise implements the marker: grayscale mixes channels per pixel.
-func (g *Grayscale) Pointwise() {}
-
-// Pointwise implements the marker: saturation mixes channels per pixel.
-func (s *Saturation) Pointwise() {}
-
-// WindowKernel exposes one bilinear resize geometry's precomputed tap
-// tables for windowed evaluation and inverse tap queries. It is the
-// exported face of the fused resize+crop kernel: ApplyWindow computes an
-// arbitrary sub-window of the resize output byte-identically to cropping
-// the full resize, and OutRangeX/OutRangeY answer which output samples
-// read a given source span — the geometry question tile-gated partial
-// recompute asks when it maps dynamic source tiles to the output pixels
-// they influence.
-type WindowKernel struct {
-	m *bilinearMap
-}
-
-// Kernel returns a WindowKernel for resizing a srcW x srcH frame with
-// r's geometry, or ok=false when r is not a plain bilinear resize (the
-// only interpolation with precomputed taps).
-func (r *Resize) Kernel(srcW, srcH int) (*WindowKernel, bool) {
-	if r.W <= 0 || r.H <= 0 || srcW <= 0 || srcH <= 0 {
-		return nil, false
-	}
-	if r.Interpolation != "" && r.Interpolation != "bilinear" {
-		return nil, false
-	}
-	return &WindowKernel{m: newBilinearMap(srcW, srcH, r.W, r.H)}, true
-}
-
-// OutW and OutH report the kernel's full output geometry.
-func (k *WindowKernel) OutW() int { return k.m.w }
-func (k *WindowKernel) OutH() int { return k.m.h }
-
-// ApplyWindow computes the [wx, wx+ww) x [wy, wy+wh) window of f's
-// resize output as a fresh pooled frame. The window must lie within the
-// full output and f must match the kernel's source geometry.
-func (k *WindowKernel) ApplyWindow(f *frame.Frame, wx, wy, ww, wh int) (*frame.Frame, error) {
-	if f.W != k.m.srcW || f.H != k.m.srcH {
-		return nil, fmt.Errorf("augment: kernel source %dx%d, frame %dx%d", k.m.srcW, k.m.srcH, f.W, f.H)
-	}
-	if wx < 0 || wy < 0 || ww <= 0 || wh <= 0 || wx+ww > k.m.w || wy+wh > k.m.h {
-		return nil, fmt.Errorf("augment: window %d,%d %dx%d outside %dx%d output", wx, wy, ww, wh, k.m.w, k.m.h)
-	}
-	return resizeBilinearWindow(f, k.m, wx, wy, ww, wh), nil
-}
-
-// OutRangeX returns the half-open output-column range whose bilinear taps
-// touch any source column in [sx0, sx1). An empty source span (or one no
-// output column reads) yields an empty range.
-func (k *WindowKernel) OutRangeX(sx0, sx1 int) (int, int) {
-	return tapRange(k.m.x0, k.m.x1, sx0, sx1)
-}
-
-// OutRangeY is OutRangeX for rows.
-func (k *WindowKernel) OutRangeY(sy0, sy1 int) (int, int) {
-	return tapRange(k.m.y0, k.m.y1, sy0, sy1)
-}
-
-// tapRange returns the half-open output range whose tap interval
-// [lo[i], hi[i]] intersects the source span [s0, s1). Taps are monotone
-// along the axis, so the qualifying outputs are contiguous.
-func tapRange(lo, hi []int32, s0, s1 int) (int, int) {
-	a, b := len(lo), 0
-	for i := range lo {
-		if int(lo[i]) < s1 && int(hi[i]) >= s0 {
-			if i < a {
-				a = i
-			}
-			b = i + 1
-		}
-	}
-	if a >= b {
-		return 0, 0
-	}
-	return a, b
-}
-
 // Pipeline applies a sequence of ops in order.
 type Pipeline []Op
 
@@ -381,9 +288,9 @@ func resizeNearest(f *frame.Frame, w, h int) *frame.Frame {
 // per-pixel coordinate math (multiply, shift, clamp) is hoisted out of the
 // inner loop.
 type bilinearMap struct {
-	srcW, srcH, w, h int
-	x0, x1, xf       []int32
-	y0, y1, yf       []int32
+	w, h       int
+	x0, x1, xf []int32
+	y0, y1, yf []int32
 }
 
 // bilinearAxis computes taps for one axis with half-pixel centers.
@@ -411,7 +318,7 @@ func bilinearAxis(srcN, dstN int) (i0, i1, fr []int32) {
 }
 
 func newBilinearMap(srcW, srcH, w, h int) *bilinearMap {
-	m := &bilinearMap{srcW: srcW, srcH: srcH, w: w, h: h}
+	m := &bilinearMap{w: w, h: h}
 	m.x0, m.x1, m.xf = bilinearAxis(srcW, w)
 	m.y0, m.y1, m.yf = bilinearAxis(srcH, h)
 	return m

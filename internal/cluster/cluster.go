@@ -136,9 +136,9 @@ type Options struct {
 	// reads batch views through a viewserver.Client. Bytes on the wire
 	// are then measured from real socket traffic, not simulated.
 	RemoteViews bool
-	// ReadAhead tunes the view server's sequential prefetch depth in
-	// RemoteViews mode (0 = viewserver.DefaultReadAhead, negative
-	// disables prefetching).
+	// ReadAhead is the view server's sequential prefetch depth in
+	// RemoteViews mode (0 = off; viewserver.DefaultReadAhead is the
+	// recommended depth).
 	ReadAhead int
 	// FleetServers (RemoteViews mode) exports the shared engine through
 	// that many viewserver replicas registered in a fleet control plane;
@@ -146,18 +146,6 @@ type Options struct {
 	// shard routing, health-aware failover) instead of one direct
 	// client. 0 keeps the single direct connection.
 	FleetServers int
-}
-
-// resolveReadAhead maps the cluster Options convention (0 = default,
-// negative = off) onto the viewserver convention (0 = off).
-func resolveReadAhead(ra int) int {
-	if ra == 0 {
-		return viewserver.DefaultReadAhead
-	}
-	if ra < 0 {
-		return 0
-	}
-	return ra
 }
 
 // Cluster coordinates DDP training over a remote store.
@@ -256,7 +244,7 @@ func (c *Cluster) buildRemoteViews() error {
 	if c.opts.FleetServers > 0 {
 		return c.buildFleetViews(svc)
 	}
-	c.vsrv = viewserver.New(svc.FS(), viewserver.Options{ReadAhead: resolveReadAhead(c.opts.ReadAhead)})
+	c.vsrv = viewserver.New(svc.FS(), viewserver.Options{ReadAhead: c.opts.ReadAhead})
 	addr, err := c.vsrv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fmt.Errorf("cluster: view server listen: %w", err)
@@ -287,7 +275,7 @@ func (c *Cluster) buildFleetViews(svc *core.Service) error {
 	})
 	ann := fleet.LocalAnnouncer{R: c.registry}
 	for i := 0; i < c.opts.FleetServers; i++ {
-		srv := viewserver.New(svc.FS(), viewserver.Options{ReadAhead: resolveReadAhead(c.opts.ReadAhead)})
+		srv := viewserver.New(svc.FS(), viewserver.Options{ReadAhead: c.opts.ReadAhead})
 		addr, err := srv.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fmt.Errorf("cluster: replica %d listen: %w", i, err)

@@ -8,6 +8,7 @@ import (
 	"sand/internal/dataset"
 	"sand/internal/fleet"
 	"sand/internal/vfs"
+	"sand/internal/viewserver"
 )
 
 func miniDataset(t testing.TB, videos int) *dataset.Dataset {
@@ -165,7 +166,7 @@ func TestDDPRemoteViews(t *testing.T) {
 	c, err := New(store, Options{
 		Nodes: 2, Task: miniTask(t),
 		ChunkEpochs: 2, TotalEpochs: 2, Workers: 2, Seed: 3,
-		RemoteViews: true,
+		RemoteViews: true, ReadAhead: viewserver.DefaultReadAhead,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +231,7 @@ func TestDDPRemoteViewsMatchesInProcess(t *testing.T) {
 	c, err := New(store, Options{
 		Nodes: 2, Task: task,
 		ChunkEpochs: 1, TotalEpochs: 1, Workers: 2, Seed: 9,
-		RemoteViews: true,
+		RemoteViews: true, ReadAhead: viewserver.DefaultReadAhead,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +305,7 @@ func TestDDPFleetRoutedViews(t *testing.T) {
 	c, err := New(store, Options{
 		Nodes: 2, Task: miniTask(t),
 		ChunkEpochs: 2, TotalEpochs: 2, Workers: 2, Seed: 3,
-		RemoteViews: true, FleetServers: 3,
+		RemoteViews: true, FleetServers: 3, ReadAhead: viewserver.DefaultReadAhead,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +364,7 @@ func TestDDPFleetSurvivesReplicaDeath(t *testing.T) {
 	c, err := New(store, Options{
 		Nodes: 2, Task: miniTask(t),
 		ChunkEpochs: 2, TotalEpochs: 2, Workers: 2, Seed: 3,
-		RemoteViews: true, FleetServers: 3,
+		RemoteViews: true, FleetServers: 3, ReadAhead: viewserver.DefaultReadAhead,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,8 +48,7 @@ type HarnessOptions struct {
 	Workers     int
 	MemBudget   int64
 	Seed        int64
-	// ReadAhead tunes each node's view server prefetch (0 =
-	// viewserver.DefaultReadAhead, negative disables).
+	// ReadAhead is each node's view server prefetch depth (0 = off).
 	ReadAhead int
 	// DemandSLO arms each engine scheduler's demand-path queue-wait p99
 	// SLO (0 = admission control off); see sched.Options.AdmissionSLO.
@@ -153,7 +152,7 @@ func (h *FleetHarness) startNode(i int, ann fleet.LocalAnnouncer) (*HarnessNode,
 	if err != nil {
 		return nil, err
 	}
-	srv := viewserver.New(svc.FS(), viewserver.Options{ReadAhead: resolveReadAhead(h.opts.ReadAhead), Obs: reg})
+	srv := viewserver.New(svc.FS(), viewserver.Options{ReadAhead: h.opts.ReadAhead, Obs: reg})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		svc.Close()

@@ -58,10 +58,6 @@ type Decoder struct {
 	lastIdx    int
 	scratch    []byte
 	bufA, bufB *frame.Frame
-	// collectResiduals enables per-frame residual summaries; residual
-	// holds the summary of the most recently decoded frame.
-	collectResiduals bool
-	residual         *ResidualSummary
 }
 
 // NewDecoder creates a decoder over v. stats may be nil.
@@ -71,26 +67,6 @@ func NewDecoder(v *Video, stats *Stats) *Decoder {
 
 // Video returns the container being decoded.
 func (d *Decoder) Video() *Video { return d.v }
-
-// CollectResiduals toggles residual summarization: when enabled, every
-// decoded frame's inflated residual is aggregated into a per-tile
-// magnitude summary retrievable with TakeResidual. The pass costs one
-// read over the scratch buffer the decoder just inflated.
-func (d *Decoder) CollectResiduals(on bool) {
-	d.collectResiduals = on
-	if !on {
-		d.residual = nil
-	}
-}
-
-// TakeResidual returns the residual summary of the most recently decoded
-// frame and clears it, or nil when none is pending (collection disabled,
-// or no frame decoded since the last take).
-func (d *Decoder) TakeResidual() *ResidualSummary {
-	r := d.residual
-	d.residual = nil
-	return r
-}
 
 // target returns the internal reconstruction buffer that does not hold
 // d.last, allocating lazily. Its contents are fully overwritten by the
@@ -172,14 +148,6 @@ func (d *Decoder) decodeOne(i int) (*frame.Frame, error) {
 		}
 		for j := range f.Pix {
 			f.Pix[j] = d.scratch[j] + d.last.Pix[j]
-		}
-	}
-	if d.collectResiduals {
-		if e.ftype == PFrame {
-			d.residual = summarizeResidual(d.scratch, f.W, f.H, f.C, i)
-		} else {
-			// Keyframe: spatial residual carries no temporal signal.
-			d.residual = &ResidualSummary{W: f.W, H: f.H, C: f.C, Index: i, IFrame: true}
 		}
 	}
 	if d.stats != nil {

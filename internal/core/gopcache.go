@@ -44,10 +44,6 @@ type gopCache struct {
 	pressure func() float64 // store fill fraction in [0,1]; may be nil
 	tr       *obs.Tracer    // may be nil (tracing calls are nil-safe)
 
-	// collectResiduals makes build/extend retain per-frame residual
-	// summaries alongside the decoded frames (set once at construction).
-	collectResiduals bool
-
 	mu      sync.Mutex
 	entries map[gopKey]*gopEntry
 	clock   int64 // LRU tick; also drives periodic hit-count decay
@@ -101,21 +97,18 @@ type gopEntry struct {
 
 	// mu serializes build/extend; frames[:decodedThrough-start+1] are
 	// immutable once published and shared read-only across samples.
-	// residuals parallels frames when residual collection is on
-	// (residuals[i] summarizes frames[i]'s temporal delta).
 	mu             sync.Mutex
 	frames         []*frame.Frame
-	residuals      []*codec.ResidualSummary
 	decodedThrough int
 	err            error
 }
 
-func newGOPCache(budget int64, pressure func() float64, collectResiduals bool) *gopCache {
+func newGOPCache(budget int64, pressure func() float64) *gopCache {
 	if budget <= 0 {
 		budget = 64 << 20
 	}
 	return &gopCache{
-		budget: budget, pressure: pressure, collectResiduals: collectResiduals,
+		budget: budget, pressure: pressure,
 		entries: map[gopKey]*gopEntry{}, ghost: map[gopKey]int64{},
 	}
 }
@@ -184,7 +177,6 @@ func (c *gopCache) build(ent *dataset.Entry, e *gopEntry, k, idx int) {
 	defer close(e.ready)
 	dec := codec.NewDecoder(ent.Video, nil)
 	defer dec.Close()
-	dec.CollectResiduals(c.collectResiduals)
 	frames := make([]*frame.Frame, 0, idx-k+1)
 	var bytes int64
 	for j := k; j <= idx; j++ {
@@ -195,9 +187,6 @@ func (c *gopCache) build(ent *dataset.Entry, e *gopEntry, k, idx int) {
 		}
 		frames = append(frames, f)
 		bytes += int64(f.Bytes())
-		if c.collectResiduals {
-			e.residuals = append(e.residuals, dec.TakeResidual())
-		}
 	}
 	e.frames = frames
 	e.decodedThrough = idx
@@ -217,7 +206,6 @@ func (c *gopCache) extend(ent *dataset.Entry, e *gopEntry, idx int) error {
 	}
 	dec := codec.NewDecoder(ent.Video, nil)
 	defer dec.Close()
-	dec.CollectResiduals(c.collectResiduals)
 	if err := dec.Prime(e.frames[len(e.frames)-1], e.decodedThrough); err != nil {
 		return err
 	}
@@ -231,9 +219,6 @@ func (c *gopCache) extend(ent *dataset.Entry, e *gopEntry, idx int) error {
 		e.decodedThrough = j
 		bytes += int64(f.Bytes())
 		n++
-		if c.collectResiduals {
-			e.residuals = append(e.residuals, dec.TakeResidual())
-		}
 	}
 	c.account(e, bytes, n)
 	c.mu.Lock()
@@ -554,149 +539,6 @@ func (l *gopLease) entryFor(ent *dataset.Entry, idx int) (*gopEntry, error) {
 	l.held[key] = fresh
 	l.mu.Unlock()
 	return fresh, nil
-}
-
-// tileMask is a per-tile verdict on one inter-frame gap: static[t] is
-// true when tile t's accumulated residual mean stayed below the gate
-// threshold. Tiles follow codec.ResidualTile geometry over the source
-// frame.
-type tileMask struct {
-	w, h           int // source frame geometry the tiles cover
-	tilesX, tilesY int
-	static         []bool
-	staticCount    int
-}
-
-// allStatic reports whether every tile passed the gate.
-func (m *tileMask) allStatic() bool { return m.staticCount == len(m.static) }
-
-// staticFrac is the fraction of tiles that passed the gate.
-func (m *tileMask) staticFrac() float64 {
-	if len(m.static) == 0 {
-		return 0
-	}
-	return float64(m.staticCount) / float64(len(m.static))
-}
-
-// dynamicBounds returns the bounding box, in source pixels, of every
-// tile that failed the gate (zero-size when all tiles are static).
-func (m *tileMask) dynamicBounds() (x, y, w, h int) {
-	x0, y0, x1, y1 := m.w, m.h, 0, 0
-	for ty := 0; ty < m.tilesY; ty++ {
-		for tx := 0; tx < m.tilesX; tx++ {
-			if m.static[ty*m.tilesX+tx] {
-				continue
-			}
-			px0, py0 := tx*codec.ResidualTile, ty*codec.ResidualTile
-			px1, py1 := px0+codec.ResidualTile, py0+codec.ResidualTile
-			if px1 > m.w {
-				px1 = m.w
-			}
-			if py1 > m.h {
-				py1 = m.h
-			}
-			if px0 < x0 {
-				x0 = px0
-			}
-			if py0 < y0 {
-				y0 = py0
-			}
-			if px1 > x1 {
-				x1 = px1
-			}
-			if py1 > y1 {
-				y1 = py1
-			}
-		}
-	}
-	if x0 >= x1 || y0 >= y1 {
-		return 0, 0, 0, 0
-	}
-	return x0, y0, x1 - x0, y1 - y0
-}
-
-// residualMask evaluates the gap from frame prevIdx to frame idx tile by
-// tile: each residual tile's accumulated mean magnitude across frames
-// prevIdx+1..idx is compared against thresh. It only answers from cached
-// residual summaries — the gap must sit inside one GOP already pinned by
-// this lease with no keyframe and no missing summary in between;
-// anything else conservatively returns nil (callers must treat that as
-// fully dynamic). The accumulated per-tile mean is a sum of mod-256
-// minimal-magnitude residuals, so a nonzero-threshold verdict is a
-// heuristic, not a bound — but an accumulated sum of exactly zero does
-// certify the tile's pixels are bit-identical across the gap, which is
-// what makes tile-gated recompute exact on truly static content.
-func (l *gopLease) residualMask(ent *dataset.Entry, prevIdx, idx int, thresh float64) *tileMask {
-	if prevIdx < 0 || idx <= prevIdx || thresh <= 0 {
-		return nil
-	}
-	k, err := ent.Video.KeyframeBefore(idx)
-	if err != nil || k > prevIdx {
-		return nil // a keyframe interrupts the gap (or lookup failed)
-	}
-	key := gopKey{video: ent.Spec.Name, start: k}
-	l.mu.Lock()
-	e := l.held[key]
-	l.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	<-e.ready
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil || idx > e.decodedThrough || len(e.residuals) <= idx-k {
-		return nil
-	}
-	var acc []uint32
-	var tilesX, tilesY int
-	for j := prevIdx + 1; j <= idx; j++ {
-		r := e.residuals[j-k]
-		if r == nil || r.IFrame {
-			return nil
-		}
-		if acc == nil {
-			tilesX, tilesY = r.TilesX, r.TilesY
-			acc = make([]uint32, len(r.SumAbs))
-		} else if r.TilesX != tilesX || r.TilesY != tilesY {
-			return nil
-		}
-		for t, v := range r.SumAbs {
-			acc[t] += v
-		}
-	}
-	// Compare each tile's accumulated mean (per pixel-sample, clipped edge
-	// tiles use their true area) against the threshold.
-	w, h, ch := ent.Video.W, ent.Video.H, ent.Video.C
-	m := &tileMask{w: w, h: h, tilesX: tilesX, tilesY: tilesY, static: make([]bool, tilesX*tilesY)}
-	for ty := 0; ty < tilesY; ty++ {
-		th := codec.ResidualTile
-		if (ty+1)*codec.ResidualTile > h {
-			th = h - ty*codec.ResidualTile
-		}
-		for tx := 0; tx < tilesX; tx++ {
-			tw := codec.ResidualTile
-			if (tx+1)*codec.ResidualTile > w {
-				tw = w - tx*codec.ResidualTile
-			}
-			if float64(acc[ty*tilesX+tx]) < thresh*float64(tw*th*ch) {
-				m.static[ty*tilesX+tx] = true
-				m.staticCount++
-			}
-		}
-	}
-	return m
-}
-
-// staticBetween reports whether the video stayed (approximately) still
-// from frame prevIdx to frame idx — every tile of the residual mask
-// passed the gate — plus the static-tile fraction for the histogram (0
-// when the gap could not be evaluated).
-func (l *gopLease) staticBetween(ent *dataset.Entry, prevIdx, idx int, thresh float64) (bool, float64) {
-	m := l.residualMask(ent, prevIdx, idx, thresh)
-	if m == nil {
-		return false, 0
-	}
-	return m.allStatic(), m.staticFrac()
 }
 
 // heat reports the observed acquire count of the pinned GOP entry

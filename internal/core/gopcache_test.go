@@ -68,7 +68,7 @@ func framesEqual(a, b *frame.Frame) bool {
 // correct pixels. Run under -race this doubles as the shared-read check.
 func TestGOPCacheConcurrentSameGOP(t *testing.T) {
 	ent := gopTestEntry(t, "samegop", 30, 30) // one GOP
-	c := newGOPCache(1<<30, nil, false)
+	c := newGOPCache(1<<30, nil)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -122,7 +122,7 @@ func TestGOPCacheConcurrentSameGOP(t *testing.T) {
 // deepening indices within each GOP, so extends interleave with hits.
 func TestGOPCacheConcurrentAdjacentGOPs(t *testing.T) {
 	ent := gopTestEntry(t, "adjacent", 90, 30) // GOPs at 0, 30, 60
-	c := newGOPCache(1<<30, nil, false)
+	c := newGOPCache(1<<30, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -176,7 +176,7 @@ func TestGOPCacheByteBudgetEviction(t *testing.T) {
 	ent := gopTestEntry(t, "evict", 100, 10) // 10 GOPs of 10 frames
 	frameBytes := int64(32 * 24 * 3)
 	budget := 25 * frameBytes // fits ~2.5 GOPs of 10 frames
-	c := newGOPCache(budget, nil, false)
+	c := newGOPCache(budget, nil)
 
 	for idx := 9; idx < 100; idx += 10 { // touch the deep end of every GOP
 		if _, err := c.frameOnce(ent, idx); err != nil {
@@ -209,7 +209,7 @@ func TestGOPCacheByteBudgetEviction(t *testing.T) {
 func TestGOPCacheEvictionVsRefHolder(t *testing.T) {
 	ent := gopTestEntry(t, "pinned", 100, 10)
 	frameBytes := int64(32 * 24 * 3)
-	c := newGOPCache(15*frameBytes, nil, false) // ~1.5 GOPs
+	c := newGOPCache(15*frameBytes, nil) // ~1.5 GOPs
 
 	// Pin GOP 0 fully decoded.
 	lease := c.lease()
@@ -275,7 +275,7 @@ func TestGOPCachePressureShrinksBudget(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return pressure
-	}, false)
+	})
 	set := func(p float64) {
 		mu.Lock()
 		pressure = p
@@ -376,33 +376,6 @@ func TestMaterializeChainParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// staticTestEntry encodes a video whose frames are all identical, so
-// every P-frame residual is exactly zero.
-func staticTestEntry(t testing.TB, name string, frames, gop int) *dataset.Entry {
-	t.Helper()
-	base := frame.New(32, 24, 3)
-	for j := range base.Pix {
-		base.Pix[j] = byte(j * 13 % 251)
-	}
-	raw := make([]*frame.Frame, frames)
-	for i := range raw {
-		f := base.Clone()
-		f.Index = i
-		raw[i] = f
-	}
-	clip, err := frame.NewClip(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := codec.Encode(clip, codec.EncodeParams{GOP: gop, FPS: 10})
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	ent := &dataset.Entry{Video: v}
-	ent.Spec.Name = name
-	return ent
-}
-
 // TestGOPCacheBudgetFloorUnderPressure pins the anti-thrash floor: when
 // pressure shrinks the budget below the largest resident GOP, the
 // effective budget clamps to that entry instead of rounding down and
@@ -416,7 +389,7 @@ func TestGOPCacheBudgetFloorUnderPressure(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return pressure
-	}, false)
+	})
 
 	// Decode the full GOP (10 frames) while pressure is low.
 	if _, err := c.frameOnce(ent, 9); err != nil {
@@ -449,7 +422,7 @@ func TestGOPCacheBudgetFloorUnderPressure(t *testing.T) {
 	// With nothing resident the shrink applies unfloored, so pressure
 	// still gates fresh admissions (and the legacy 1000/500/250 behavior
 	// in TestGOPCachePressureShrinksBudget holds).
-	empty := newGOPCache(1000, func() float64 { return 0.85 }, false)
+	empty := newGOPCache(1000, func() float64 { return 0.85 })
 	empty.mu.Lock()
 	eff = empty.effectiveBudgetLocked()
 	empty.mu.Unlock()
@@ -464,7 +437,7 @@ func TestGOPCacheBudgetFloorUnderPressure(t *testing.T) {
 func TestGOPCacheScanResistance(t *testing.T) {
 	ent := gopTestEntry(t, "scan", 100, 10) // 10 GOPs of 10 frames
 	frameBytes := int64(32 * 24 * 3)
-	c := newGOPCache(25*frameBytes, nil, false) // ~2.5 GOPs
+	c := newGOPCache(25*frameBytes, nil) // ~2.5 GOPs
 
 	// Make GOP 0 hot: 8 accesses after the initial build.
 	for i := 0; i < 9; i++ {
@@ -493,7 +466,7 @@ func TestGOPCacheScanResistance(t *testing.T) {
 func TestGOPCacheGhostReadmission(t *testing.T) {
 	ent := gopTestEntry(t, "ghost", 30, 10) // 3 GOPs of 10 frames
 	frameBytes := int64(32 * 24 * 3)
-	c := newGOPCache(12*frameBytes, nil, false) // ~1.2 GOPs
+	c := newGOPCache(12*frameBytes, nil) // ~1.2 GOPs
 
 	// Build reuse history on GOP 0, then force it out with GOP 1 and 2.
 	for i := 0; i < 4; i++ {
@@ -533,63 +506,13 @@ func TestGOPCacheGhostReadmission(t *testing.T) {
 	c.mu.Unlock()
 }
 
-// TestGOPLeaseStaticBetween exercises residual-summary storage and the
-// static-gap query the residual gate builds on.
-func TestGOPLeaseStaticBetween(t *testing.T) {
-	static := staticTestEntry(t, "still", 20, 10)
-	moving := gopTestEntry(t, "moving", 20, 10)
-
-	c := newGOPCache(1<<30, nil, true) // residual collection on
-	lease := c.lease()
-	defer lease.release()
-	if _, err := lease.frame(static, 9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lease.frame(moving, 9); err != nil {
-		t.Fatal(err)
-	}
-
-	if ok, frac := lease.staticBetween(static, 3, 7, 1.0); !ok || frac != 1 {
-		t.Fatalf("static video gap reported dynamic (ok=%v frac=%v)", ok, frac)
-	}
-	if ok, _ := lease.staticBetween(static, 1, 9, 0.5); !ok {
-		t.Fatal("full static GOP gap reported dynamic")
-	}
-	if ok, _ := lease.staticBetween(moving, 3, 7, 1.0); ok {
-		t.Fatal("moving video gap reported static")
-	}
-	// A keyframe inside the gap disqualifies it even for a still video.
-	if _, err := lease.frame(static, 12); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := lease.staticBetween(static, 9, 12, 1e9); ok {
-		t.Fatal("gap crossing a keyframe reported static")
-	}
-	// Degenerate queries are conservatively dynamic.
-	for _, q := range [][3]int{{7, 7, 1}, {-1, 3, 1}, {3, 7, 0}} {
-		if ok, _ := lease.staticBetween(static, q[0], q[1], float64(q[2])); ok {
-			t.Fatalf("degenerate gap %v accepted", q)
-		}
-	}
-	// Collection off: summaries absent, gate must refuse.
-	c2 := newGOPCache(1<<30, nil, false)
-	l2 := c2.lease()
-	defer l2.release()
-	if _, err := l2.frame(static, 9); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := l2.staticBetween(static, 3, 7, 1.0); ok {
-		t.Fatal("staticBetween true without residual summaries")
-	}
-}
-
 // TestGOPCacheDerivedFrames covers the single-flight derived
 // superset-frame cache: one leader per descriptor, waiters receive the
 // published frame, abandoned flights retry, bytes are accounted and
 // released with the entry.
 func TestGOPCacheDerivedFrames(t *testing.T) {
 	ent := gopTestEntry(t, "derived", 10, 10)
-	c := newGOPCache(1<<30, nil, false)
+	c := newGOPCache(1<<30, nil)
 	lease := c.lease()
 	if _, err := lease.frame(ent, 5); err != nil {
 		t.Fatal(err)
@@ -658,7 +581,7 @@ func TestGOPCacheDerivedFrames(t *testing.T) {
 // strength of hits it never converted into usable frames.
 func TestGOPCacheAbandonRevokesReuseCredit(t *testing.T) {
 	ent := gopTestEntry(t, "abandon", 10, 10)
-	c := newGOPCache(1<<30, nil, false)
+	c := newGOPCache(1<<30, nil)
 	lease := c.lease()
 	defer lease.release()
 	// Build up reuse history on the GOP.

@@ -187,14 +187,6 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 	}
 
 	workers := s.intraSampleWorkers(len(sm.FrameIndices))
-	if s.opts.Reuse.ResidualGate {
-		// The gate compares each frame against its predecessor's output,
-		// so positions must materialize in order.
-		if err := s.materializeGated(sm, chain, ent, lease, out, work); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	if workers <= 1 {
 		for pos, idx := range sm.FrameIndices {
 			if err := work(pos, idx); err != nil {
@@ -257,48 +249,6 @@ func (s *Service) intraSampleWorkers(n int) int {
 		w = n
 	}
 	return w
-}
-
-// materializeGated runs the chain's positions serially, letting frames
-// whose accumulated codec residual stays below the configured threshold
-// reuse the previous position's augmented output instead of recomputing
-// the chain (residual-gated augmentation). Gating is tile-granular: a
-// fully static gap copies the previous output forward, a partially
-// static gap on an analyzable chain recomputes only the output
-// rectangle the moving tiles influence and splices it in (tilegate.go),
-// and everything else recomputes in full. The nonzero-threshold gate is
-// approximate — residual magnitudes are minimal mod-256 representatives,
-// not bounds — so it only runs when Options.Reuse.ResidualGate opted in;
-// exact mode is simply the gate left off.
-func (s *Service) materializeGated(sm *graph.Sample, chain *graph.ResolvedChain,
-	ent *dataset.Entry, lease *gopLease, out []*frame.Frame, work func(pos, idx int) error) error {
-	thresh := s.opts.Reuse.ResidualThreshold
-	plan := s.buildTilePlan(chain, ent)
-	prevIdx := -1
-	for pos, idx := range sm.FrameIndices {
-		if pos > 0 && idx > prevIdx && out[pos-1] != nil {
-			s.residualChecked.Add(1)
-			mask := lease.residualMask(ent, prevIdx, idx, thresh)
-			if mask != nil {
-				s.histStatic.Observe(int64(mask.staticFrac() * 10000))
-				done, err := s.gatedReuse(plan, mask, ent, lease, out, pos, idx)
-				if err != nil {
-					return err
-				}
-				if done {
-					prevIdx = idx
-					continue
-				}
-			} else {
-				s.histStatic.Observe(0)
-			}
-		}
-		if err := work(pos, idx); err != nil {
-			return err
-		}
-		prevIdx = idx
-	}
-	return nil
 }
 
 // loadBestCached searches the store for the deepest cached prefix of one

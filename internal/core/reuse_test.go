@@ -151,9 +151,18 @@ func serviceDigest(t testing.TB, s *Service, tag string) string {
 // TestSupersetByteIdentical: for fixed, centered and shared-origin
 // random crop views — including a 1-pixel overlap — the superset path
 // must produce byte-identical batches to the per-chain baseline, and
-// must actually fire.
+// must actually fire. Each case runs over moving, perfectly static and
+// spatially partial motion sources; subtests over the moving dataset
+// carry the bare case name.
 func TestSupersetByteIdentical(t *testing.T) {
-	ds := miniDataset(t, 4)
+	datasets := []struct {
+		prefix string
+		ds     *dataset.Dataset
+	}{
+		{"", miniDataset(t, 4)},
+		{"static-", staticMiniDataset(t, 4)},
+		{"partial-", partialMotionDataset(t, 3)},
+	}
 	cases := []struct {
 		name     string
 		branches []config.OpSpec
@@ -170,24 +179,26 @@ func TestSupersetByteIdentical(t *testing.T) {
 			{Op: "random_crop", Params: map[string]any{"shape": []any{48, 48}}},
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			task := overlapTask(t, "ov-"+tc.name, tc.branches)
-			on := buildReuseService(t, task, ds, 4, ReuseOptions{})
-			off := buildReuseService(t, task, ds, 4, ReuseOptions{DisableSuperset: true})
-			dOn := serviceDigest(t, on, task.Tag)
-			dOff := serviceDigest(t, off, task.Tag)
-			if dOn != dOff {
-				t.Fatalf("superset output differs from baseline (%s vs %s)", dOn[:12], dOff[:12])
-			}
-			rs := on.ReuseStats()
-			if tc.name != "random" && rs.SupersetHits == 0 {
-				t.Fatalf("superset never fired: %+v", rs)
-			}
-			if rsOff := off.ReuseStats(); rsOff.SupersetHits != 0 || rsOff.SupersetMisses != 0 {
-				t.Fatalf("disabled superset still ran: %+v", rsOff)
-			}
-		})
+	for _, d := range datasets {
+		for _, tc := range cases {
+			t.Run(d.prefix+tc.name, func(t *testing.T) {
+				task := overlapTask(t, "ov-"+tc.name, tc.branches)
+				on := buildReuseService(t, task, d.ds, 4, ReuseOptions{})
+				off := buildReuseService(t, task, d.ds, 4, ReuseOptions{DisableSuperset: true})
+				dOn := serviceDigest(t, on, task.Tag)
+				dOff := serviceDigest(t, off, task.Tag)
+				if dOn != dOff {
+					t.Fatalf("superset output differs from baseline (%s vs %s)", dOn[:12], dOff[:12])
+				}
+				rs := on.ReuseStats()
+				if tc.name != "random" && rs.SupersetHits == 0 {
+					t.Fatalf("superset never fired: %+v", rs)
+				}
+				if rsOff := off.ReuseStats(); rsOff.SupersetHits != 0 || rsOff.SupersetMisses != 0 {
+					t.Fatalf("disabled superset still ran: %+v", rsOff)
+				}
+			})
+		}
 	}
 }
 
@@ -235,8 +246,7 @@ func TestSupersetSerialParallelIdentical(t *testing.T) {
 }
 
 // staticMiniDataset builds videos whose frames are all identical — every
-// P-frame residual is zero, so the residual gate can skip aggressively
-// while staying exact.
+// P-frame residual is zero.
 func staticMiniDataset(t testing.TB, n int) *dataset.Dataset {
 	t.Helper()
 	ds := &dataset.Dataset{Name: "static-mini"}
@@ -267,52 +277,6 @@ func staticMiniDataset(t testing.TB, n int) *dataset.Dataset {
 		ds.Videos = append(ds.Videos, dataset.Entry{Spec: spec, Video: v})
 	}
 	return ds
-}
-
-// TestResidualGateStaticVideo: on a perfectly static video the gate must
-// skip chain work for gap frames, and — because the source frames are
-// bit-identical — the output must still equal the ungated baseline.
-func TestResidualGateStaticVideo(t *testing.T) {
-	ds := staticMiniDataset(t, 4)
-	task := overlapTask(t, "gate", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16),
-	})
-	gated := buildReuseService(t, task, ds, 4, ReuseOptions{ResidualGate: true})
-	plain := buildReuseService(t, task, ds, 4, ReuseOptions{})
-	dGated := serviceDigest(t, gated, task.Tag)
-	dPlain := serviceDigest(t, plain, task.Tag)
-	if dGated != dPlain {
-		t.Fatalf("gated output differs on a static video (%s vs %s)", dGated[:12], dPlain[:12])
-	}
-	rs := gated.ReuseStats()
-	if rs.ResidualChecked == 0 {
-		t.Fatal("gate never evaluated a frame")
-	}
-	if rs.ResidualSkipped == 0 {
-		t.Fatalf("gate skipped nothing on a static video: %+v", rs)
-	}
-	if p := plain.ReuseStats(); p.ResidualChecked != 0 || p.ResidualSkipped != 0 {
-		t.Fatalf("gate ran while disabled: %+v", p)
-	}
-}
-
-// TestResidualGateConservativeOnMotion: with a tiny threshold on moving
-// content the gate must decline every skip and reproduce the baseline
-// exactly — exact mode is simply the gate never firing.
-func TestResidualGateConservativeOnMotion(t *testing.T) {
-	ds := miniDataset(t, 2)
-	task := overlapTask(t, "gatemove", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16),
-	})
-	gated := buildReuseService(t, task, ds, 1, ReuseOptions{ResidualGate: true, ResidualThreshold: 1e-9})
-	plain := buildReuseService(t, task, ds, 1, ReuseOptions{})
-	if d1, d2 := serviceDigest(t, gated, task.Tag), serviceDigest(t, plain, task.Tag); d1 != d2 {
-		t.Fatalf("near-zero-threshold gate changed output bytes")
-	}
-	rs := gated.ReuseStats()
-	if rs.ResidualSkipped != 0 {
-		t.Fatalf("gate skipped %d frames at threshold 1e-9 on moving video", rs.ResidualSkipped)
-	}
 }
 
 // batchOverlapTasks builds the two-task workload that makes cross-sample
@@ -413,10 +377,8 @@ func TestBatchScopeSerialParallelIdentical(t *testing.T) {
 
 // partialMotionDataset builds videos where motion is spatially confined:
 // source columns [0, 32) never change while columns [32, 48) are redrawn
-// with large deltas every frame. Each video is one GOP, so every
-// inter-frame gap is answerable from residual summaries. The static
-// region is bit-identical across frames (accumulated residual exactly
-// zero), which is the regime where tile-gated recompute must be exact.
+// with large deltas every frame. Each video is one 40-frame GOP, so every
+// sampled frame rolls forward from the same keyframe.
 func partialMotionDataset(t testing.TB, n int) *dataset.Dataset {
 	t.Helper()
 	ds := &dataset.Dataset{Name: "partial-motion"}
@@ -455,51 +417,4 @@ func partialMotionDataset(t testing.TB, n int) *dataset.Dataset {
 		ds.Videos = append(ds.Videos, dataset.Entry{Spec: spec, Video: v})
 	}
 	return ds
-}
-
-// TestTileGatePartialMotion: on spatially sparse motion the tile gate
-// must recompute only the output rectangle the moving tiles influence —
-// and because the static tiles are bit-identical across frames, the
-// spliced output must equal the full recompute exactly.
-func TestTileGatePartialMotion(t *testing.T) {
-	ds := partialMotionDataset(t, 3)
-	task := overlapTask(t, "tilegate", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16),
-	})
-	gated := buildReuseService(t, task, ds, 4, ReuseOptions{ResidualGate: true})
-	plain := buildReuseService(t, task, ds, 4, ReuseOptions{})
-	dGated := serviceDigest(t, gated, task.Tag)
-	dPlain := serviceDigest(t, plain, task.Tag)
-	if dGated != dPlain {
-		t.Fatalf("tile-gated output differs on partial motion (%s vs %s)", dGated[:12], dPlain[:12])
-	}
-	rs := gated.ReuseStats()
-	if rs.TilePartialFrames == 0 {
-		t.Fatalf("tile gate never spliced a partial frame: %+v", rs)
-	}
-	if rs.TileStaticTiles == 0 || rs.TileDynamicTiles == 0 {
-		t.Fatalf("tile verdicts degenerate (want a mix of static and dynamic): %+v", rs)
-	}
-	if p := plain.ReuseStats(); p.TilePartialFrames != 0 || p.ResidualChecked != 0 {
-		t.Fatalf("gate ran while disabled: %+v", p)
-	}
-}
-
-// TestTileGateConservativeWholeFrameMotion: when every tile moves the
-// gate must fall through to full recompute — no splices, no skips — and
-// reproduce the baseline exactly.
-func TestTileGateConservativeWholeFrameMotion(t *testing.T) {
-	ds := miniDataset(t, 2)
-	task := overlapTask(t, "tilemove", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16),
-	})
-	gated := buildReuseService(t, task, ds, 1, ReuseOptions{ResidualGate: true, ResidualThreshold: 1e-9})
-	plain := buildReuseService(t, task, ds, 1, ReuseOptions{})
-	if d1, d2 := serviceDigest(t, gated, task.Tag), serviceDigest(t, plain, task.Tag); d1 != d2 {
-		t.Fatalf("near-zero-threshold tile gate changed output bytes")
-	}
-	rs := gated.ReuseStats()
-	if rs.ResidualSkipped != 0 || rs.TilePartialFrames != 0 {
-		t.Fatalf("gate reused output at threshold 1e-9 on whole-frame motion: %+v", rs)
-	}
 }

@@ -61,8 +61,7 @@ type Options struct {
 	// effective budget shrinks automatically under memory pressure.
 	GOPCacheBudget int64
 	// Reuse tunes the overlap-aware computation-reuse layer (superset
-	// crops and residual-gated augmentation). The zero value enables
-	// superset sharing — it is exact — and leaves residual gating off.
+	// crops). The zero value enables superset sharing — it is exact.
 	Reuse ReuseOptions
 	// DemandSLO is the demand-path queue-wait p99 SLO handed to the
 	// scheduler's admission control: past it, pre-materialization stops
@@ -96,16 +95,6 @@ type ReuseOptions struct {
 	// members run the same deterministic prefix — so it is on by
 	// default.
 	DisableBatchScope bool
-	// ResidualGate enables residual-gated augmentation: frames whose
-	// accumulated codec residual stays below ResidualThreshold reuse the
-	// previous frame's augmented output instead of recomputing the chain.
-	// The gate is approximate (residuals are mod-256 magnitudes, not
-	// bounds), so it is opt-in; leave it off for bit-exact output.
-	ResidualGate bool
-	// ResidualThreshold is the per-tile mean residual magnitude (per
-	// pixel-sample) below which consecutive frames count as static.
-	// 0 with ResidualGate on defaults to 1.0.
-	ResidualThreshold float64
 }
 
 func (o *Options) normalize() error {
@@ -141,9 +130,6 @@ func (o *Options) normalize() error {
 	if o.GOPCacheBudget <= 0 {
 		o.GOPCacheBudget = o.MemBudget / 4
 	}
-	if o.Reuse.ResidualGate && o.Reuse.ResidualThreshold <= 0 {
-		o.Reuse.ResidualThreshold = 1.0
-	}
 	return nil
 }
 
@@ -164,22 +150,16 @@ type Service struct {
 	gops  *gopCache
 	fs    *vfs.FS
 
-	reg        *obs.Registry
-	tr         *obs.Tracer
-	flight     *obs.FlightRecorder // auto trace dumps on SLO breach (nil = off)
-	histView   *obs.Histogram      // view-read latency (ns), demand + premat-hit
-	histStatic *obs.Histogram      // residual static-tile fraction per gated frame (basis points)
+	reg      *obs.Registry
+	tr       *obs.Tracer
+	flight   *obs.FlightRecorder // auto trace dumps on SLO breach (nil = off)
+	histView *obs.Histogram      // view-read latency (ns), demand + premat-hit
 
 	// reuse counters (atomic: bumped from intra-sample workers)
-	supersetHits    atomic.Int64 // views served from a shared superset region
-	supersetMisses  atomic.Int64 // superset regions computed fresh
-	xsampleHits     atomic.Int64 // superset hits served through a cross-sample group
-	xsampleGroups   atomic.Int64 // planned groups spanning more than one sample
-	residualChecked atomic.Int64 // frames tested against the residual gate
-	residualSkipped atomic.Int64 // frames that reused the previous output
-	tilePartial     atomic.Int64 // frames rebuilt tile-granularly (partial recompute)
-	tileStatic      atomic.Int64 // tiles spliced forward from the previous output
-	tileDynamic     atomic.Int64 // tiles recomputed within partial frames
+	supersetHits   atomic.Int64 // views served from a shared superset region
+	supersetMisses atomic.Int64 // superset regions computed fresh
+	xsampleHits    atomic.Int64 // superset hits served through a cross-sample group
+	xsampleGroups  atomic.Int64 // planned groups spanning more than one sample
 
 	mu sync.Mutex
 	// chunk state
@@ -281,7 +261,7 @@ func New(opts Options) (*Service, error) {
 	// shrink: feeding it the combined pressure (which includes its own
 	// bytes) would be a feedback loop. It must exist before the pool:
 	// workers sample memPressure, which reads it.
-	s.gops = newGOPCache(opts.GOPCacheBudget, st.MemPressure, opts.Reuse.ResidualGate)
+	s.gops = newGOPCache(opts.GOPCacheBudget, st.MemPressure)
 	s.gops.tr = s.tr
 	// The scheduler sees the engine's combined footprint (object store +
 	// decoded-GOP cache against the same budget), so the SJF switch
@@ -320,21 +300,15 @@ func New(opts Options) (*Service, error) {
 			"gop_bytes":          g.Bytes,
 		}
 	})
-	s.histStatic = reg.Histogram("core.reuse.static_frac_bp")
 	reg.SnapshotFunc("core.reuse", func() map[string]int64 {
 		g := s.gops.stats()
 		return map[string]int64{
-			"superset_hits":           s.supersetHits.Load(),
-			"superset_misses":         s.supersetMisses.Load(),
-			"xsample_hits":            s.xsampleHits.Load(),
-			"xsample_groups":          s.xsampleGroups.Load(),
-			"residual_frames_checked": s.residualChecked.Load(),
-			"residual_frames_skipped": s.residualSkipped.Load(),
-			"tile_partial_frames":     s.tilePartial.Load(),
-			"tile_static_tiles":       s.tileStatic.Load(),
-			"tile_dynamic_tiles":      s.tileDynamic.Load(),
-			"gop_readmissions":        g.Readmissions,
-			"derived_bytes":           g.DerivedBytes,
+			"superset_hits":    s.supersetHits.Load(),
+			"superset_misses":  s.supersetMisses.Load(),
+			"xsample_hits":     s.xsampleHits.Load(),
+			"xsample_groups":   s.xsampleGroups.Load(),
+			"gop_readmissions": g.Readmissions,
+			"derived_bytes":    g.DerivedBytes,
 		}
 	})
 	// Pool counters already carry dotted names ("frame.pool.gets"); the
@@ -447,11 +421,6 @@ func (s *Service) Counters() *metrics.CounterSet {
 	cs.Add("core.reuse.superset_misses", r.SupersetMisses)
 	cs.Add("core.reuse.xsample_hits", r.XSampleHits)
 	cs.Add("core.reuse.xsample_groups", r.XSampleGroups)
-	cs.Add("core.reuse.residual_frames_checked", r.ResidualChecked)
-	cs.Add("core.reuse.residual_frames_skipped", r.ResidualSkipped)
-	cs.Add("core.reuse.tile_partial_frames", r.TilePartialFrames)
-	cs.Add("core.reuse.tile_static_tiles", r.TileStaticTiles)
-	cs.Add("core.reuse.tile_dynamic_tiles", r.TileDynamicTiles)
 	for k, v := range frame.PoolStats() {
 		cs.Add(k, v)
 	}
@@ -470,14 +439,6 @@ type ReuseStats struct {
 	// more than one sample of a batch; XSampleGroups counts such groups
 	// at plan time.
 	XSampleHits, XSampleGroups int64
-	// ResidualChecked counts frames tested against the residual gate;
-	// ResidualSkipped counts frames that reused the previous augmented
-	// output.
-	ResidualChecked, ResidualSkipped int64
-	// TilePartialFrames counts gated frames rebuilt tile-granularly
-	// (static tiles spliced forward, dynamic tiles recomputed);
-	// TileStaticTiles / TileDynamicTiles break those frames' tiles down.
-	TilePartialFrames, TileStaticTiles, TileDynamicTiles int64
 	// GOPReadmissions counts ghost-history readmissions in the GOP cache.
 	GOPReadmissions int64
 	// DerivedBytes is the cumulative footprint of cached superset frames.
@@ -488,17 +449,12 @@ type ReuseStats struct {
 func (s *Service) ReuseStats() ReuseStats {
 	g := s.gops.stats()
 	return ReuseStats{
-		SupersetHits:      s.supersetHits.Load(),
-		SupersetMisses:    s.supersetMisses.Load(),
-		XSampleHits:       s.xsampleHits.Load(),
-		XSampleGroups:     s.xsampleGroups.Load(),
-		ResidualChecked:   s.residualChecked.Load(),
-		ResidualSkipped:   s.residualSkipped.Load(),
-		TilePartialFrames: s.tilePartial.Load(),
-		TileStaticTiles:   s.tileStatic.Load(),
-		TileDynamicTiles:  s.tileDynamic.Load(),
-		GOPReadmissions:   g.Readmissions,
-		DerivedBytes:      g.DerivedBytes,
+		SupersetHits:    s.supersetHits.Load(),
+		SupersetMisses:  s.supersetMisses.Load(),
+		XSampleHits:     s.xsampleHits.Load(),
+		XSampleGroups:   s.xsampleGroups.Load(),
+		GOPReadmissions: g.Readmissions,
+		DerivedBytes:    g.DerivedBytes,
 	}
 }
 

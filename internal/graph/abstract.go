@@ -427,10 +427,6 @@ func (j *resolvedJitter) ApplyInPlace(clip *frame.Clip, _ *rand.Rand) (bool, err
 	return true, nil
 }
 
-// Pointwise implements augment.Pointwise: the LUT maps each sample
-// independently of its position.
-func (j *resolvedJitter) Pointwise() {}
-
 // lut builds the jitter lookup table for the resolved factors.
 func (j *resolvedJitter) lut() []byte {
 	lut := make([]byte, 256)

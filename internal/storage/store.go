@@ -521,6 +521,11 @@ func (s *Store) Get(key string) (*Object, error) {
 	} else {
 		p.obj = &Object{Key: key, Data: data}
 		s.promotions.Add(1)
+		// Re-insert before clearing the flight, so a Get arriving in
+		// between finds either the flight or the memory copy and never
+		// reads the disk twice. A refused Put is not fatal: every reader
+		// is served from the read copy.
+		_ = s.Put(p.obj)
 	}
 	sh.mu.Lock()
 	delete(sh.promos, key)
@@ -530,10 +535,6 @@ func (s *Store) Get(key string) (*Object, error) {
 		return nil, p.err
 	}
 	s.hits.Add(1)
-	if err := s.Put(p.obj); err != nil {
-		// Promotion failure is not fatal; serve from the read copy.
-		return p.obj, nil
-	}
 	return p.obj, nil
 }
 

@@ -16,6 +16,9 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== storage race soak (promotion singleflight, 20 runs)"
+go test -race -count=20 ./internal/storage
+
 echo "== hot-path benchmark smoke (1 iteration)"
 go test -run=xxx -bench='BenchmarkMaterializeSample$' -benchtime=1x ./internal/core/ >/dev/null
 go test -run=xxx -bench='BenchmarkCodecRandomAccess$' -benchtime=1x ./internal/codec/ >/dev/null
