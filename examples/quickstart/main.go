@@ -131,7 +131,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file")
 	storeShards := flag.Int("store-shards", 0, "object-store shard count (0 = a power of two near GOMAXPROCS, 1 = unsharded)")
 	overlap := flag.Bool("overlap", false, "run the four-view overlapping-crop task instead of the single-view demo")
-	reuse := flag.Bool("reuse", true, "enable superset-crop reuse for overlapping views (exact; off recomputes each view)")
 	flag.Parse()
 
 	reg := obs.New()
@@ -170,7 +169,6 @@ func main() {
 		// so a trace of this run shows the engine's whole adaptive story.
 		MemBudget:   memBudget,
 		StoreShards: *storeShards,
-		Reuse:       core.ReuseOptions{DisableSuperset: !*reuse},
 		Obs:         reg,
 	})
 	if err != nil {
@@ -209,8 +207,7 @@ func main() {
 	// ------------------------------------------------------------
 
 	// The digest covers every batch byte of the run; with a fixed seed it
-	// is deterministic, so check.sh diffs it across -reuse=true/false to
-	// prove the superset rewrite is exact.
+	// is deterministic.
 	fmt.Printf("batch digest: %x\n", digest.Sum(nil))
 	rs := svc.ReuseStats()
 	fmt.Printf("reuse: superset_hits=%d superset_misses=%d\n",

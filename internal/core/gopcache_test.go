@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"sand/internal/codec"
-	"sand/internal/config"
 	"sand/internal/dataset"
 	"sand/internal/frame"
-	"sand/internal/sched"
 )
 
 // gopTestEntry builds a small deterministic video wrapped in a dataset
@@ -296,83 +294,6 @@ func TestGOPCachePressureShrinksBudget(t *testing.T) {
 	set(0.85) // above sched.MemoryPressureThreshold
 	if b := get(); b != 250 {
 		t.Fatalf("SJF pressure: budget %d, want 250", b)
-	}
-}
-
-// TestMaterializeChainParallelMatchesSerial locks in the determinism
-// guarantee of intra-sample fan-out: a sample materialized with the pool
-// saturated (serial path, Idle()==0) and with idle workers (fan-out
-// path) yields identical bytes end-to-end through the real service.
-func TestMaterializeChainParallelMatchesSerial(t *testing.T) {
-	build := func(saturate bool) []byte {
-		s, err := New(Options{
-			Tasks:       []*config.Task{miniTask(t, "par")},
-			Dataset:     miniDataset(t, 4),
-			ChunkEpochs: 2,
-			TotalEpochs: 2,
-			MemBudget:   64 << 20,
-			Workers:     4,
-			Coordinate:  true,
-			Seed:        5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if saturate {
-			// Park every worker on a blocked task so Idle()==0 and the
-			// chain takes the serial path.
-			var started sync.WaitGroup
-			release := make(chan struct{})
-			for i := 0; i < 4; i++ {
-				started.Add(1)
-				err := s.pool.Submit(&sched.Task{
-					Key:  fmt.Sprintf("block%d", i),
-					Kind: sched.Demand,
-					Run: func() error {
-						started.Done()
-						<-release
-						return nil
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			started.Wait()
-			defer close(release)
-			if idle := s.pool.Idle(); idle != 0 {
-				t.Fatalf("pool not saturated: Idle() = %d", idle)
-			}
-		}
-		samples, err := s.scheduleFor(iterationKey{"par", 0, 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []byte
-		for _, sm := range samples {
-			clip, err := s.materializeSampleClip(sm, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range clip.Frames {
-				out = append(out, f.Pix...)
-			}
-		}
-		return out
-	}
-	serial := build(true)    // saturated pool: serial path
-	parallel := build(false) // idle workers: fan-out path
-	if len(serial) == 0 {
-		t.Fatal("no frame data materialized")
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("length mismatch: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("byte %d differs between serial and parallel materialization", i)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -388,7 +389,9 @@ func (s *Service) storeFrame(key string, f *frame.Frame, deadline int64, ephemer
 	}
 	if s.opts.CacheDir != "" && !ephemeral {
 		// Best-effort persistence; memory-tier copy remains authoritative.
-		if err := s.store.Persist(key); err != nil && !strings.Contains(err.Error(), "budget") {
+		// The object may already be evicted again, or the disk full.
+		err := s.store.Persist(key)
+		if err != nil && !errors.Is(err, storage.ErrNotFound) && !errors.Is(err, storage.ErrDiskBudget) {
 			return err
 		}
 	}
@@ -402,9 +405,10 @@ func (s *Service) countReuse() {
 	s.mu.Unlock()
 }
 
-// materializeBatch builds the full batch payload for one iteration and
-// stores it under the batch key.
-func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.TraceID) error {
+// materializeBatch builds the full batch payload for one iteration,
+// stores it under the batch key and returns it, so a caller can serve
+// the bytes even if the store evicts the object right away.
+func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.TraceID) ([]byte, error) {
 	if traced := s.tr.Enabled(); traced {
 		spanStart := s.tr.Now()
 		defer func() {
@@ -419,30 +423,20 @@ func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.Tra
 	}
 	samples, err := s.scheduleFor(key)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(samples) == 0 {
-		return fmt.Errorf("%w: empty iteration %v", vfs.ErrNotExist, key)
+		return nil, fmt.Errorf("%w: empty iteration %v", vfs.ErrNotExist, key)
 	}
 	// Batch-scoped reuse planning: one pass over every sample of the
 	// iteration, so overlapping views group across samples and the first
 	// sample's superset feeds its siblings through the derived store.
-	// DisableBatchScope restores the legacy per-sample planning exactly.
-	var plan *reusePlan
-	if !s.opts.Reuse.DisableBatchScope {
-		plan = s.buildBatchReusePlan(samples)
-	}
+	plan := s.buildBatchReusePlan(samples)
 	batch := &frame.Batch{Epoch: key.epoch, Iteration: key.iter}
 	for si, sm := range samples {
-		var clip *frame.Clip
-		var err error
-		if s.opts.Reuse.DisableBatchScope {
-			clip, err = s.materializeSampleClip(sm, deadline, tid)
-		} else {
-			clip, err = s.materializeSampleAt(sm, si, plan, deadline, tid)
-		}
+		clip, err := s.materializeSampleAt(sm, si, plan, deadline, tid)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		label := ""
 		if ent, ok := s.snapshot().Find(sm.Video); ok {
@@ -453,7 +447,7 @@ func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.Tra
 	}
 	data, err := EncodeBatch(batch)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	obj := &storage.Object{
 		Key:       batchKey(key.task, key.epoch, key.iter),
@@ -461,7 +455,7 @@ func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.Tra
 		Deadline:  deadline,
 		Ephemeral: true, // a batch is consumed once, then evictable
 	}
-	return s.store.Put(obj)
+	return data, s.store.Put(obj)
 }
 
 // ensureBatch returns the serialized batch for an iteration, producing it
@@ -506,6 +500,7 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	// SJF estimates stay fresh even when pre-materialization is gated off.
 	tid := obs.NextTraceID()
 	remaining, sig := s.planEstimate(key)
+	var built []byte // written before done is signalled
 	done := make(chan error, 1)
 	err := s.pool.Submit(&sched.Task{
 		Key:       bk,
@@ -514,7 +509,8 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 		Remaining: remaining,
 		Trace:     tid,
 		Run: func() error {
-			err := s.materializeBatch(key, 0, tid)
+			var err error
+			built, err = s.materializeBatch(key, 0, tid)
 			done <- err
 			return err
 		},
@@ -525,18 +521,21 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	if err := <-done; err != nil {
 		return nil, nil, err
 	}
-	obj, pin, err := s.store.GetPinned(bk)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: batch vanished after materialization: %w", err)
+	// Under a tight budget the store may already have evicted the fresh
+	// batch; the bytes just built are still valid, served without a pin.
+	data := built
+	var pin *storage.Pin
+	if obj, p, err := s.store.GetPinned(bk); err == nil {
+		data, pin = obj.Data, p
+		s.store.MarkUsed(bk)
 	}
-	s.store.MarkUsed(bk)
 	s.mu.Lock()
 	s.stats.BatchesServed++
 	s.stats.DemandMisses++
 	s.mu.Unlock()
 	s.histView.Observe(time.Since(readStart).Nanoseconds())
 	s.schedulePremat(key)
-	return obj.Data, pin, nil
+	return data, pin, nil
 }
 
 // schedulePremat submits pre-materialization tasks for the next Lookahead
@@ -585,7 +584,8 @@ func (s *Service) schedulePremat(after iterationKey) {
 				if _, _, err := s.peekBatch(k); err == nil {
 					return nil
 				}
-				return s.materializeBatch(k, deadline, tid)
+				_, err := s.materializeBatch(k, deadline, tid)
+				return err
 			},
 		})
 		if err != nil {

@@ -6,8 +6,9 @@ package core
 // overlap share everything up to the crop, so the engine materializes
 // the prefix once, slices one bounding-superset region per source
 // frame, and serves each view's crop as a sub-slice. Crop-of-crop
-// composition makes the rewrite exact — byte-identical to the per-chain
-// baseline — which is why it is on by default.
+// composition makes the rewrite exact — byte-identical to the naive
+// reference materializer in oracle_test.go — which is why it has no off
+// switch.
 //
 // Plans are *batch-scoped*: the planner groups chains across every
 // sample of an iteration, not just within one sample, so two samples of
@@ -102,15 +103,13 @@ func (p *reusePlan) groupFor(si, ci int) *reuseGroup {
 // group, connected components under strict overlap of two or more
 // windows become reuse groups. Everything else falls through to the
 // baseline, so disjoint windows cost nothing. Passing a single sample
-// reproduces the per-sample plan exactly (groups then never cross
-// samples); Reuse.DisableBatchScope routes through that degenerate
-// form.
+// yields the per-sample plan (groups then never cross samples).
 //
 // The plan is deterministic regardless of map iteration order: group
 // membership is a connected component (order-independent) and the
 // superset is a bounding box (an order-independent fold).
 func (s *Service) buildBatchReusePlan(samples []*graph.Sample) *reusePlan {
-	if s.opts.Reuse.DisableSuperset || len(samples) == 0 {
+	if len(samples) == 0 {
 		return nil
 	}
 	type cand struct {

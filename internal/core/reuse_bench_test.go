@@ -5,6 +5,7 @@ import (
 
 	"sand/internal/config"
 	"sand/internal/dataset"
+	"sand/internal/graph"
 )
 
 // BenchmarkOverlappingViews measures the multi-view hot path the
@@ -12,10 +13,10 @@ import (
 // frame whose windows overlap heavily. (Distinct windows matter:
 // coordinated random crops resolve to one shared window, i.e. identical
 // chains the concrete-graph merge already unifies.) StorageBudget 1
-// disables store-tier caching, so the "off" arm recomputes the shared
-// resize prefix once per view while the "reuse" arm computes it once per
-// source frame and serves every view as a sub-slice of the cached
-// superset region.
+// disables store-tier caching, so the "off" arm — materialized under a
+// nil reuse plan — recomputes the shared resize prefix once per view
+// while the "reuse" arm computes it once per source frame and serves
+// every view as a sub-slice of the cached superset region.
 func BenchmarkOverlappingViews(b *testing.B) {
 	ds, err := dataset.Generate("ovbench", dataset.VideoSpec{
 		W: 96, H: 96, C: 3, Frames: 40, FPS: 30, GOP: 10,
@@ -23,17 +24,10 @@ func BenchmarkOverlappingViews(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name  string
-		reuse ReuseOptions
-	}{
-		{"reuse", ReuseOptions{}},
-		{"off", ReuseOptions{DisableSuperset: true}},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range []string{"reuse", "off"} {
+		b.Run(mode, func(b *testing.B) {
 			task := &config.Task{
-				Tag:         "ovb-" + mode.name,
+				Tag:         "ovb-" + mode,
 				Source:      config.SourceFile,
 				DatasetPath: "/data/ovbench",
 				Sampling:    config.Sampling{VideosPerBatch: 2, FramesPerVideo: 4, FrameStride: 2, SamplesPerVideo: 1},
@@ -72,7 +66,6 @@ func BenchmarkOverlappingViews(b *testing.B) {
 				Workers:       4,
 				Coordinate:    true,
 				Seed:          5,
-				Reuse:         mode.reuse,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -88,7 +81,12 @@ func BenchmarkOverlappingViews(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				clip, err := s.materializeSampleClip(samples[i%len(samples)], 0, 0)
+				sm := samples[i%len(samples)]
+				var plan *reusePlan
+				if mode == "reuse" {
+					plan = s.buildBatchReusePlan([]*graph.Sample{sm})
+				}
+				clip, err := s.materializeSampleAt(sm, 0, plan, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -116,17 +114,10 @@ func BenchmarkBatchOverlappingViews(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name  string
-		reuse ReuseOptions
-	}{
-		{"batch", ReuseOptions{}},
-		{"sample", ReuseOptions{DisableBatchScope: true}},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range []string{"batch", "sample"} {
+		b.Run(mode, func(b *testing.B) {
 			measured := &config.Task{
-				Tag:         "xs-" + mode.name,
+				Tag:         "xs-" + mode,
 				Source:      config.SourceFile,
 				DatasetPath: "/data/xsbench",
 				Sampling:    config.Sampling{VideosPerBatch: 1, FramesPerVideo: 6, FrameStride: 2, SamplesPerVideo: 4},
@@ -142,7 +133,7 @@ func BenchmarkBatchOverlappingViews(b *testing.B) {
 				},
 			}
 			helper := &config.Task{
-				Tag:         "zwin-" + mode.name,
+				Tag:         "zwin-" + mode,
 				Source:      config.SourceFile,
 				DatasetPath: "/data/xsbench",
 				Sampling:    config.Sampling{VideosPerBatch: 1, FramesPerVideo: 1, FrameStride: 1, SamplesPerVideo: 1},
@@ -175,7 +166,6 @@ func BenchmarkBatchOverlappingViews(b *testing.B) {
 				Workers:        4,
 				Coordinate:     true,
 				Seed:           5,
-				Reuse:          mode.reuse,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -188,13 +178,13 @@ func BenchmarkBatchOverlappingViews(b *testing.B) {
 			if len(samples) < 2 {
 				b.Fatalf("want a multi-sample batch, got %d samples", len(samples))
 			}
-			// The loop body mirrors materializeBatch's per-arm dispatch
-			// (one batch-wide plan vs per-sample planning) without the
-			// batch-payload encode both arms share.
+			// The "batch" loop body is materializeBatch without the
+			// batch-payload encode both arms share; the "sample" arm plans
+			// each sample on its own.
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if mode.reuse.DisableBatchScope {
+				if mode == "sample" {
 					for _, sm := range samples {
 						if _, err := s.materializeSampleClip(sm, 0, 0); err != nil {
 							b.Fatal(err)
@@ -210,7 +200,7 @@ func BenchmarkBatchOverlappingViews(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if mode.name == "batch" {
+			if mode == "batch" {
 				if rs := s.ReuseStats(); rs.XSampleHits == 0 {
 					b.Fatalf("batch arm produced no cross-sample hits: %+v", rs)
 				}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -48,10 +46,10 @@ func TestCropRectMath(t *testing.T) {
 	}
 }
 
-// overlapTask builds a resize -> multi(crop branches) -> merge pipeline:
-// several views of the same 64x64 intermediate, each a crop stage given
-// by op specs.
-func overlapTask(t testing.TB, tag string, branches []config.OpSpec) *config.Task {
+// overlapTask builds a prefix -> multi(crop branches) -> merge pipeline:
+// several views of the same intermediate, each a crop stage given by op
+// specs.
+func overlapTask(t testing.TB, tag string, prefix config.OpSpec, branches []config.OpSpec) *config.Task {
 	t.Helper()
 	outs := make([]string, len(branches))
 	subs := make([]config.SubBranch, len(branches))
@@ -66,9 +64,9 @@ func overlapTask(t testing.TB, tag string, branches []config.OpSpec) *config.Tas
 		Sampling:    config.Sampling{VideosPerBatch: 2, FramesPerVideo: 4, FrameStride: 2, SamplesPerVideo: 1},
 		Stages: []config.Stage{
 			{
-				Name: "resize", Type: config.BranchSingle,
+				Name: "prefix", Type: config.BranchSingle,
 				Inputs: []string{"frame"}, Outputs: []string{"base"},
-				Ops: []config.OpSpec{{Op: "resize", Params: map[string]any{"shape": []any{64, 64}}}},
+				Ops: []config.OpSpec{prefix},
 			},
 			{
 				Name: "views", Type: config.BranchMulti,
@@ -91,157 +89,86 @@ func crop(h, w, x, y int) config.OpSpec {
 	return config.OpSpec{Op: "crop", Params: map[string]any{"shape": []any{h, w}, "x": x, "y": y}}
 }
 
-// buildReuseService starts a service with an effectively disabled object
-// store (StorageBudget 1) so every chain recomputes unless the reuse
-// layer shares work.
-func buildReuseService(t testing.TB, task *config.Task, ds *dataset.Dataset, workers int, reuse ReuseOptions) *Service {
-	t.Helper()
-	return buildReuseServiceTasks(t, []*config.Task{task}, ds, workers, reuse)
-}
+// resize64 is the overlap fixtures' usual prefix: 48x48 sources grow to
+// 64x64 before the views crop them.
+var resize64 = config.OpSpec{Op: "resize", Params: map[string]any{"shape": []any{64, 64}}}
 
-func buildReuseServiceTasks(t testing.TB, tasks []*config.Task, ds *dataset.Dataset, workers int, reuse ReuseOptions) *Service {
-	t.Helper()
-	s, err := New(Options{
-		Tasks:         tasks,
-		Dataset:       ds,
-		ChunkEpochs:   1,
-		TotalEpochs:   1,
-		MemBudget:     64 << 20,
-		StorageBudget: 1,
-		Workers:       workers,
-		Coordinate:    true,
-		Seed:          11,
-		Reuse:         reuse,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
-}
-
-// serviceDigest materializes every iteration of epoch 0 and hashes all
-// output pixels in order.
-func serviceDigest(t testing.TB, s *Service, tag string) string {
-	t.Helper()
-	loader, err := s.NewLoader(tag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iters, err := s.ItersPerEpoch(tag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	for it := 0; it < iters; it++ {
-		batch, _, err := loader.Next(0, it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, clip := range batch.Clips {
-			for _, f := range clip.Frames {
-				fmt.Fprintf(h, "%d:%dx%dx%d:", f.Index, f.W, f.H, f.C)
-				h.Write(f.Pix)
-			}
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TestSupersetByteIdentical: for fixed, centered and shared-origin
-// random crop views — including a 1-pixel overlap — the superset path
-// must produce byte-identical batches to the per-chain baseline, and
-// must actually fire. Each case runs over moving, perfectly static and
-// spatially partial motion sources; subtests over the moving dataset
-// carry the bare case name.
+// TestSupersetByteIdentical: for fixed, centered, shared-origin random
+// and padded crop views — including a 1-pixel overlap — every batch must
+// equal the oracle's under every oracleEnv, and the superset path must
+// fire. Each case runs over moving, perfectly static and spatially
+// partial motion sources; subtests over the moving dataset carry the
+// bare case name.
 func TestSupersetByteIdentical(t *testing.T) {
-	datasets := []struct {
-		prefix string
-		ds     *dataset.Dataset
-	}{
-		{"", miniDataset(t, 4)},
-		{"static-", staticMiniDataset(t, 4)},
-		{"partial-", partialMotionDataset(t, 3)},
-	}
 	cases := []struct {
 		name     string
+		prefix   config.OpSpec
 		branches []config.OpSpec
 	}{
-		{"fixed", []config.OpSpec{crop(48, 48, 0, 0), crop(48, 48, 16, 16), crop(48, 48, 8, 0), crop(48, 48, 0, 8)}},
-		{"one-pixel", []config.OpSpec{crop(32, 32, 0, 0), crop(32, 32, 31, 31)}},
-		{"centered", []config.OpSpec{
+		{"fixed", resize64, []config.OpSpec{crop(48, 48, 0, 0), crop(48, 48, 16, 16), crop(48, 48, 8, 0), crop(48, 48, 0, 8)}},
+		{"one-pixel", resize64, []config.OpSpec{crop(32, 32, 0, 0), crop(32, 32, 31, 31)}},
+		{"centered", resize64, []config.OpSpec{
 			{Op: "center_crop", Params: map[string]any{"shape": []any{48, 48}}},
 			crop(48, 48, 0, 0),
 		}},
-		{"random", []config.OpSpec{
+		{"random", resize64, []config.OpSpec{
 			{Op: "random_crop", Params: map[string]any{"shape": []any{48, 48}}},
 			{Op: "random_crop", Params: map[string]any{"shape": []any{48, 48}}},
 			{Op: "random_crop", Params: map[string]any{"shape": []any{48, 48}}},
 		}},
+		// Pad grows the frame the crop windows are placed in: the reuse
+		// planner must see the padded geometry to locate the centered view.
+		{"pad", config.OpSpec{Op: "pad", Params: map[string]any{"all": 4}}, []config.OpSpec{
+			{Op: "center_crop", Params: map[string]any{"shape": []any{32, 32}}},
+			crop(32, 32, 4, 4),
+		}},
 	}
-	for _, d := range datasets {
+	for _, d := range oracleDatasets(t) {
 		for _, tc := range cases {
 			t.Run(d.prefix+tc.name, func(t *testing.T) {
-				task := overlapTask(t, "ov-"+tc.name, tc.branches)
-				on := buildReuseService(t, task, d.ds, 4, ReuseOptions{})
-				off := buildReuseService(t, task, d.ds, 4, ReuseOptions{DisableSuperset: true})
-				dOn := serviceDigest(t, on, task.Tag)
-				dOff := serviceDigest(t, off, task.Tag)
-				if dOn != dOff {
-					t.Fatalf("superset output differs from baseline (%s vs %s)", dOn[:12], dOff[:12])
-				}
-				rs := on.ReuseStats()
-				if tc.name != "random" && rs.SupersetHits == 0 {
-					t.Fatalf("superset never fired: %+v", rs)
-				}
-				if rsOff := off.ReuseStats(); rsOff.SupersetHits != 0 || rsOff.SupersetMisses != 0 {
-					t.Fatalf("disabled superset still ran: %+v", rsOff)
-				}
+				task := overlapTask(t, "ov-"+tc.name, tc.prefix, tc.branches)
+				oracleRows(t, []*config.Task{task}, d.ds, func(t *testing.T, rs ReuseStats, roomy bool) {
+					if tc.name != "random" && roomy && rs.SupersetHits == 0 {
+						t.Fatalf("superset never fired: %+v", rs)
+					}
+				})
 			})
 		}
 	}
 }
 
-// TestDisjointWindowsNoReuse: windows with no common pixels (including
-// edge-adjacent ones) must not form a group — reuse is a no-op and the
-// output matches the baseline.
-func TestDisjointWindowsNoReuse(t *testing.T) {
-	ds := miniDataset(t, 4)
-	task := overlapTask(t, "disjoint", []config.OpSpec{
-		crop(16, 16, 0, 0), crop(16, 16, 48, 48), crop(16, 16, 16, 0),
-	})
-	on := buildReuseService(t, task, ds, 4, ReuseOptions{})
-	off := buildReuseService(t, task, ds, 4, ReuseOptions{DisableSuperset: true})
-	if d1, d2 := serviceDigest(t, on, task.Tag), serviceDigest(t, off, task.Tag); d1 != d2 {
-		t.Fatalf("disjoint-window output differs from baseline")
-	}
-	rs := on.ReuseStats()
-	if rs.SupersetHits != 0 || rs.SupersetMisses != 0 {
-		t.Fatalf("disjoint windows formed a reuse group: %+v", rs)
-	}
-}
-
 // TestSupersetSerialParallelIdentical: worker count must not leak into
 // output bytes when the superset path races on derived-frame publication
-// (first-in wins, all candidates identical).
+// (first-in wins, all candidates identical). Four mutually overlapping
+// views at uneven offsets run under the one-worker (serial) and
+// eight-worker (fan-out) oracleEnvs; every batch of each must equal the
+// oracle's.
 func TestSupersetSerialParallelIdentical(t *testing.T) {
-	ds := miniDataset(t, 4)
-	task := overlapTask(t, "serpar", []config.OpSpec{
+	task := overlapTask(t, "serpar", resize64, []config.OpSpec{
 		crop(48, 48, 0, 0), crop(48, 48, 16, 16), crop(48, 48, 8, 4), crop(48, 48, 2, 12),
 	})
-	digests := map[string]string{}
-	for _, workers := range []int{1, 8} {
-		for _, reuse := range []ReuseOptions{{}, {DisableSuperset: true}} {
-			s := buildReuseService(t, task, ds, workers, reuse)
-			key := fmt.Sprintf("w%d-sup%v", workers, !reuse.DisableSuperset)
-			digests[key] = serviceDigest(t, s, task.Tag)
+	oracleRows(t, []*config.Task{task}, miniDataset(t, 4), func(t *testing.T, rs ReuseStats, roomy bool) {
+		if roomy && rs.SupersetHits == 0 {
+			t.Fatalf("superset never fired: %+v", rs)
 		}
-	}
-	want := digests["w1-supfalse"]
-	for key, d := range digests {
-		if d != want {
-			t.Fatalf("digest %s differs from serial baseline (%v)", key, digests)
-		}
+	})
+}
+
+// TestDisjointWindowsNoReuse: windows with no common pixels (including
+// edge-adjacent ones) must not form a group — reuse is a no-op and every
+// batch still equals the oracle's.
+func TestDisjointWindowsNoReuse(t *testing.T) {
+	task := overlapTask(t, "disjoint", resize64, []config.OpSpec{
+		crop(16, 16, 0, 0), crop(16, 16, 48, 48), crop(16, 16, 16, 0),
+	})
+	for _, d := range oracleDatasets(t) {
+		t.Run(d.name, func(t *testing.T) {
+			oracleRows(t, []*config.Task{task}, d.ds, func(t *testing.T, rs ReuseStats, _ bool) {
+				if rs.SupersetHits != 0 || rs.SupersetMisses != 0 {
+					t.Fatalf("disjoint windows formed a reuse group: %+v", rs)
+				}
+			})
+		})
 	}
 }
 
@@ -286,13 +213,13 @@ func staticMiniDataset(t testing.TB, n int) *dataset.Dataset {
 // coordination window and therefore overlap. The helper task exists only
 // to widen that window (its crop requirement exceeds the measured one,
 // so measured crops vary within the window instead of collapsing onto
-// it); it samples one frame per video and is never read. Tags matter:
+// it); it samples one frame per video. Tags matter:
 // the chunk planner sorts tasks alphabetically and places the window in
 // tasks[0]'s pre-crop geometry, so the measured tag must sort first.
-func batchOverlapTasks(tb testing.TB, suffix string) (measured, helper *config.Task) {
+func batchOverlapTasks(tb testing.TB) (measured, helper *config.Task) {
 	tb.Helper()
 	measured = &config.Task{
-		Tag:         "xs" + suffix,
+		Tag:         "xs",
 		Source:      config.SourceFile,
 		DatasetPath: "/data/mini",
 		Sampling:    config.Sampling{VideosPerBatch: 1, FramesPerVideo: 6, FrameStride: 2, SamplesPerVideo: 4},
@@ -308,7 +235,7 @@ func batchOverlapTasks(tb testing.TB, suffix string) (measured, helper *config.T
 		},
 	}
 	helper = &config.Task{
-		Tag:         "zwin" + suffix,
+		Tag:         "zwin",
 		Source:      config.SourceFile,
 		DatasetPath: "/data/mini",
 		Sampling:    config.Sampling{VideosPerBatch: 1, FramesPerVideo: 1, FrameStride: 1, SamplesPerVideo: 1},
@@ -333,45 +260,30 @@ func batchOverlapTasks(tb testing.TB, suffix string) (measured, helper *config.T
 
 // TestBatchScopeByteIdentical: batch-scoped planning must fire across
 // samples (nonzero cross-sample hits on a workload of single-chain
-// samples) and stay byte-identical to per-sample planning.
+// samples) and every batch of both tasks must equal the oracle's.
 func TestBatchScopeByteIdentical(t *testing.T) {
-	ds := miniDataset(t, 3)
-	measured, helper := batchOverlapTasks(t, "-id")
-	batch := buildReuseServiceTasks(t, []*config.Task{measured, helper}, ds, 4, ReuseOptions{})
-	sample := buildReuseServiceTasks(t, []*config.Task{measured, helper}, ds, 4, ReuseOptions{DisableBatchScope: true})
-	dBatch := serviceDigest(t, batch, measured.Tag)
-	dSample := serviceDigest(t, sample, measured.Tag)
-	if dBatch != dSample {
-		t.Fatalf("batch-scoped output differs from per-sample baseline (%s vs %s)", dBatch[:12], dSample[:12])
-	}
-	rs := batch.ReuseStats()
-	if rs.XSampleGroups == 0 || rs.XSampleHits == 0 {
-		t.Fatalf("batch scope never fired across samples: %+v", rs)
-	}
-	if rsOff := sample.ReuseStats(); rsOff.XSampleHits != 0 || rsOff.XSampleGroups != 0 {
-		t.Fatalf("per-sample planning produced cross-sample groups: %+v", rsOff)
+	measured, helper := batchOverlapTasks(t)
+	for _, d := range oracleDatasets(t) {
+		t.Run(d.name, func(t *testing.T) {
+			oracleRows(t, []*config.Task{measured, helper}, d.ds, func(t *testing.T, rs ReuseStats, roomy bool) {
+				if rs.XSampleGroups == 0 || (roomy && rs.XSampleHits == 0) {
+					t.Fatalf("batch scope never fired across samples: %+v", rs)
+				}
+			})
+		})
 	}
 }
 
-// TestBatchScopeSerialParallelIdentical: worker count must not leak into
-// output bytes when cross-sample groups race on derived-frame
-// publication.
-func TestBatchScopeSerialParallelIdentical(t *testing.T) {
-	ds := miniDataset(t, 3)
-	measured, helper := batchOverlapTasks(t, "-sp")
-	digests := map[string]string{}
-	for _, workers := range []int{1, 8} {
-		for _, reuse := range []ReuseOptions{{}, {DisableBatchScope: true}} {
-			s := buildReuseServiceTasks(t, []*config.Task{measured, helper}, ds, workers, reuse)
-			key := fmt.Sprintf("w%d-batch%v", workers, !reuse.DisableBatchScope)
-			digests[key] = serviceDigest(t, s, measured.Tag)
-		}
-	}
-	want := digests["w1-batchfalse"]
-	for key, d := range digests {
-		if d != want {
-			t.Fatalf("digest %s differs from serial per-sample baseline (%v)", key, digests)
-		}
+// TestMiniTaskMatchesOracle: the plain single-chain resize -> random_crop
+// task, with no superset groups to form, matches the oracle — at one
+// worker the pool has no idle capacity and every chain runs serially, at
+// eight chains fan out across frame positions.
+func TestMiniTaskMatchesOracle(t *testing.T) {
+	task := miniTask(t, "mini")
+	for _, d := range oracleDatasets(t) {
+		t.Run(d.name, func(t *testing.T) {
+			oracleRows(t, []*config.Task{task}, d.ds, nil)
+		})
 	}
 }
 

@@ -60,9 +60,6 @@ type Options struct {
 	// frames shared across samples). 0 defaults to MemBudget/4. The
 	// effective budget shrinks automatically under memory pressure.
 	GOPCacheBudget int64
-	// Reuse tunes the overlap-aware computation-reuse layer (superset
-	// crops). The zero value enables superset sharing — it is exact.
-	Reuse ReuseOptions
 	// DemandSLO is the demand-path queue-wait p99 SLO handed to the
 	// scheduler's admission control: past it, pre-materialization stops
 	// being admitted until the demand path recovers (DESIGN.md §11).
@@ -78,23 +75,6 @@ type Options struct {
 	// never touch observability still aggregate into the process-wide
 	// registry.
 	Obs *obs.Registry
-}
-
-// ReuseOptions configures overlap-aware computation reuse.
-type ReuseOptions struct {
-	// DisableSuperset turns off superset-crop sharing: chains of one
-	// sample whose crop windows overlap normally decode and cache one
-	// bounding region and serve each view as a sub-slice of it. The
-	// optimization is exact (byte-identical output), so it is on by
-	// default; disabling it reproduces the per-chain baseline.
-	DisableSuperset bool
-	// DisableBatchScope restricts superset planning to one sample at a
-	// time (the pre-batch-planner behavior): overlapping views still
-	// share within a sample, but chains of different samples of the same
-	// iteration never group. Batch scope is exact too — cross-sample
-	// members run the same deterministic prefix — so it is on by
-	// default.
-	DisableBatchScope bool
 }
 
 func (o *Options) normalize() error {

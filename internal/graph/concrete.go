@@ -262,6 +262,8 @@ func OpOutputGeometry(op augment.Op, w, h, c int) (int, int, int) {
 		return o.W, o.H, c
 	case *augment.RandomCrop:
 		return o.W, o.H, c
+	case *augment.Pad:
+		return w + o.Left + o.Right, h + o.Top + o.Bottom, c
 	case *augment.Rotate90:
 		if o.Turns%2 != 0 {
 			return h, w, c

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"sand/internal/augment"
 	"sand/internal/config"
+	"sand/internal/frame"
 )
 
 // taskWithPipeline builds a validated task: resize(64x64) then
@@ -391,6 +393,38 @@ func TestLastOpName(t *testing.T) {
 	for sig, want := range cases {
 		if got := lastOpName(sig); got != want {
 			t.Errorf("lastOpName(%q) = %q, want %q", sig, got, want)
+		}
+	}
+}
+
+// TestOpOutputGeometryMatchesApply: the geometry the planner, the merge
+// validation and the engine's reuse layer track through an op must be
+// the geometry the op actually produces, for every registered op.
+func TestOpOutputGeometryMatchesApply(t *testing.T) {
+	params := map[string]augment.Params{
+		"resize":      {"shape": []any{12, 20}},
+		"crop":        {"shape": []any{8, 10}, "x": 2, "y": 3},
+		"center_crop": {"shape": []any{8, 10}},
+		"random_crop": {"shape": []any{8, 10}},
+		"rotate90":    {"turns": 1},
+		"pad":         {"left": 1, "top": 2, "right": 3, "bottom": 4},
+	}
+	for _, name := range augment.Names() {
+		op, err := augment.Build(name, params[name])
+		if err != nil {
+			t.Fatalf("%s: %v (give it params here)", name, err)
+		}
+		clip, err := frame.NewClip([]*frame.Frame{frame.New(24, 16, 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := op.Apply(clip, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		w, h, c := out.Geometry()
+		if gw, gh, gc := OpOutputGeometry(op, 24, 16, 3); gw != w || gh != h || gc != c {
+			t.Errorf("%s: OpOutputGeometry = %dx%dx%d, Apply produced %dx%dx%d", name, gw, gh, gc, w, h, c)
 		}
 	}
 }

@@ -86,6 +86,10 @@ type Object struct {
 // ErrNotFound is returned when a key is absent from the store.
 var ErrNotFound = errors.New("storage: object not found")
 
+// ErrDiskBudget is wrapped by writes the disk tier refuses because they
+// would exceed Options.DiskBudget.
+var ErrDiskBudget = errors.New("storage: disk budget exhausted")
+
 // EvictionThreshold is the fill fraction beyond which the store evicts
 // (the paper uses 75% of the designated budget).
 const EvictionThreshold = 0.75
@@ -711,7 +715,7 @@ func (s *Store) writeDiskLocked(sh *shard, obj *Object) error {
 	size := int64(len(data))
 	if newTotal := s.diskBytes.Add(size); s.diskBudget > 0 && newTotal > s.diskBudget {
 		s.diskBytes.Add(-size)
-		return fmt.Errorf("storage: disk budget exhausted (%d + %d > %d)", newTotal-size, size, s.diskBudget)
+		return fmt.Errorf("%w (%d + %d > %d)", ErrDiskBudget, newTotal-size, size, s.diskBudget)
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		s.diskBytes.Add(-size)

@@ -13,8 +13,13 @@ echo "== doc + gofmt check"
 echo "== go build ./..."
 go build ./...
 
-echo "== go test -race ./..."
-go test -race ./...
+echo "== go test -race (every package but bench)"
+# bench's speed meter calibrates against uninstrumented deflate timing,
+# which the race detector slows ~20x; bench runs without -race below.
+go test -race $(go list ./... | grep -v '^sand/bench$')
+
+echo "== go test ./bench"
+go test ./bench
 
 echo "== storage race soak (promotion singleflight, 20 runs)"
 go test -race -count=20 ./internal/storage
@@ -30,26 +35,17 @@ echo "== quickstart shard smoke (1 shard vs 16 shards)"
 go run ./examples/quickstart -store-shards 1 >/dev/null
 go run ./examples/quickstart -store-shards 16 >/dev/null
 
-echo "== overlap-aware reuse smoke (superset hits + byte-identical output)"
-# The four-view overlapping-crop quickstart must produce byte-identical
-# batches with superset reuse on and off, and the reuse path must
-# actually fire (nonzero superset hits) — see DESIGN.md §9.
-REUSE_ON="$(go run ./examples/quickstart -overlap | grep -E '^(batch digest|reuse):')"
-REUSE_OFF="$(go run ./examples/quickstart -overlap -reuse=false | grep -E '^(batch digest|reuse):')"
-DIG_ON="$(grep '^batch digest:' <<<"$REUSE_ON")"
-DIG_OFF="$(grep '^batch digest:' <<<"$REUSE_OFF")"
-if [ -z "$DIG_ON" ] || [ "$DIG_ON" != "$DIG_OFF" ]; then
-	echo "reuse smoke: output digests differ between -reuse=true and -reuse=false" >&2
-	echo "  on:  $DIG_ON" >&2
-	echo "  off: $DIG_OFF" >&2
-	exit 1
-fi
-if ! grep '^reuse:' <<<"$REUSE_ON" | grep -q 'superset_hits=[1-9]'; then
+echo "== overlap-aware reuse smoke (superset hits)"
+# The four-view overlapping-crop quickstart must take the superset path
+# (nonzero superset hits) — see DESIGN.md §9. Byte identity to a naive
+# reference materializer is internal/core/oracle_test.go's job.
+REUSE="$(go run ./examples/quickstart -overlap | grep '^reuse:')"
+if ! grep -q 'superset_hits=[1-9]' <<<"$REUSE"; then
 	echo "reuse smoke: no superset hits on the overlapping-view task" >&2
-	grep '^reuse:' <<<"$REUSE_ON" >&2
+	echo "$REUSE" >&2
 	exit 1
 fi
-echo "reuse smoke: identical digests; $(grep '^reuse:' <<<"$REUSE_ON")"
+echo "reuse smoke: $REUSE"
 
 echo "== zero-copy dataplane smoke (8 shards, 1 MiB budget)"
 # Tight budget forces eviction passes to run while pinned batches are in
