@@ -10,20 +10,11 @@
 package sand_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
-	"sand/internal/config"
-	"sand/internal/core"
-	"sand/internal/dataset"
 	"sand/internal/gpusim"
 	"sand/internal/graph"
-	"sand/internal/metrics"
-	"sand/internal/storage"
 	"sand/internal/trainsim"
-	"sand/internal/vfs"
-	"sand/internal/viewserver"
 )
 
 const (
@@ -351,237 +342,4 @@ func BenchmarkTable3LoC(b *testing.B) {
 	b.ReportMetric(8, "sand-loc-slowfast")
 	b.ReportMetric(7, "sand-loc-hdvila")
 	b.ReportMetric(2254, "paper-baseline-loc-slowfast")
-}
-
-// BenchmarkRealEngineEpoch measures the real (non-simulated) engine
-// end-to-end: planning, decoding, augmentation, caching and batch
-// delivery over actual pixels.
-func BenchmarkRealEngineEpoch(b *testing.B) {
-	ds, err := dataset.Kinetics400.Miniature(6, 64, 64, 40, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	task := trainsim.WorkloadTaskForTests(gpusim.SlowFast, "bench", 2)
-	task.Sampling.FramesPerVideo = 4
-	task.Sampling.FrameStride = 2
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc, err := core.New(core.Options{
-			Tasks:       []*config.Task{task},
-			Dataset:     ds,
-			ChunkEpochs: 2,
-			TotalEpochs: 2,
-			Workers:     4,
-			Coordinate:  true,
-			Seed:        int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		loader, err := svc.NewLoader("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters, _ := svc.ItersPerEpoch("bench")
-		for e := 0; e < 2; e++ {
-			for it := 0; it < iters; it++ {
-				if _, _, err := loader.Next(e, it); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		svc.Close()
-	}
-}
-
-// benchViewProvider serves a fixed payload for any path: it isolates the
-// network dataplane (framing, session handling, buffer pooling) from
-// engine materialization cost.
-type benchViewProvider struct {
-	payload []byte
-}
-
-func (p benchViewProvider) Materialize(vp vfs.Path) ([]byte, map[string]string, error) {
-	return p.payload, map[string]string{"user.sand.geometry": "bench"}, nil
-}
-
-func (p benchViewProvider) List(dir string) ([]string, error) { return nil, nil }
-
-// benchPinnedProvider serves one fixed payload as a pinned reference
-// out of a real object store, so reads exercise the zero-copy serve
-// path exactly as production batch views do; flipping
-// viewserver.Options.ForceCopy gives the copying baseline over
-// identical wire traffic.
-type benchPinnedProvider struct {
-	payload []byte
-	store   *storage.Store
-}
-
-func (p *benchPinnedProvider) Materialize(vp vfs.Path) ([]byte, map[string]string, error) {
-	return p.payload, map[string]string{"user.sand.geometry": "bench"}, nil
-}
-
-func (p *benchPinnedProvider) List(dir string) ([]string, error) { return nil, nil }
-
-func (p *benchPinnedProvider) MaterializePinned(vp vfs.Path) (*vfs.View, error) {
-	obj, pin, err := p.store.GetPinned("/bench/zc")
-	if err != nil {
-		return nil, err
-	}
-	xattrs := map[string]string{"user.sand.geometry": "bench"}
-	if pin == nil {
-		return vfs.NewView(obj.Data, xattrs), nil
-	}
-	return vfs.NewPinnedView(obj.Data, xattrs, pin.Release), nil
-}
-
-// BenchmarkViewServerZeroCopy is the dataplane A/B: mode=zerocopy
-// writes pinned payloads by reference (pooled header + payload via
-// writev), mode=copy (Options.ForceCopy) assembles each response frame
-// in a buffer first. Each client holds one open descriptor and issues
-// full-payload preads into a preallocated buffer, so B/op isolates the
-// serve path's allocation cost and b.SetBytes reports served MB/s.
-func BenchmarkViewServerZeroCopy(b *testing.B) {
-	const size = 1 << 20
-	payload := make([]byte, size)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	for _, mode := range []string{"zerocopy", "copy"} {
-		for _, clients := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("mode=%s/clients=%d", mode, clients), func(b *testing.B) {
-				st, err := storage.Open(storage.Options{MemBudget: 64 << 20})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := st.Put(&storage.Object{Key: "/bench/zc", Data: payload}); err != nil {
-					b.Fatal(err)
-				}
-				fs := vfs.New(&benchPinnedProvider{payload: payload, store: st})
-				srv := viewserver.New(fs, viewserver.Options{ForceCopy: mode == "copy"})
-				addr, err := srv.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer srv.Close()
-
-				conns := make([]*viewserver.Client, clients)
-				fds := make([]int, clients)
-				bufs := make([][]byte, clients)
-				for i := range conns {
-					c, err := viewserver.Dial("tcp", addr.String(), viewserver.ClientOptions{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer c.Shutdown()
-					conns[i] = c
-					if fds[i], err = c.Open(vfs.BatchPath("bench", 0, i)); err != nil {
-						b.Fatal(err)
-					}
-					bufs[i] = make([]byte, size)
-				}
-
-				b.SetBytes(size)
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				errs := make([]error, clients)
-				for ci := range conns {
-					wg.Add(1)
-					go func(ci int) {
-						defer wg.Done()
-						for i := 0; i < b.N/clients+1; i++ {
-							n, err := conns[ci].ReadAt(fds[ci], bufs[ci], 0)
-							if err == nil && n != size {
-								err = fmt.Errorf("pread %d bytes, want %d", n, size)
-							}
-							if err != nil {
-								errs[ci] = err
-								return
-							}
-						}
-					}(ci)
-				}
-				wg.Wait()
-				b.StopTimer()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkViewServerThroughput measures the remote-view dataplane over
-// loopback TCP across batch sizes and client counts; b.SetBytes makes
-// `go test -bench` report MB/s for each cell.
-func BenchmarkViewServerThroughput(b *testing.B) {
-	for _, size := range []int{64 << 10, 512 << 10, 2 << 20} {
-		for _, clients := range []int{1, 4} {
-			name := fmt.Sprintf("batch=%s/clients=%d", metrics.Bytes(float64(size)), clients)
-			b.Run(name, func(b *testing.B) {
-				payload := make([]byte, size)
-				for i := range payload {
-					payload[i] = byte(i)
-				}
-				fs := vfs.New(benchViewProvider{payload: payload})
-				srv := viewserver.New(fs, viewserver.Options{ReadAhead: viewserver.DefaultReadAhead})
-				addr, err := srv.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer srv.Close()
-
-				conns := make([]*viewserver.Client, clients)
-				for i := range conns {
-					c, err := viewserver.Dial("tcp", addr.String(), viewserver.ClientOptions{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer c.Shutdown()
-					conns[i] = c
-				}
-
-				b.SetBytes(int64(size))
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				errs := make([]error, clients)
-				for ci, c := range conns {
-					wg.Add(1)
-					go func(ci int, c *viewserver.Client) {
-						defer wg.Done()
-						// Each client walks its own sequential batch view
-						// sequence, like one trainer per connection.
-						for i := 0; i < b.N/clients+1; i++ {
-							fd, err := c.Open(vfs.BatchPath(fmt.Sprintf("bench%d", ci), 0, i))
-							if err != nil {
-								errs[ci] = err
-								return
-							}
-							data, err := c.ReadAll(fd)
-							if err == nil && len(data) != size {
-								err = fmt.Errorf("read %d bytes, want %d", len(data), size)
-							}
-							if err == nil {
-								err = c.Close(fd)
-							}
-							if err != nil {
-								errs[ci] = err
-								return
-							}
-						}
-					}(ci, c)
-				}
-				wg.Wait()
-				b.StopTimer()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }

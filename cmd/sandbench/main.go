@@ -10,9 +10,6 @@
 //	sandbench -table 3        # Table 3 (lines of preprocessing code)
 //	sandbench -list           # list experiments
 //	sandbench -fig 12 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	sandbench -trace-out trace.json   # Chrome trace of any real-engine
-//	                                  # work (the figure experiments run
-//	                                  # on the simulator and emit none)
 package main
 
 import (
@@ -22,8 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-
-	"sand/internal/obs"
 )
 
 // experiment is one reproducible figure/table.
@@ -39,10 +34,6 @@ func register(id, title string, run func() error) {
 	experiments = append(experiments, experiment{id: id, title: title, run: run})
 }
 
-// storeShards is the -store-shards knob, consumed by the storescale
-// experiment (0 = the store's GOMAXPROCS-derived default).
-var storeShards = flag.Int("store-shards", 0, "object-store shard count for storage experiments (0 = a power of two near GOMAXPROCS, 1 = unsharded)")
-
 func main() {
 	fig := flag.String("fig", "", "figure number to run (e.g. 12, 19); empty = all")
 	table := flag.String("table", "", "table number to run (e.g. 3)")
@@ -50,26 +41,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file")
 	flag.Parse()
-
-	if *traceOut != "" {
-		// Experiments build engines with Options.Obs unset, which falls
-		// back to the process-wide registry — enabling its tracer here
-		// captures their scheduler and materialization events.
-		obs.Default().Trace().Enable()
-		defer func() {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-				return
-			}
-			defer f.Close()
-			if err := obs.Default().Trace().WriteChromeTrace(f); err != nil {
-				fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-			}
-		}()
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

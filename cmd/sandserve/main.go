@@ -72,8 +72,6 @@ func main() {
 	chunk := flag.Int("chunk", 2, "chunk size k (epochs planned together)")
 	workers := flag.Int("workers", 4, "preprocessing worker pool size")
 	readahead := flag.Int("readahead", viewserver.DefaultReadAhead, "batch views to prefetch ahead per sequence (0 disables)")
-	adaptiveRA := flag.Bool("adaptive-readahead", false, "let each session's prefetch depth track its consumption rate (see -readahead-max)")
-	readaheadMax := flag.Int("readahead-max", viewserver.DefaultReadAheadMax, "adaptive read-ahead depth ceiling")
 	demandSLO := flag.Duration("demand-slo", 0, "demand-path queue-wait p99 SLO; above it premat admission closes (0 disables)")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder trace dumps on SLO breaches ('' disables)")
 	inflight := flag.Int("inflight", 32, "max in-flight requests per client session")
@@ -136,11 +134,9 @@ func main() {
 	defer svc.Close()
 
 	srv := viewserver.New(svc.FS(), viewserver.Options{
-		ReadAhead:         *readahead,
-		AdaptiveReadAhead: *adaptiveRA,
-		ReadAheadMax:      *readaheadMax,
-		MaxInflight:       *inflight,
-		Obs:               reg,
+		ReadAhead:   *readahead,
+		MaxInflight: *inflight,
+		Obs:         reg,
 	})
 	obsAddr := *metricsAddr
 	if obsAddr == "" && *registryAddr != "" {

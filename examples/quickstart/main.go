@@ -129,7 +129,6 @@ dataset:
 
 func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file")
-	storeShards := flag.Int("store-shards", 0, "object-store shard count (0 = a power of two near GOMAXPROCS, 1 = unsharded)")
 	overlap := flag.Bool("overlap", false, "run the four-view overlapping-crop task instead of the single-view demo")
 	flag.Parse()
 
@@ -167,9 +166,8 @@ func main() {
 		// A deliberately tight budget: the demo's working set crosses
 		// the 75% eviction watermark and the scheduler's 80% SJF switch,
 		// so a trace of this run shows the engine's whole adaptive story.
-		MemBudget:   memBudget,
-		StoreShards: *storeShards,
-		Obs:         reg,
+		MemBudget: memBudget,
+		Obs:       reg,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -5,9 +5,9 @@
 // — and the example verifies each remote batch byte-for-byte against
 // the in-process filesystem before printing the server's dataplane
 // counters (the sequential read-ahead hit rate and the zero-copy hit /
-// copy-fallback split). -store-shards and -mem-budget-mb shape the
-// object store behind the engine, so a tight budget exercises the
-// pinned serve path under live eviction.
+// copy-fallback split). -mem-budget-mb sizes the object store behind
+// the engine, so a tight budget exercises the pinned serve path under
+// live eviction.
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 )
 
 func main() {
-	storeShards := flag.Int("store-shards", 0, "object-store shard count (0 = a power of two near GOMAXPROCS, 1 = unsharded)")
 	memBudgetMB := flag.Int64("mem-budget-mb", 0, "in-memory object-tier budget in MiB (0 = engine default)")
 	flag.Parse()
 
@@ -58,7 +57,6 @@ func main() {
 		Coordinate:  true,
 		Seed:        7,
 		MemBudget:   *memBudgetMB << 20,
-		StoreShards: *storeShards,
 	})
 	if err != nil {
 		log.Fatal(err)

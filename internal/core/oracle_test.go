@@ -244,7 +244,6 @@ func genOracleOptions(t testing.TB, seed int64, corpora map[string]*dataset.Data
 		ChunkEpochs:    1 + r.Intn(2),
 		TotalEpochs:    1 + r.Intn(3),
 		Workers:        []int{1, 2, 4, 8}[r.Intn(4)],
-		StoreShards:    []int{0, 1, 4}[r.Intn(3)],
 		Coordinate:     r.Intn(4) > 0,
 		Seed:           r.Int63n(1 << 20),
 		MemBudget:      64 << 20,

@@ -14,7 +14,6 @@ import (
 	"sand/internal/dataset"
 	"sand/internal/frame"
 	"sand/internal/graph"
-	"sand/internal/metrics"
 	"sand/internal/obs"
 	"sand/internal/sched"
 	"sand/internal/storage"
@@ -40,10 +39,6 @@ type Options struct {
 	MemBudget int64
 	// CacheDir enables the persistent disk tier ("" = memory only).
 	CacheDir string
-	// StoreShards partitions the object store into hash shards (per-shard
-	// locking, global atomic budget). 0 picks a power of two near
-	// GOMAXPROCS; 1 reproduces the exact global eviction order.
-	StoreShards int
 	// Workers sizes the preprocessing pool (the paper's 12 vCPUs).
 	Workers int
 	// Coordinate enables shared-pool/shared-window planning; disable to
@@ -221,7 +216,6 @@ func New(opts Options) (*Service, error) {
 	st, err := storage.Open(storage.Options{
 		MemBudget:    opts.MemBudget,
 		Dir:          opts.CacheDir,
-		Shards:       opts.StoreShards,
 		ColdCompress: true, // popularity tiering: cold spills go compressed
 		Obs:          reg,
 		OnEvictStorm: func(reason string) { s.flight.Breach(reason) },
@@ -379,35 +373,6 @@ func (g GOPCacheStats) HitRate() float64 {
 func (s *Service) GOPStats() GOPCacheStats {
 	st := s.gops.stats()
 	return GOPCacheStats(st)
-}
-
-// Counters gathers the engine's hot-path efficiency counters — GOP-cache
-// behavior, frame-pool reuse, and compressor reuse — into one metrics
-// set for reporting and benchmarks.
-func (s *Service) Counters() *metrics.CounterSet {
-	cs := metrics.NewCounterSet()
-	g := s.gops.stats()
-	cs.Add("core.gop.hits", g.Hits)
-	cs.Add("core.gop.misses", g.Misses)
-	cs.Add("core.gop.extends", g.Extends)
-	cs.Add("core.gop.evictions", g.Evictions)
-	cs.Add("core.gop.readmissions", g.Readmissions)
-	cs.Add("core.gop.frames_decoded", g.FramesDecoded)
-	cs.Add("core.gop.bytes_decoded", g.BytesDecoded)
-	cs.Add("core.gop.bytes", g.Bytes)
-	cs.Add("core.gop.entries", int64(g.Entries))
-	r := s.ReuseStats()
-	cs.Add("core.reuse.superset_hits", r.SupersetHits)
-	cs.Add("core.reuse.superset_misses", r.SupersetMisses)
-	cs.Add("core.reuse.xsample_hits", r.XSampleHits)
-	cs.Add("core.reuse.xsample_groups", r.XSampleGroups)
-	for k, v := range frame.PoolStats() {
-		cs.Add(k, v)
-	}
-	for k, v := range codec.PoolStats() {
-		cs.Add(k, v)
-	}
-	return cs
 }
 
 // ReuseStats summarizes the overlap-aware computation-reuse layer.

@@ -12,8 +12,7 @@ import (
 // store every eviction pass sorts the whole population under the one
 // lock, which is exactly the stall sharding removes. Each op also samples
 // MemPressure, mirroring the scheduler's per-dequeue read (an atomic load
-// in both configurations). scripts/bench_storage.sh parses these
-// sub-benchmarks into BENCH_storage.json.
+// in both configurations).
 func BenchmarkStoreContention(b *testing.B) {
 	const (
 		budget   = 1 << 20 // ~2048 objects of 512 B fit, eviction stays hot

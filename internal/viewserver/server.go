@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"strings"
@@ -17,46 +16,16 @@ import (
 	"sand/internal/vfs"
 )
 
-// DefaultReadAhead is the recommended fixed prefetch depth — the value
-// most callers want when they are not using AdaptiveReadAhead.
+// DefaultReadAhead is the recommended fixed prefetch depth.
 const DefaultReadAhead = 2
-
-// Defaults for the adaptive read-ahead controller.
-const (
-	// DefaultReadAheadMax bounds how deep the adaptive controller grows.
-	DefaultReadAheadMax = 8
-	// DefaultReadAheadBudget bounds payload bytes held by unclaimed
-	// prefetch entries (pinned when the mount pins) before the
-	// controller stops issuing prefetches — the brake for stalled
-	// clients.
-	DefaultReadAheadBudget = 32 << 20
-)
 
 // Options tunes a Server.
 type Options struct {
 	// ReadAhead is how many subsequent batch views the server prefetches
 	// when a client opens /{task}/{epoch}/{iter}/view — the dataplane
 	// analogue of sequential read-ahead. The zero value disables
-	// prefetching; pass DefaultReadAhead for the recommended fixed
-	// depth. With AdaptiveReadAhead set this is only the starting depth
-	// (forced to at least 1).
+	// prefetching; pass DefaultReadAhead for the recommended depth.
 	ReadAhead int
-	// AdaptiveReadAhead replaces the fixed depth with a per-session
-	// controller: each session's depth tracks the ratio of observed
-	// server materialization latency to the client's open interval
-	// (Little's-law pipelining — a client consuming faster than the
-	// server materializes needs proportionally more views in flight),
-	// stepping by one per open within [1, ReadAheadMax]. When unclaimed
-	// prefetched bytes exceed ReadAheadBudget the controller stops
-	// issuing prefetches until the backlog drains, so slow or stalled
-	// clients cannot pin the store's budget. See DESIGN.md §11.
-	AdaptiveReadAhead bool
-	// ReadAheadMax bounds the adaptive controller's depth. 0 uses
-	// DefaultReadAheadMax.
-	ReadAheadMax int
-	// ReadAheadBudget is the unclaimed-prefetch byte brake for the
-	// adaptive controller. 0 uses DefaultReadAheadBudget.
-	ReadAheadBudget int64
 	// MaxInflight bounds concurrently executing requests per session.
 	// When a client pipelines past the limit the server stops reading its
 	// socket, so backpressure propagates through TCP instead of growing
@@ -66,10 +35,6 @@ type Options struct {
 	// are answered with a protocol error and the connection is closed.
 	// 0 uses DefaultMaxMessage.
 	MaxMessage int
-	// ForceCopy disables the zero-copy send path: pinned payloads are
-	// copied into the pooled response buffer like any other. The
-	// benchmark baseline knob; the wire bytes are identical either way.
-	ForceCopy bool
 	// Obs receives the server's request spans, latency histogram and
 	// counters. Nil means no registration.
 	Obs *obs.Registry
@@ -78,20 +43,6 @@ type Options struct {
 func (o *Options) normalize() {
 	if o.ReadAhead < 0 {
 		o.ReadAhead = 0
-	}
-	if o.AdaptiveReadAhead {
-		if o.ReadAhead == 0 {
-			o.ReadAhead = 1 // the controller needs a starting depth
-		}
-		if o.ReadAheadMax <= 0 {
-			o.ReadAheadMax = DefaultReadAheadMax
-		}
-		if o.ReadAheadMax < o.ReadAhead {
-			o.ReadAheadMax = o.ReadAhead
-		}
-		if o.ReadAheadBudget <= 0 {
-			o.ReadAheadBudget = DefaultReadAheadBudget
-		}
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 32
@@ -116,20 +67,13 @@ type Stats struct {
 	ReadaheadHits   int64
 	ReadaheadMisses int64
 	// ReadaheadBytes is payload bytes currently held by unclaimed
-	// prefetch entries (the adaptive controller's brake input).
+	// prefetch entries.
 	ReadaheadBytes int64
-	// ReadaheadGrows / ReadaheadShrinks / ReadaheadBrakes count adaptive
-	// controller decisions: depth steps up, depth steps down, and opens
-	// where prefetching was suppressed because unclaimed bytes exceeded
-	// ReadAheadBudget.
-	ReadaheadGrows   int64
-	ReadaheadShrinks int64
-	ReadaheadBrakes  int64
 	// ZeroCopyHits counts read responses served by reference: a pooled
 	// header plus the pinned cache-resident payload, written with one
 	// writev. CopyFallbacks counts non-empty read responses that were
 	// copied through the response buffer instead (payload not
-	// cache-resident, or Options.ForceCopy).
+	// cache-resident).
 	ZeroCopyHits  int64
 	CopyFallbacks int64
 }
@@ -148,9 +92,6 @@ const (
 	ctrBytesServed = "bytes.served"
 	ctrRAHit       = "readahead.hit"
 	ctrRAMiss      = "readahead.miss"
-	ctrRAGrow      = "readahead.grow"
-	ctrRAShrink    = "readahead.shrink"
-	ctrRABrake     = "readahead.brake"
 	ctrZCHit       = "dataplane.zerocopy.hit"
 	ctrZCFallback  = "dataplane.copy.fallback"
 )
@@ -178,10 +119,6 @@ type Server struct {
 	ra      map[string]*raEntry
 	raOrder []string
 
-	// matNS holds the float64 bits of an EWMA over observed view
-	// materialization latency (ns) — the adaptive controller's estimate
-	// of how long the server takes to produce one view.
-	matNS atomic.Uint64
 	// raBytes is payload bytes held by unclaimed prefetch entries.
 	raBytes atomic.Int64
 
@@ -222,13 +159,6 @@ func New(m vfs.Mount, opts Options) *Server {
 	if r := opts.Obs; r != nil {
 		r.Gauge("viewserver.sessions", func() float64 { return float64(s.Stats().OpenSessions) })
 		r.Gauge("viewserver.fds", func() float64 { return float64(s.Stats().OpenFDs) })
-		r.Gauge("viewserver.ra_depth", func() float64 {
-			depths := s.ReadaheadDepths()
-			if len(depths) == 0 {
-				return 0
-			}
-			return float64(depths[len(depths)-1]) // max: depths are sorted
-		})
 		r.Gauge("viewserver.ra_pinned_bytes", func() float64 { return float64(s.raBytes.Load()) })
 		r.SnapshotFunc("viewserver", func() map[string]int64 { return s.ctr.Snapshot() })
 	}
@@ -327,16 +257,13 @@ func (s *Server) Close() error {
 func (s *Server) Stats() Stats {
 	snap := s.ctr.Snapshot()
 	st := Stats{
-		Requests:         map[string]int64{},
-		BytesServed:      snap[ctrBytesServed],
-		ReadaheadHits:    snap[ctrRAHit],
-		ReadaheadMisses:  snap[ctrRAMiss],
-		ReadaheadBytes:   s.raBytes.Load(),
-		ReadaheadGrows:   snap[ctrRAGrow],
-		ReadaheadShrinks: snap[ctrRAShrink],
-		ReadaheadBrakes:  snap[ctrRABrake],
-		ZeroCopyHits:     snap[ctrZCHit],
-		CopyFallbacks:    snap[ctrZCFallback],
+		Requests:        map[string]int64{},
+		BytesServed:     snap[ctrBytesServed],
+		ReadaheadHits:   snap[ctrRAHit],
+		ReadaheadMisses: snap[ctrRAMiss],
+		ReadaheadBytes:  s.raBytes.Load(),
+		ZeroCopyHits:    snap[ctrZCHit],
+		CopyFallbacks:   snap[ctrZCFallback],
 	}
 	for k, v := range snap {
 		if name, ok := strings.CutPrefix(k, "op."); ok {
@@ -349,10 +276,6 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	return st
 }
-
-// Counters exposes the raw counter set (shared with the live server; use
-// Snapshot for a consistent view).
-func (s *Server) Counters() *metrics.CounterSet { return s.ctr }
 
 // StatsTable renders the counters plus gauges for reporting.
 func (s *Server) StatsTable() *metrics.Table {
@@ -373,9 +296,6 @@ func (s *Server) StatsTable() *metrics.Table {
 	t.AddRow("readahead.miss", st.ReadaheadMisses)
 	t.AddRow("readahead.hitrate", metrics.Pct(st.ReadaheadHitRate()))
 	t.AddRow("readahead.bytes", st.ReadaheadBytes)
-	t.AddRow("readahead.grow", st.ReadaheadGrows)
-	t.AddRow("readahead.shrink", st.ReadaheadShrinks)
-	t.AddRow("readahead.brake", st.ReadaheadBrakes)
 	t.AddRow("dataplane.zerocopy.hit", st.ZeroCopyHits)
 	t.AddRow("dataplane.copy.fallback", st.CopyFallbacks)
 	return t
@@ -393,12 +313,6 @@ type session struct {
 	nextFD uint32
 	fds    map[uint32]*handle
 	closed bool
-
-	// Adaptive read-ahead controller state (see adaptDepth).
-	raMu       sync.Mutex
-	raDepth    int
-	raLastOpen time.Time
-	raInterval float64 // EWMA of ns between batch-view opens
 }
 
 // handle is an open view: the fully materialized payload plus metadata,
@@ -415,7 +329,7 @@ type handle struct {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	sess := &session{srv: s, conn: conn, nextFD: 3, fds: map[uint32]*handle{}, raDepth: s.opts.ReadAhead}
+	sess := &session{srv: s, conn: conn, nextFD: 3, fds: map[uint32]*handle{}}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -574,7 +488,7 @@ func (s *Server) handle(sess *session, req request) {
 }
 
 func (s *Server) handleOpen(sess *session, req request) {
-	v, err := s.materialize(sess, req.path)
+	v, err := s.materialize(req.path)
 	if err != nil {
 		sess.sendError(req.id, err, err.Error())
 		return
@@ -672,153 +586,28 @@ func (sess *session) lookup(fd uint32) (*handle, bool) {
 // materialize resolves a path to its view, serving batch views from the
 // prefetch cache when the sequential read-ahead got there first (the
 // entry's pin transfers to the caller), and scheduling the next views
-// of the sequence either way. The session drives the adaptive depth
-// controller; it may be nil (prefetch depth then falls back to the
-// configured starting depth).
-func (s *Server) materialize(sess *session, path string) (*vfs.View, error) {
+// of the sequence either way.
+func (s *Server) materialize(path string) (*vfs.View, error) {
 	parsed, perr := vfs.ParsePath(path)
 	if perr != nil || parsed.Kind != vfs.KindBatchView || s.opts.ReadAhead == 0 {
 		return s.load(path)
-	}
-	depth := s.opts.ReadAhead
-	if s.opts.AdaptiveReadAhead && sess != nil {
-		depth = sess.adaptDepth(s)
 	}
 	if e := s.raTake(path); e != nil {
 		<-e.done
 		if e.err == nil {
 			s.raBytes.Add(-int64(len(e.view.Data)))
 			s.ctr.Add(ctrRAHit, 1)
-			s.scheduleReadahead(parsed, depth)
+			s.scheduleReadahead(parsed)
 			return e.view, nil
 		}
 		// A failed prefetch is not a hit; fall through to a live load.
 	}
 	s.ctr.Add(ctrRAMiss, 1)
-	v, err := s.timedLoad(path)
-	if err == nil {
-		s.scheduleReadahead(parsed, depth)
-	}
-	return v, err
-}
-
-// raAlpha smooths the materialization-latency and open-interval EWMAs.
-const raAlpha = 0.3
-
-// adaptDepth runs one step of the session's read-ahead controller and
-// returns the prefetch depth for this open. The target depth is the
-// ratio of server materialization latency to the client's open interval
-// plus one — enough views in flight to hide materialization behind the
-// client's own consumption — clamped to [1, ReadAheadMax]; the live
-// depth steps toward it by at most one per open so a single slow open
-// doesn't collapse the pipeline. When unclaimed prefetched bytes exceed
-// ReadAheadBudget the controller returns 0 (no new prefetches) and
-// shrinks, so a stalled client drains its backlog instead of growing it.
-func (sess *session) adaptDepth(s *Server) int {
-	sess.raMu.Lock()
-	defer sess.raMu.Unlock()
-	now := time.Now()
-	if !sess.raLastOpen.IsZero() {
-		iv := float64(now.Sub(sess.raLastOpen).Nanoseconds())
-		if sess.raInterval == 0 {
-			sess.raInterval = iv
-		} else {
-			sess.raInterval += raAlpha * (iv - sess.raInterval)
-		}
-	}
-	sess.raLastOpen = now
-
-	if s.raBytes.Load() > s.opts.ReadAheadBudget {
-		if sess.raDepth > 1 {
-			sess.raDepth--
-			s.ctr.Add(ctrRAShrink, 1)
-		}
-		s.ctr.Add(ctrRABrake, 1)
-		return 0
-	}
-
-	target := sess.raDepth
-	if mat := s.matLatencyNS(); mat > 0 && sess.raInterval > 0 {
-		// Round the ratio: at depth 1 a saturated pipeline measures an
-		// interval of materialization latency plus RTT, so truncation
-		// would read the ratio as "just under 1" and never grow.
-		target = int(mat/sess.raInterval+0.5) + 1
-	}
-	if target < 1 {
-		target = 1
-	}
-	if target > s.opts.ReadAheadMax {
-		target = s.opts.ReadAheadMax
-	}
-	switch {
-	case target > sess.raDepth:
-		sess.raDepth++
-		s.ctr.Add(ctrRAGrow, 1)
-	case target < sess.raDepth:
-		sess.raDepth--
-		s.ctr.Add(ctrRAShrink, 1)
-	}
-	if sess.raDepth < 1 {
-		sess.raDepth = 1
-	}
-	return sess.raDepth
-}
-
-// matLatencyNS returns the EWMA of observed materialization latency.
-func (s *Server) matLatencyNS() float64 {
-	bits := s.matNS.Load()
-	if bits == 0 {
-		return 0
-	}
-	return math.Float64frombits(bits)
-}
-
-// noteMatLatency folds one observed materialization time into the EWMA.
-func (s *Server) noteMatLatency(ns int64) {
-	for {
-		old := s.matNS.Load()
-		var next float64
-		if old == 0 {
-			next = float64(ns)
-		} else {
-			prev := math.Float64frombits(old)
-			next = prev + raAlpha*(float64(ns)-prev)
-		}
-		if s.matNS.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// timedLoad is load plus a materialization-latency observation for the
-// adaptive controller.
-func (s *Server) timedLoad(path string) (*vfs.View, error) {
-	start := time.Now()
 	v, err := s.load(path)
 	if err == nil {
-		s.noteMatLatency(time.Since(start).Nanoseconds())
+		s.scheduleReadahead(parsed)
 	}
 	return v, err
-}
-
-// ReadaheadDepths returns the current adaptive depth of every live
-// session, sorted ascending. With a fixed depth (no AdaptiveReadAhead)
-// every entry is Options.ReadAhead.
-func (s *Server) ReadaheadDepths() []int {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	out := make([]int, 0, len(sessions))
-	for _, sess := range sessions {
-		sess.raMu.Lock()
-		out = append(out, sess.raDepth)
-		sess.raMu.Unlock()
-	}
-	sort.Ints(out)
-	return out
 }
 
 // load materializes one view through the mount. Mounts implementing
@@ -868,13 +657,13 @@ func (s *Server) raTake(path string) *raEntry {
 	return e
 }
 
-// scheduleReadahead prefetches the next depth iterations of the batch
-// sequence containing p. Prefetches past the end of an epoch fail
-// inside their goroutine and simply aren't cached as successes.
-func (s *Server) scheduleReadahead(p vfs.Path, depth int) {
+// scheduleReadahead prefetches the next Options.ReadAhead iterations of
+// the batch sequence containing p. Prefetches past the end of an epoch
+// fail inside their goroutine and simply aren't cached as successes.
+func (s *Server) scheduleReadahead(p vfs.Path) {
 	s.ramu.Lock()
 	defer s.ramu.Unlock()
-	for i := 1; i <= depth; i++ {
+	for i := 1; i <= s.opts.ReadAhead; i++ {
 		next := vfs.BatchPath(p.Task, p.Epoch, p.Iteration+i)
 		if _, ok := s.ra[next]; ok {
 			continue
@@ -889,7 +678,7 @@ func (s *Server) scheduleReadahead(p vfs.Path, depth int) {
 		go func(path string, e *raEntry) {
 			defer s.rawg.Done()
 			defer close(e.done)
-			e.view, e.err = s.timedLoad(path)
+			e.view, e.err = s.load(path)
 			if e.err != nil {
 				// Don't cache failures: drop the entry so a later real
 				// open retries (and reports) the error itself.
@@ -964,12 +753,11 @@ func (sess *session) send(id uint64, status uint8, payload func(b []byte) []byte
 // Pinned payloads go out zero-copy: a small pooled header plus the
 // cache-resident chunk, handed to the kernel as one segmented write
 // (net.Buffers → writev), so the payload bytes never land in an
-// intermediate buffer. Unpinned payloads — and all payloads under
-// Options.ForceCopy — take the contiguous copying path. The byte stream
-// on the wire is identical either way.
+// intermediate buffer. Unpinned payloads take the contiguous copying
+// path. The byte stream on the wire is identical either way.
 func (sess *session) sendPayload(id uint64, status uint8, chunk []byte, pinned bool) {
 	srv := sess.srv
-	if !pinned || srv.opts.ForceCopy || len(chunk) == 0 {
+	if !pinned || len(chunk) == 0 {
 		if len(chunk) > 0 { // empty EOF frames are not fallbacks
 			srv.ctr.Add(ctrZCFallback, 1)
 		}

@@ -306,6 +306,59 @@ func TestReadaheadHits(t *testing.T) {
 	}
 }
 
+// TestReadAheadZeroDisables: the zero value now means "no prefetch",
+// not "default depth" — opens neither hit nor miss the cache.
+func TestReadAheadZeroDisables(t *testing.T) {
+	srv, _, addr := startServer(t, Options{ReadAhead: 0})
+	cli := dialT(t, addr)
+	defer cli.Shutdown()
+	for iter := 0; iter < 4; iter++ {
+		fd, err := cli.Open(fmt.Sprintf("/train/0/%d/view", iter))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli.Close(fd)
+	}
+	st := srv.Stats()
+	if st.ReadaheadHits != 0 || st.ReadaheadMisses != 0 {
+		t.Fatalf("ReadAhead:0 still touched the prefetch cache: hits=%d misses=%d", st.ReadaheadHits, st.ReadaheadMisses)
+	}
+}
+
+// TestReadaheadStalledClientBounded: a client that opens views and then
+// stalls — never reading them, never claiming what was prefetched past
+// its last open — holds at most depth views of unclaimed prefetch, and
+// every prefetch and descriptor pin drains when the server closes.
+func TestReadaheadStalledClientBounded(t *testing.T) {
+	const depth = 2
+	srv, pp, addr := startPinnedServer(t, 64<<20, 4, Options{ReadAhead: depth})
+	cli := dialT(t, addr)
+	defer cli.Shutdown()
+
+	// Iterations 0..9 share a path length, so every view is one size.
+	viewSize := int64(len(pp.p.payload(vfs.BatchPath("train", 0, 1))))
+	bound := depth * viewSize
+	for iter := 0; iter < 6; iter++ {
+		if _, err := cli.Open(vfs.BatchPath("train", 0, iter)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "prefetches to land", func() bool { return srv.Stats().ReadaheadBytes >= bound })
+		time.Sleep(10 * time.Millisecond) // the stall: nothing claims the prefetches
+		if got := srv.Stats().ReadaheadBytes; got > bound {
+			t.Fatalf("after open %d: unclaimed prefetch bytes = %d, want ≤ %d", iter, got, bound)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().ReadaheadBytes; got != 0 {
+		t.Fatalf("ReadaheadBytes after Close = %d, want 0", got)
+	}
+	if got := pp.store.PinnedBytes(); got != 0 {
+		t.Fatalf("store pinned bytes after Close = %d, want 0", got)
+	}
+}
+
 // TestOversizedFrameRejected: the server answers a too-large frame with
 // a clean protocol error and drops the connection instead of dying.
 func TestOversizedFrameRejected(t *testing.T) {

@@ -121,36 +121,6 @@ func TestZeroCopyServesPinned(t *testing.T) {
 	}
 }
 
-// TestForceCopyBaseline: with ForceCopy the wire bytes are identical
-// but every non-empty read is a copy fallback and nothing goes out by
-// reference.
-func TestForceCopyBaseline(t *testing.T) {
-	srv, pp, addr := startPinnedServer(t, 64<<20, 4, Options{ReadAhead: 2, ForceCopy: true})
-	c := dialT(t, addr)
-	defer c.Shutdown()
-
-	path := vfs.BatchPath("train", 0, 0)
-	fd, err := c.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadAll(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pp.p.payload(path)) {
-		t.Fatal("ForceCopy payload differs from provider")
-	}
-	c.Close(fd)
-	st := srv.Stats()
-	if st.ZeroCopyHits != 0 {
-		t.Fatalf("ForceCopy served %d responses by reference", st.ZeroCopyHits)
-	}
-	if st.CopyFallbacks == 0 {
-		t.Fatalf("no copy fallbacks recorded: %+v", st)
-	}
-}
-
 // TestUnpinnedIsFallback: a mount without pinning (plain testProvider)
 // serves correctly and counts every payload as a copy fallback.
 func TestUnpinnedIsFallback(t *testing.T) {
