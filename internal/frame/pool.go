@@ -99,8 +99,8 @@ func Recycle(f *Frame) {
 	sizePool(len(pix)).Put(wrapper)
 }
 
-// PoolStats snapshots the package's buffer-pool counters, keyed with the
-// names the engine's metrics.CounterSet uses.
+// PoolStats snapshots the package's buffer-pool counters under their
+// full dotted names ("frame.pool.gets").
 func PoolStats() map[string]int64 {
 	return map[string]int64{
 		"frame.pool.gets":         poolCounters.gets.Load(),

@@ -12,8 +12,9 @@ import (
 )
 
 // Counter is a monotonic (by convention) atomic counter handed out by a
-// Registry. Callers cache the pointer and Add on the hot path; a nil
-// Counter (from a nil Registry) is a no-op.
+// Registry; a nil Counter (from a nil Registry) is a no-op. Subsystems
+// do not use it — they own their atomics and expose them through
+// SnapshotFunc — but the benchmark's windowing tests push through it.
 type Counter struct {
 	v atomic.Int64
 }
@@ -117,8 +118,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // SnapshotFunc registers (or replaces) a named snapshot provider: fn
 // returns a map of counter-style values exposed under "prefix.key". This
-// bridges subsystems that keep their own counter structs (store stats,
-// scheduler stats, metrics.CounterSet) into the unified exposition.
+// is how subsystems count: each owns its atomics (store stats, scheduler
+// stats, view-server counters) and exposes them through one provider.
 func (r *Registry) SnapshotFunc(prefix string, fn func() map[string]int64) {
 	if r == nil || fn == nil {
 		return

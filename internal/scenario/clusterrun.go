@@ -7,19 +7,19 @@ import (
 	"sync"
 	"time"
 
-	"sand/internal/cluster"
 	"sand/internal/config"
+	"sand/internal/core"
 	"sand/internal/dataset"
 	"sand/internal/fleet"
 	"sand/internal/obs"
 	"sand/internal/vfs"
 )
 
-// Cluster mode runs the scenario against real engines: a
-// cluster.FleetHarness of N full nodes, read through per-worker fleet
-// routers in DDP-style step groups. Events are keyed by the global
-// batch index (at_step) and fire at the group boundary at or after that
-// step. The mode's central check is data identity: every batch served
+// Cluster mode runs the scenario against real engines: a fleetHarness
+// of N full nodes, read through per-worker fleet routers in DDP-style
+// step groups. Events are keyed by the global batch index (at_step) and
+// fire at the group boundary at or after that step. The mode's central
+// check is data identity: every batch served
 // through the fleet — across kills, drains and failovers — is hashed
 // and (by default) compared byte-for-byte against a single-node
 // baseline engine with the same (config, seed).
@@ -86,10 +86,7 @@ func clusterReuseTasks() (*config.Task, []*config.Task) {
 // runCluster executes a cluster-mode scenario.
 func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 	c := sc.Cluster
-	nodes := c.Nodes
-	if nodes <= 0 {
-		nodes = 3
-	}
+	nodes := c.nodeCount()
 	workers := c.Workers
 	if workers <= 0 {
 		workers = 1
@@ -124,31 +121,28 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 	if c.Workload == "reuse_batch" {
 		task, extraTasks = clusterReuseTasks()
 	}
-	h, err := cluster.NewFleetHarness(cluster.HarnessOptions{
-		Nodes:       nodes,
-		Task:        task,
-		ExtraTasks:  extraTasks,
+	h, err := newFleetHarness(core.Options{
+		Tasks:       append([]*config.Task{task}, extraTasks...),
 		Dataset:     ds,
 		ChunkEpochs: chunkEpochs,
 		TotalEpochs: epochs,
-		Workers:     2,
 		MemBudget:   int64(c.MemBudgetMB) << 20,
+		Workers:     2,
+		Coordinate:  true,
 		Seed:        seed,
-		ReadAhead:   readAhead,
 		DemandSLO:   time.Duration(c.DemandSLOMS * float64(time.Millisecond)),
-		Baseline:    c.compareBaseline(),
-	})
+	}, nodes, readAhead, c.compareBaseline())
 	if err != nil {
 		return nil, err
 	}
-	defer h.Close()
+	defer h.close()
 
 	// Per-epoch iteration counts, resolved before any fault fires (a
 	// killed node's engine cannot answer afterwards).
 	itersBy := make([]int, epochs)
 	totalSteps := 0
 	for e := 0; e < epochs; e++ {
-		n, err := h.Nodes()[0].Service().ItersInEpoch(task.Tag, e)
+		n, err := h.nodes[0].svc.ItersInEpoch(task.Tag, e)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +152,7 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 
 	routers := make([]*fleet.Router, workers)
 	for i := range routers {
-		routers[i] = h.NewRouter()
+		routers[i] = h.newRouter()
 		defer routers[i].Shutdown()
 	}
 
@@ -175,12 +169,12 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 	var hashes []byte
 	var mismatch error
 
-	nodeIndex := func(target string) (int, error) {
+	node := func(target string) (*harnessNode, error) {
 		var i int
-		if _, err := fmt.Sscanf(target, "node%d", &i); err != nil {
-			return 0, fmt.Errorf("scenario: bad cluster node id %q", target)
+		if _, err := fmt.Sscanf(target, "node%d", &i); err != nil || i < 0 || i >= len(h.nodes) {
+			return nil, fmt.Errorf("scenario: bad cluster node id %q", target)
 		}
-		return i, nil
+		return h.nodes[i], nil
 	}
 
 	global := 0
@@ -192,19 +186,17 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 				pending = pending[1:]
 				eventsFired++
 				for _, t := range ev.targets() {
-					ni, err := nodeIndex(t)
+					n, err := node(t)
 					if err != nil {
 						return nil, err
 					}
 					switch ev.Action {
 					case ActionKillNode:
 						tracer.Instant("scenario", "kill_node", 0, t)
-						if err := h.Kill(ni); err != nil {
-							return nil, err
-						}
+						n.kill()
 					case ActionDrainNode:
 						tracer.Instant("scenario", "drain_node", 0, t)
-						if err := h.Drain(ni); err != nil {
+						if err := h.registry.Drain(n.name); err != nil {
 							return nil, err
 						}
 					}
@@ -244,9 +236,9 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 				}
 				crep.Batches++
 				hashes = append(hashes, outs[w].sum[:]...)
-				if h.Baseline() != nil {
+				if h.baseline != nil {
 					path := vfs.BatchPath(task.Tag, e, outs[w].iter)
-					want, err := readAll(h.Baseline().FS(), path)
+					want, err := readAll(h.baseline.FS(), path)
 					if err != nil {
 						return nil, err
 					}
@@ -268,7 +260,7 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 		snap := (*obs.Registry)(nil).Snapshot()
 		total := 0
 		census := map[string]int{}
-		for _, st := range h.Registry().Nodes() {
+		for _, st := range h.registry.Nodes() {
 			census[st.State.String()]++
 			total++
 		}
@@ -294,8 +286,8 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 		// scenario SLO armed the "did it ever engage" bit is
 		// deterministic, so it is safe for the run-twice report diff.
 		engagedEver, releasedEver := 0.0, 0.0
-		for _, n := range h.Nodes() {
-			st := n.Service().SchedStats()
+		for _, n := range h.nodes {
+			st := n.svc.SchedStats()
 			if st.AdmissionEngages > 0 {
 				engagedEver = 1
 			}
@@ -312,8 +304,8 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 		// multi-sample batch, so "did batch-scoped planning ever share
 		// across samples" is safe for the run-twice report diff.
 		xsampleEver := 0.0
-		for _, n := range h.Nodes() {
-			if n.Service().ReuseStats().XSampleHits > 0 {
+		for _, n := range h.nodes {
+			if n.svc.ReuseStats().XSampleHits > 0 {
 				xsampleEver = 1
 			}
 		}

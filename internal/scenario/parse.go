@@ -462,11 +462,7 @@ func (s *Scenario) Validate() error {
 		default:
 			return fail("cluster: unknown workload %q (want ddp | reuse_batch)", s.Cluster.Workload)
 		}
-		n := s.Cluster.Nodes
-		if n == 0 {
-			n = 3
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < s.Cluster.nodeCount(); i++ {
 			ids[fmt.Sprintf("node%d", i)] = true
 		}
 	}

@@ -150,6 +150,60 @@ func TestFlightRecorderOnFailure(t *testing.T) {
 	}
 }
 
+// TestRunClusterCorpus runs every cluster-mode file in scenarios/ on
+// real engines: each must pass and, where it compares against the
+// single-node baseline, serve byte-identical batches through kills and
+// drains. node_death_mid_epoch then runs again and must reproduce its
+// report byte for byte.
+func TestRunClusterCorpus(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(t *testing.T, file string) (*Scenario, *Report, []byte) {
+		t.Helper()
+		sc, err := Load(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _, err := Run(sc, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return sc, rep, buf.Bytes()
+	}
+	ran := 0
+	for _, file := range files {
+		if sc, err := Load(file); err != nil || sc.Kind() != "cluster" {
+			continue
+		}
+		ran++
+		name := strings.TrimSuffix(filepath.Base(file), ".yaml")
+		t.Run(name, func(t *testing.T) {
+			sc, rep, first := render(t, file)
+			if !rep.Pass {
+				t.Fatalf("run failed: %+v", rep.Assertions)
+			}
+			if sc.Cluster.compareBaseline() && !rep.Cluster.BytesIdentical {
+				t.Fatalf("fleet-served batches differ from the baseline: %+v", rep.Cluster)
+			}
+			if name != "node_death_mid_epoch" {
+				return
+			}
+			if _, _, again := render(t, file); !bytes.Equal(first, again) {
+				t.Fatalf("replay diverged:\n%s\nvs\n%s", first, again)
+			}
+		})
+	}
+	if ran == 0 {
+		t.Fatal("no cluster-mode scenarios found")
+	}
+}
+
 func TestSaveReport(t *testing.T) {
 	dir := t.TempDir()
 	rep, _, err := Run(mustParse(t, killRecoverDoc), RunOptions{})

@@ -192,6 +192,15 @@ type Cluster struct {
 	CompareBaseline *bool `json:"compare_baseline,omitempty"`
 }
 
+// nodeCount resolves Nodes: the fleet size that validation names node
+// ids for and the harness boots.
+func (c *Cluster) nodeCount() int {
+	if c.Nodes <= 0 {
+		return 3
+	}
+	return c.Nodes
+}
+
 func (c *Cluster) compareBaseline() bool {
 	return c.CompareBaseline == nil || *c.CompareBaseline
 }

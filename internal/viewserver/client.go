@@ -501,30 +501,6 @@ func (c *Client) Readdir(dir string) ([]string, error) {
 	return decodeStrings(payload)
 }
 
-// RemoteStats fetches the server's counters (requests by op, bytes
-// served, sessions, fds, read-ahead hits/misses) over the wire.
-func (c *Client) RemoteStats() (map[string]int64, error) {
-	status, payload, err := c.roundTrip(OpStats, request{}, true)
-	if err != nil {
-		return nil, err
-	}
-	if status == StatusErr {
-		return nil, decodeError(payload)
-	}
-	cur := cursor{b: payload}
-	n := cur.u32()
-	out := make(map[string]int64, n)
-	for i := uint32(0); i < n && cur.err == nil; i++ {
-		k := cur.str()
-		v := cur.i64()
-		out[k] = v
-	}
-	if cur.err != nil {
-		return nil, fmt.Errorf("%w: malformed stats response", ErrProtocol)
-	}
-	return out, nil
-}
-
 func decodeStrings(payload []byte) ([]string, error) {
 	cur := cursor{b: payload}
 	n := cur.u32()

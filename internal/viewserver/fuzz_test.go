@@ -7,14 +7,18 @@ import (
 	"testing"
 )
 
-// fuzzSeeds is the seeded corpus: valid encodings of every op, their
-// truncations at a few offsets, and hand-picked malformed frames. It is
-// exercised by the normal `go test` run (each seed runs as a unit case)
-// and used as the starting corpus for `go test -fuzz=FuzzDecodeRequest`.
+// fuzzSeeds is the seeded corpus: valid encodings of every op, the
+// frame of the retired op 10 (now an unknown op), their truncations at a
+// few offsets, and hand-picked malformed frames. It is exercised by the
+// normal `go test` run (each seed runs as a unit case) and used as the
+// starting corpus for `go test -fuzz=FuzzDecodeRequest`.
 func fuzzSeeds() [][]byte {
-	var seeds [][]byte
+	var frames, seeds [][]byte
 	for _, req := range seedRequests() {
-		full := appendRequest(nil, req)
+		frames = append(frames, appendRequest(nil, req))
+	}
+	frames = append(frames, appendRequest(nil, request{id: 10, op: Op(10)}))
+	for _, full := range frames {
 		seeds = append(seeds, full)
 		for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1} {
 			if cut >= 0 && cut < len(full) {

@@ -37,8 +37,9 @@ import (
 // Op identifies a request type.
 type Op uint8
 
-// Wire operations. The set mirrors the vfs.Mount surface plus Ping and
-// Stats for health checks and observability.
+// Wire operations. The set mirrors the vfs.Mount surface plus Ping for
+// health checks. A node's counters are not on the wire; they are
+// exported through its obs registry.
 const (
 	OpPing Op = iota + 1
 	OpOpen
@@ -49,7 +50,6 @@ const (
 	OpSize
 	OpReaddir
 	OpClose
-	OpStats
 	opMax
 )
 
@@ -63,7 +63,6 @@ var opNames = map[Op]string{
 	OpSize:      "size",
 	OpReaddir:   "readdir",
 	OpClose:     "close",
-	OpStats:     "stats",
 }
 
 func (o Op) String() string {
@@ -195,7 +194,7 @@ func appendRequest(dst []byte, r request) []byte {
 		dst = appendString(dst, r.name)
 	case OpListxattr, OpSize, OpClose:
 		dst = binary.BigEndian.AppendUint32(dst, r.fd)
-	case OpPing, OpStats:
+	case OpPing:
 		// no payload
 	}
 	return dst
@@ -229,7 +228,7 @@ func decodeRequest(body []byte) (request, error) {
 		req.name = c.str()
 	case OpListxattr, OpSize, OpClose:
 		req.fd = c.u32()
-	case OpPing, OpStats:
+	case OpPing:
 	}
 	if c.err != nil {
 		return req, fmt.Errorf("%w: truncated %s request", ErrProtocol, req.op)

@@ -22,7 +22,6 @@ func seedRequests() []request {
 		{id: 7, op: OpSize, fd: 7},
 		{id: 8, op: OpReaddir, path: "/train"},
 		{id: 9, op: OpClose, fd: 7},
-		{id: 10, op: OpStats},
 	}
 }
 

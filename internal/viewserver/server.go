@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,15 +86,6 @@ func (s Stats) ReadaheadHitRate() float64 {
 	return float64(s.ReadaheadHits) / float64(total)
 }
 
-// Counter names used in the metrics.CounterSet.
-const (
-	ctrBytesServed = "bytes.served"
-	ctrRAHit       = "readahead.hit"
-	ctrRAMiss      = "readahead.miss"
-	ctrZCHit       = "dataplane.zerocopy.hit"
-	ctrZCFallback  = "dataplane.copy.fallback"
-)
-
 // Server exports a vfs.Mount over length-prefixed frames. One goroutine
 // reads each connection; requests dispatch to bounded per-session worker
 // goroutines so slow materializations don't serialize a session's
@@ -103,11 +93,17 @@ const (
 type Server struct {
 	mount vfs.Mount
 	opts  Options
-	ctr   *metrics.CounterSet
 
 	tr      *obs.Tracer
 	histReq *obs.Histogram // per-request service time (ns)
-	wireCtr *obs.Counter   // payload bytes sent on read paths
+
+	// Counters behind Stats and the "viewserver" obs snapshot.
+	reqs        [opMax]atomic.Int64 // requests by op
+	bytesServed atomic.Int64
+	raHits      atomic.Int64
+	raMisses    atomic.Int64
+	zcHits      atomic.Int64
+	zcFallbacks atomic.Int64
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -149,18 +145,16 @@ func New(m vfs.Mount, opts Options) *Server {
 	s := &Server{
 		mount:    m,
 		opts:     opts,
-		ctr:      metrics.NewCounterSet(),
 		sessions: map[*session]struct{}{},
 		ra:       map[string]*raEntry{},
 		tr:       opts.Obs.Trace(),
 		histReq:  opts.Obs.Histogram("viewserver.request_ns"),
-		wireCtr:  opts.Obs.Counter("viewserver.wire_bytes"),
 	}
 	if r := opts.Obs; r != nil {
 		r.Gauge("viewserver.sessions", func() float64 { return float64(s.Stats().OpenSessions) })
 		r.Gauge("viewserver.fds", func() float64 { return float64(s.Stats().OpenFDs) })
 		r.Gauge("viewserver.ra_pinned_bytes", func() float64 { return float64(s.raBytes.Load()) })
-		r.SnapshotFunc("viewserver", func() map[string]int64 { return s.ctr.Snapshot() })
+		r.SnapshotFunc("viewserver", s.counters)
 	}
 	return s
 }
@@ -255,19 +249,18 @@ func (s *Server) Close() error {
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
-	snap := s.ctr.Snapshot()
 	st := Stats{
 		Requests:        map[string]int64{},
-		BytesServed:     snap[ctrBytesServed],
-		ReadaheadHits:   snap[ctrRAHit],
-		ReadaheadMisses: snap[ctrRAMiss],
+		BytesServed:     s.bytesServed.Load(),
+		ReadaheadHits:   s.raHits.Load(),
+		ReadaheadMisses: s.raMisses.Load(),
 		ReadaheadBytes:  s.raBytes.Load(),
-		ZeroCopyHits:    snap[ctrZCHit],
-		CopyFallbacks:   snap[ctrZCFallback],
+		ZeroCopyHits:    s.zcHits.Load(),
+		CopyFallbacks:   s.zcFallbacks.Load(),
 	}
-	for k, v := range snap {
-		if name, ok := strings.CutPrefix(k, "op."); ok {
-			st.Requests[name] = v
+	for op := OpPing; op < opMax; op++ {
+		if n := s.reqs[op].Load(); n > 0 {
+			st.Requests[op.String()] = n
 		}
 	}
 	s.mu.Lock()
@@ -275,6 +268,24 @@ func (s *Server) Stats() Stats {
 	st.OpenFDs = s.openFDs
 	s.mu.Unlock()
 	return st
+}
+
+// counters is the "viewserver" obs snapshot: op.<name> for every op
+// that ran, bytes.served, readahead.hit/miss, dataplane.zerocopy.hit and
+// dataplane.copy.fallback.
+func (s *Server) counters() map[string]int64 {
+	st := s.Stats()
+	m := map[string]int64{
+		"bytes.served":            st.BytesServed,
+		"readahead.hit":           st.ReadaheadHits,
+		"readahead.miss":          st.ReadaheadMisses,
+		"dataplane.zerocopy.hit":  st.ZeroCopyHits,
+		"dataplane.copy.fallback": st.CopyFallbacks,
+	}
+	for op, n := range st.Requests {
+		m["op."+op] = n
+	}
+	return m
 }
 
 // StatsTable renders the counters plus gauges for reporting.
@@ -391,7 +402,7 @@ func (s *Server) handle(sess *session, req request) {
 		spanStart := s.tr.Now()
 		defer func() { s.tr.Span("viewserver", "req."+req.op.String(), 0, spanStart, req.path) }()
 	}
-	s.ctr.Add("op."+req.op.String(), 1)
+	s.reqs[req.op].Add(1)
 	switch req.op {
 	case OpPing:
 		sess.send(req.id, StatusOK, nil)
@@ -457,33 +468,6 @@ func (s *Server) handle(sess *session, req request) {
 		s.openFDs--
 		s.mu.Unlock()
 		sess.send(req.id, StatusOK, nil)
-	case OpStats:
-		st := s.Stats()
-		kv := map[string]int64{
-			"bytes.served":            st.BytesServed,
-			"sessions.open":           int64(st.OpenSessions),
-			"fds.open":                int64(st.OpenFDs),
-			"readahead.hit":           st.ReadaheadHits,
-			"readahead.miss":          st.ReadaheadMisses,
-			"dataplane.zerocopy.hit":  st.ZeroCopyHits,
-			"dataplane.copy.fallback": st.CopyFallbacks,
-		}
-		for op, n := range st.Requests {
-			kv["op."+op] = n
-		}
-		keys := make([]string, 0, len(kv))
-		for k := range kv {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sess.send(req.id, StatusOK, func(b []byte) []byte {
-			b = appendU32(b, uint32(len(keys)))
-			for _, k := range keys {
-				b = appendString(b, k)
-				b = appendU64(b, uint64(kv[k]))
-			}
-			return b
-		})
 	}
 }
 
@@ -539,8 +523,7 @@ func (s *Server) handleRead(sess *session, req request) {
 	chunk := data[h.off : h.off+n]
 	h.off += n
 	h.mu.Unlock()
-	s.ctr.Add(ctrBytesServed, int64(n))
-	s.wireCtr.Add(int64(n))
+	s.bytesServed.Add(int64(n))
 	sess.sendPayload(req.id, StatusOK, chunk, h.view.Pinned)
 }
 
@@ -565,8 +548,7 @@ func (s *Server) handleReadAt(sess *session, req request) {
 		n = rem
 	}
 	chunk := data[off : int(off)+n]
-	s.ctr.Add(ctrBytesServed, int64(n))
-	s.wireCtr.Add(int64(n))
+	s.bytesServed.Add(int64(n))
 	status := StatusOK
 	if n < int(req.n) {
 		status = StatusEOF // pread short of the request: data + EOF, like vfs.ReadAt
@@ -596,13 +578,13 @@ func (s *Server) materialize(path string) (*vfs.View, error) {
 		<-e.done
 		if e.err == nil {
 			s.raBytes.Add(-int64(len(e.view.Data)))
-			s.ctr.Add(ctrRAHit, 1)
+			s.raHits.Add(1)
 			s.scheduleReadahead(parsed)
 			return e.view, nil
 		}
 		// A failed prefetch is not a hit; fall through to a live load.
 	}
-	s.ctr.Add(ctrRAMiss, 1)
+	s.raMisses.Add(1)
 	v, err := s.load(path)
 	if err == nil {
 		s.scheduleReadahead(parsed)
@@ -759,12 +741,12 @@ func (sess *session) sendPayload(id uint64, status uint8, chunk []byte, pinned b
 	srv := sess.srv
 	if !pinned || len(chunk) == 0 {
 		if len(chunk) > 0 { // empty EOF frames are not fallbacks
-			srv.ctr.Add(ctrZCFallback, 1)
+			srv.zcFallbacks.Add(1)
 		}
 		sess.send(id, status, func(b []byte) []byte { return appendBlob(b, chunk) })
 		return
 	}
-	srv.ctr.Add(ctrZCHit, 1)
+	srv.zcHits.Add(1)
 	bp := respPool.Get().(*[]byte)
 	hdr := (*bp)[:0]
 	hdr = append(hdr, 0, 0, 0, 0)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"sand/internal/obs"
 	"sand/internal/storage"
 	"sand/internal/vfs"
 )
@@ -79,7 +80,8 @@ func startPinnedServer(t *testing.T, budget int64, shards int, opts Options) (*S
 // (zerocopy.hit counts them), the bytes match the provider exactly, and
 // every pin drains once descriptors close and the server shuts down.
 func TestZeroCopyServesPinned(t *testing.T) {
-	srv, pp, addr := startPinnedServer(t, 64<<20, 4, Options{ReadAhead: 2})
+	reg := obs.New()
+	srv, pp, addr := startPinnedServer(t, 64<<20, 4, Options{ReadAhead: 2, Obs: reg})
 	c := dialT(t, addr)
 	defer c.Shutdown()
 
@@ -104,13 +106,16 @@ func TestZeroCopyServesPinned(t *testing.T) {
 	if st.ZeroCopyHits == 0 {
 		t.Fatalf("no zero-copy hits: %+v", st)
 	}
-	// The same counters are visible over the wire.
-	rs, err := c.RemoteStats()
-	if err != nil {
-		t.Fatal(err)
+	// The node's obs registry exports the same counters.
+	exported := map[string]float64{}
+	for _, s := range reg.Gather() {
+		exported[s.Name] = s.Value
 	}
-	if rs["dataplane.zerocopy.hit"] != st.ZeroCopyHits {
-		t.Fatalf("remote zerocopy.hit=%d, server says %d", rs["dataplane.zerocopy.hit"], st.ZeroCopyHits)
+	if got := exported["viewserver.dataplane.zerocopy.hit"]; got != float64(st.ZeroCopyHits) {
+		t.Fatalf("exported zerocopy.hit=%v, server says %d", got, st.ZeroCopyHits)
+	}
+	if got := exported["viewserver.op.open"]; got != 6 {
+		t.Fatalf("exported op.open=%v, want 6", got)
 	}
 	// Close the server: read-ahead entries and any leftover descriptors
 	// release their pins; accounting must reconcile exactly.
