@@ -7,9 +7,11 @@ test:
 	go build ./...
 	go test ./...
 
-# Dataplane fuzzing (bounded; extend -fuzztime for longer campaigns).
+# Dataplane and frame-decoder fuzzing (bounded; extend -fuzztime for
+# longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
+	go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/frame/
 
 # The end-to-end epoch benchmark with per-layer attribution (see
 # bench/README.md).

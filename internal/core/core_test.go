@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sand/internal/config"
 	"sand/internal/dataset"
@@ -254,6 +255,66 @@ func TestUnknownViewsRejected(t *testing.T) {
 		if _, err := fs.Open(p); !errors.Is(err, vfs.ErrNotExist) {
 			t.Errorf("Open(%q) = %v, want ErrNotExist", p, err)
 		}
+	}
+}
+
+// TestReadPastEpochEndFailsBeforeWork opens the iteration one past an
+// epoch's end (what read-ahead asks for after the last batch): it must
+// fail with ErrNotExist without running a scheduler task or moving the
+// read position, and the next in-range read must still be a premat hit.
+func TestReadPastEpochEndFailsBeforeWork(t *testing.T) {
+	s := newService(t, []*config.Task{miniTask(t, "train")}, 4)
+	fs := s.FS()
+	iters, err := s.ItersInEpoch("train", 0)
+	if err != nil || iters != 2 {
+		t.Fatalf("iters = %d (%v), want 2", iters, err)
+	}
+	fd, err := fs.Open(vfs.BatchPath("train", 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Close(fd)
+	// Let every submitted task finish so the counters hold still.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		submitted := int64(len(s.prematSubmitted)) + s.stats.DemandMisses
+		s.mu.Unlock()
+		if s.SchedStats().Completed == submitted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool did not drain: %+v", s.SchedStats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	before, hits := s.SchedStats(), s.Stats().PrematHits
+	s.mu.Lock()
+	pos := s.currentPos["train"]
+	s.mu.Unlock()
+	if _, err := fs.Open(vfs.BatchPath("train", 0, iters)); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("Open past the epoch's end = %v, want ErrNotExist", err)
+	}
+	after := s.SchedStats()
+	if after.Errors != before.Errors || after.Completed != before.Completed {
+		t.Fatalf("out-of-plan read ran work: errors %d -> %d, completed %d -> %d",
+			before.Errors, after.Errors, before.Completed, after.Completed)
+	}
+	s.mu.Lock()
+	moved := s.currentPos["train"] != pos
+	s.mu.Unlock()
+	if moved {
+		t.Fatal("out-of-plan read moved the read position")
+	}
+
+	fd, err = fs.Open(vfs.BatchPath("train", 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Close(fd)
+	if got := s.Stats().PrematHits; got != hits+1 {
+		t.Fatalf("premat hits %d -> %d, want the in-range read to hit", hits, got)
 	}
 }
 

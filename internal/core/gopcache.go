@@ -31,14 +31,8 @@ import (
 // threshold it quarters, so the GOP cache yields memory to the object
 // store exactly when the rest of the engine is shedding load. The shrunk
 // budget is floored at the largest resident entry so sustained pressure
-// degrades to "keep the hottest GOP" instead of evict-rebuild thrash.
-//
-// Admission and eviction are keyed on observed reuse, not pure recency:
-// each entry carries a hit count (decayed periodically so stale history
-// fades), eviction drops the entry with the fewest hits (LRU only as the
-// tie-break), and a bounded ghost history of recently evicted keys seeds
-// the count on readmission so a GOP with proven reuse outranks a
-// never-again-touched scan GOP even after it has been dropped once.
+// degrades to "keep one GOP" instead of evict-rebuild thrash. Eviction is
+// least-recently-used.
 type gopCache struct {
 	budget   int64
 	pressure func() float64 // store fill fraction in [0,1]; may be nil
@@ -46,30 +40,18 @@ type gopCache struct {
 
 	mu      sync.Mutex
 	entries map[gopKey]*gopEntry
-	clock   int64 // LRU tick; also drives periodic hit-count decay
-
-	// ghost remembers the reuse counts of recently evicted entries;
-	// ghostOrder is its FIFO trim order (stale keys are skipped on trim).
-	ghost      map[gopKey]int64
-	ghostOrder []gopKey
+	clock   int64 // LRU tick
 
 	// bytes is the decoded-frame footprint. Mutated only under mu, but
 	// atomic so the scheduler's memory-pressure callback (sampled at every
 	// dequeue) reads it without touching the cache lock.
 	bytes atomic.Int64
 
-	// counters (guarded by mu; snapshot via statsLocked)
-	hits, misses, extends, evictions, readmissions int64
-	framesDecoded, bytesDecoded                    int64
-	derivedHits, derivedMisses, derivedBytes       int64
+	// counters (guarded by mu; snapshot via stats)
+	hits, misses, extends, evictions         int64
+	framesDecoded, bytesDecoded              int64
+	derivedHits, derivedMisses, derivedBytes int64
 }
-
-// gopGhostCap bounds the ghost history; gopDecayInterval is how many
-// acquires pass between halvings of every live and ghost hit count.
-const (
-	gopGhostCap      = 1024
-	gopDecayInterval = 256
-)
 
 type gopKey struct {
 	video string
@@ -84,8 +66,7 @@ type gopEntry struct {
 
 	// guarded by gopCache.mu
 	refs    int
-	lastUse int64
-	hits    int64 // observed reuse count; eviction priority key
+	lastUse int64 // clock at the last acquire
 	bytes   int64
 
 	// derived caches frames computed *from* this GOP's decoded frames —
@@ -107,10 +88,7 @@ func newGOPCache(budget int64, pressure func() float64) *gopCache {
 	if budget <= 0 {
 		budget = 64 << 20
 	}
-	return &gopCache{
-		budget: budget, pressure: pressure,
-		entries: map[gopKey]*gopEntry{}, ghost: map[gopKey]int64{},
-	}
+	return &gopCache{budget: budget, pressure: pressure, entries: map[gopKey]*gopEntry{}}
 }
 
 // acquire pins the GOP containing idx, building (decoding) it on first
@@ -122,52 +100,21 @@ func (c *gopCache) acquire(ent *dataset.Entry, idx int) (*gopEntry, error) {
 	}
 	key := gopKey{video: ent.Spec.Name, start: k}
 	c.mu.Lock()
-	c.tickLocked()
+	c.clock++
 	if e, ok := c.entries[key]; ok {
 		e.refs++
 		e.lastUse = c.clock
-		e.hits++
 		c.hits++
 		c.mu.Unlock()
 		return e, nil
 	}
-	e := &gopEntry{key: key, ready: make(chan struct{}), refs: 1}
-	e.lastUse = c.clock
-	if h, ok := c.ghost[key]; ok {
-		// Readmission: the re-reference itself is evidence of reuse, so a
-		// readmitted GOP starts above a never-seen scan GOP (hits >= 1)
-		// plus half its pre-eviction count.
-		e.hits = h/2 + 1
-		delete(c.ghost, key)
-		c.readmissions++
-	}
+	e := &gopEntry{key: key, ready: make(chan struct{}), refs: 1, lastUse: c.clock}
 	c.entries[key] = e
 	c.misses++
 	c.mu.Unlock()
 
 	c.build(ent, e, k, idx)
 	return e, nil
-}
-
-// tickLocked advances the cache clock and periodically halves every live
-// and ghost hit count, so reuse observed long ago cannot permanently pin
-// an entry against a workload shift.
-func (c *gopCache) tickLocked() {
-	c.clock++
-	if c.clock%gopDecayInterval != 0 {
-		return
-	}
-	for _, e := range c.entries {
-		e.hits /= 2
-	}
-	for k, h := range c.ghost {
-		h /= 2
-		if h == 0 {
-			delete(c.ghost, k)
-		} else {
-			c.ghost[k] = h
-		}
-	}
 }
 
 // build decodes frames k..idx into e and publishes the entry.
@@ -255,8 +202,8 @@ func (c *gopCache) release(e *gopEntry) {
 // scheduler's 80% SJF switch. The shrunk value is floored at the largest
 // resident entry's footprint — with a small budget or deep pressure the
 // integer division would otherwise round below a single GOP and force an
-// evict-redecode cycle on every release (thrash); keeping exactly the
-// hottest GOP resident is strictly cheaper. With no residents the shrunk
+// evict-redecode cycle on every release (thrash); keeping one GOP
+// resident is strictly cheaper. With no residents the shrunk
 // value stands as-is, so pressure still gates fresh admissions.
 func (c *gopCache) effectiveBudgetLocked() int64 {
 	b := c.budget
@@ -289,24 +236,15 @@ func (c *gopCache) effectiveBudgetLocked() int64 {
 }
 
 // evictLocked drops unpinned GOPs until the cache fits its
-// (pressure-adjusted) budget. The victim is the entry with the fewest
-// observed hits, ties broken by least-recent use — so a GOP that many
-// samples have shared outlives a same-age GOP touched exactly once, and
-// a one-pass scan cannot flush the reuse working set. Evicted keys enter
-// the ghost history so their reuse record survives a transient eviction.
-// Pinned entries are never dropped; their frames stay valid for every
-// lease holder.
+// (pressure-adjusted) budget, least recently used first. Pinned entries
+// are never dropped; their frames stay valid for every lease holder.
 func (c *gopCache) evictLocked() {
 	limit := c.effectiveBudgetLocked()
 	var dropped, freed int64
 	for c.bytes.Load() > limit {
 		var victim *gopEntry
 		for _, e := range c.entries {
-			if e.refs > 0 {
-				continue
-			}
-			if victim == nil || e.hits < victim.hits ||
-				(e.hits == victim.hits && e.lastUse < victim.lastUse) {
+			if e.refs == 0 && (victim == nil || e.lastUse < victim.lastUse) {
 				victim = e
 			}
 		}
@@ -315,9 +253,6 @@ func (c *gopCache) evictLocked() {
 		}
 		delete(c.entries, victim.key)
 		c.bytes.Add(-victim.bytes)
-		c.ghost[victim.key] = victim.hits
-		c.ghostOrder = append(c.ghostOrder, victim.key)
-		c.trimGhostLocked()
 		dropped++
 		freed += victim.bytes
 		c.evictions++
@@ -326,27 +261,6 @@ func (c *gopCache) evictLocked() {
 	}
 	if dropped > 0 && c.tr.Enabled() {
 		c.tr.Instant("core", "gop_evict", 0, fmt.Sprintf("%d gops, %d bytes", dropped, freed))
-	}
-}
-
-// trimGhostLocked bounds the ghost history to gopGhostCap entries,
-// retiring the oldest evictions first. Keys already removed from the map
-// (readmitted or decayed away) are skipped.
-func (c *gopCache) trimGhostLocked() {
-	for len(c.ghost) > gopGhostCap && len(c.ghostOrder) > 0 {
-		k := c.ghostOrder[0]
-		c.ghostOrder = c.ghostOrder[1:]
-		delete(c.ghost, k)
-	}
-	// Compact the order slice if stale keys let it outgrow the map badly.
-	if len(c.ghostOrder) > 2*gopGhostCap {
-		live := c.ghostOrder[:0]
-		for _, k := range c.ghostOrder {
-			if _, ok := c.ghost[k]; ok {
-				live = append(live, k)
-			}
-		}
-		c.ghostOrder = live
 	}
 }
 
@@ -416,29 +330,23 @@ func (c *gopCache) publishDerived(e *gopEntry, slot *derivedSlot, f *frame.Frame
 }
 
 // abandonDerived completes a failed flight: the slot is removed so a
-// later claimant can retry, and waiters observe a nil frame. The
-// entry's reuse credit is revoked too — its live hit count and any
-// ghost-history credit under its key — so a persistently failing
-// superset cannot keep readmitting itself ahead of healthy GOPs on the
-// strength of hits it never converted into usable frames.
+// later claimant can retry, and waiters observe a nil frame.
 func (c *gopCache) abandonDerived(e *gopEntry, dk string, slot *derivedSlot) {
 	c.mu.Lock()
 	if e.derived[dk] == slot {
 		delete(e.derived, dk)
 	}
-	e.hits = 0
-	delete(c.ghost, e.key)
 	c.mu.Unlock()
 	close(slot.ready)
 }
 
 // gopStats is a counter snapshot for the metrics layer.
 type gopStats struct {
-	Hits, Misses, Extends, Evictions, Readmissions int64
-	FramesDecoded, BytesDecoded                    int64
-	DerivedHits, DerivedMisses, DerivedBytes       int64
-	Bytes                                          int64
-	Entries, Ghosts                                int
+	Hits, Misses, Extends, Evictions         int64
+	FramesDecoded, BytesDecoded              int64
+	DerivedHits, DerivedMisses, DerivedBytes int64
+	Bytes                                    int64
+	Entries                                  int
 }
 
 func (c *gopCache) stats() gopStats {
@@ -446,10 +354,9 @@ func (c *gopCache) stats() gopStats {
 	defer c.mu.Unlock()
 	return gopStats{
 		Hits: c.hits, Misses: c.misses, Extends: c.extends, Evictions: c.evictions,
-		Readmissions:  c.readmissions,
 		FramesDecoded: c.framesDecoded, BytesDecoded: c.bytesDecoded,
 		DerivedHits: c.derivedHits, DerivedMisses: c.derivedMisses, DerivedBytes: c.derivedBytes,
-		Bytes: c.bytes.Load(), Entries: len(c.entries), Ghosts: len(c.ghost),
+		Bytes: c.bytes.Load(), Entries: len(c.entries),
 	}
 }
 
@@ -539,27 +446,6 @@ func (l *gopLease) entryFor(ent *dataset.Entry, idx int) (*gopEntry, error) {
 	l.held[key] = fresh
 	l.mu.Unlock()
 	return fresh, nil
-}
-
-// heat reports the observed acquire count of the pinned GOP entry
-// covering frame idx — the popularity score the engine threads into the
-// object store's tiering when it persists frames derived from this GOP —
-// or 0 when the lease does not hold that GOP.
-func (l *gopLease) heat(ent *dataset.Entry, idx int) int64 {
-	k, err := ent.Video.KeyframeBefore(idx)
-	if err != nil {
-		return 0
-	}
-	l.mu.Lock()
-	e := l.held[gopKey{video: ent.Spec.Name, start: k}]
-	l.mu.Unlock()
-	if e == nil {
-		return 0
-	}
-	l.c.mu.Lock()
-	h := e.hits
-	l.c.mu.Unlock()
-	return h
 }
 
 // release unpins every GOP the lease holds. The lease is unusable after.

@@ -159,7 +159,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 			fromDepth = grp.depth + 1
 			if node := nodeAtDepth(findLeaf(sm, ci, idx), total, fromDepth); node != nil && node.Cached {
 				key := augKey(sm.Video, idx, cumulativeSig(chain.Ops, fromDepth))
-				if err := s.storeFrame(key, f, deadline, false, lease.heat(ent, idx)); err != nil {
+				if err := s.storeFrame(key, f, deadline); err != nil {
 					return err
 				}
 			}
@@ -174,7 +174,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 			fromDepth = 0
 			// Cache the decoded frame if the plan says so.
 			if fn := nodeAtDepth(sm.Leaves[ci][pos], total, 0); fn != nil && fn.Cached {
-				if err := s.storeFrame(frameKey(sm.Video, idx), f, deadline, false, lease.heat(ent, idx)); err != nil {
+				if err := s.storeFrame(frameKey(sm.Video, idx), f, deadline); err != nil {
 					return err
 				}
 			}
@@ -340,7 +340,7 @@ func (s *Service) applyOpsRange(sm *graph.Sample, ci int, chain *graph.ResolvedC
 		}
 		if node := nodeAtDepth(findLeaf(sm, ci, idx), total, d+1); node != nil && node.Cached {
 			key := augKey(sm.Video, idx, cumulativeSig(chain.Ops, d+1))
-			if err := s.storeFrame(key, cur, deadline, false, 0); err != nil {
+			if err := s.storeFrame(key, cur, deadline); err != nil {
 				return nil, err
 			}
 		}
@@ -359,35 +359,19 @@ func findLeaf(sm *graph.Sample, ci int, idx int) *graph.Node {
 	return nil
 }
 
-// hotHeat is the GOP acquire count at which a stored object counts as
-// hot: frames derived from a GOP this popular are encoded decode-cheap
-// (stored zlib blocks) and tagged so the store keeps them in memory in
-// preference to cold objects, which spill to disk compressed.
-const hotHeat = 2
-
 // storeFrame serializes and stores a frame object, persisting it when a
-// disk tier exists (fault tolerance for unpruned objects). heat is the
-// popularity of the source GOP the frame derives from (0 when unknown):
-// hot objects trade bytes for read speed and outrank cold ones in the
-// store's eviction order.
-func (s *Service) storeFrame(key string, f *frame.Frame, deadline int64, ephemeral bool, heat int64) error {
-	var data []byte
-	var err error
-	tier := int64(0)
-	if heat >= hotHeat {
-		data, err = frame.EncodeFrameFast(f)
-		tier = heat
-	} else {
-		data, err = frame.EncodeFrame(f)
-	}
+// disk tier exists (fault tolerance for unpruned objects). Frame objects
+// are read back on every reuse, so they are encoded decode-cheap; the
+// store compresses them only when they spill to disk.
+func (s *Service) storeFrame(key string, f *frame.Frame, deadline int64) error {
+	data, err := frame.EncodeFrameFast(f)
 	if err != nil {
 		return err
 	}
-	obj := &storage.Object{Key: key, Data: data, Deadline: deadline, Ephemeral: ephemeral, Heat: tier}
-	if err := s.store.Put(obj); err != nil {
+	if err := s.store.Put(&storage.Object{Key: key, Data: data, Deadline: deadline}); err != nil {
 		return err
 	}
-	if s.opts.CacheDir != "" && !ephemeral {
+	if s.opts.CacheDir != "" {
 		// Best-effort persistence; memory-tier copy remains authoritative.
 		// The object may already be evicted again, or the disk full.
 		err := s.store.Persist(key)
@@ -476,6 +460,12 @@ func (s *Service) ensureBatch(key iterationKey) ([]byte, error) {
 // the payload is valid but not cache-resident (copy-fallback).
 func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error) {
 	readStart := time.Now()
+	// A read outside the plan (read-ahead past the end of an epoch, say)
+	// fails here, before it moves the read position or takes a worker.
+	samples, err := s.scheduleFor(key)
+	if err != nil {
+		return nil, nil, err
+	}
 	s.mu.Lock()
 	s.currentPos[key.task] = key
 	s.mu.Unlock()
@@ -499,10 +489,10 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	// count means demand runs train the scheduler's cost model too — the
 	// SJF estimates stay fresh even when pre-materialization is gated off.
 	tid := obs.NextTraceID()
-	remaining, sig := s.planEstimate(key)
+	remaining, sig := planEstimate(samples)
 	var built []byte // written before done is signalled
 	done := make(chan error, 1)
-	err := s.pool.Submit(&sched.Task{
+	err = s.pool.Submit(&sched.Task{
 		Key:       bk,
 		Kind:      sched.Demand,
 		Sig:       sig,
@@ -568,7 +558,15 @@ func (s *Service) schedulePremat(after iterationKey) {
 		if _, _, err := s.peekBatch(key); err == nil {
 			continue // already materialized
 		}
-		remaining, sig := s.planEstimate(key)
+		samples, err := s.scheduleFor(key)
+		if err != nil {
+			// Unplannable: let a demand read report the error.
+			s.mu.Lock()
+			delete(s.prematSubmitted, key)
+			s.mu.Unlock()
+			return
+		}
+		remaining, sig := planEstimate(samples)
 		deadline := int64(ahead)
 		k := key
 		tid := obs.NextTraceID()
@@ -611,19 +609,14 @@ func (s *Service) peekBatch(key iterationKey) ([]byte, bool, error) {
 	return obj.Data, true, nil
 }
 
-// planEstimate derives both scheduler planning inputs for an iteration
-// from one schedule lookup: the unprocessed-edge count (the cold SJF
-// key) and the op signature (the cost model's learning key). The
-// signature is the sorted set of distinct full-chain op signatures
-// across the iteration's samples — the same per-op Sig strings the
-// reuse planner keys on — so iterations running the same pipeline shape
-// share run-time estimates across epochs, chunks and tasks. An
-// unplannable iteration reports a huge edge count and no signature.
-func (s *Service) planEstimate(key iterationKey) (remaining int, sig string) {
-	samples, err := s.scheduleFor(key)
-	if err != nil {
-		return 1 << 20, ""
-	}
+// planEstimate derives both scheduler planning inputs for an iteration's
+// samples: the unprocessed-edge count (the cold SJF key) and the op
+// signature (the cost model's learning key). The signature is the sorted
+// set of distinct full-chain op signatures across the samples — the same
+// per-op Sig strings the reuse planner keys on — so iterations running
+// the same pipeline shape share run-time estimates across epochs, chunks
+// and tasks.
+func planEstimate(samples []*graph.Sample) (remaining int, sig string) {
 	n := 0
 	seen := map[string]struct{}{}
 	var sigs []string

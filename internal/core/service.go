@@ -216,7 +216,7 @@ func New(opts Options) (*Service, error) {
 	st, err := storage.Open(storage.Options{
 		MemBudget:    opts.MemBudget,
 		Dir:          opts.CacheDir,
-		ColdCompress: true, // popularity tiering: cold spills go compressed
+		ColdCompress: true, // spills deflate when that shrinks them
 		Obs:          reg,
 		OnEvictStorm: func(reason string) { s.flight.Breach(reason) },
 	})
@@ -277,12 +277,11 @@ func New(opts Options) (*Service, error) {
 	reg.SnapshotFunc("core.reuse", func() map[string]int64 {
 		g := s.gops.stats()
 		return map[string]int64{
-			"superset_hits":    s.supersetHits.Load(),
-			"superset_misses":  s.supersetMisses.Load(),
-			"xsample_hits":     s.xsampleHits.Load(),
-			"xsample_groups":   s.xsampleGroups.Load(),
-			"gop_readmissions": g.Readmissions,
-			"derived_bytes":    g.DerivedBytes,
+			"superset_hits":   s.supersetHits.Load(),
+			"superset_misses": s.supersetMisses.Load(),
+			"xsample_hits":    s.xsampleHits.Load(),
+			"xsample_groups":  s.xsampleGroups.Load(),
+			"derived_bytes":   g.DerivedBytes,
 		}
 	})
 	// Pool counters already carry dotted names ("frame.pool.gets"); the
@@ -354,11 +353,11 @@ func (s *Service) StoreStats() storage.Stats { return s.store.Stats() }
 
 // GOPCacheStats summarizes the decoded-GOP cache for reporting.
 type GOPCacheStats struct {
-	Hits, Misses, Extends, Evictions, Readmissions int64
-	FramesDecoded, BytesDecoded                    int64
-	DerivedHits, DerivedMisses, DerivedBytes       int64
-	Bytes                                          int64
-	Entries, Ghosts                                int
+	Hits, Misses, Extends, Evictions         int64
+	FramesDecoded, BytesDecoded              int64
+	DerivedHits, DerivedMisses, DerivedBytes int64
+	Bytes                                    int64
+	Entries                                  int
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any access.
@@ -384,22 +383,18 @@ type ReuseStats struct {
 	// more than one sample of a batch; XSampleGroups counts such groups
 	// at plan time.
 	XSampleHits, XSampleGroups int64
-	// GOPReadmissions counts ghost-history readmissions in the GOP cache.
-	GOPReadmissions int64
 	// DerivedBytes is the cumulative footprint of cached superset frames.
 	DerivedBytes int64
 }
 
 // ReuseStats returns the computation-reuse counters.
 func (s *Service) ReuseStats() ReuseStats {
-	g := s.gops.stats()
 	return ReuseStats{
-		SupersetHits:    s.supersetHits.Load(),
-		SupersetMisses:  s.supersetMisses.Load(),
-		XSampleHits:     s.xsampleHits.Load(),
-		XSampleGroups:   s.xsampleGroups.Load(),
-		GOPReadmissions: g.Readmissions,
-		DerivedBytes:    g.DerivedBytes,
+		SupersetHits:   s.supersetHits.Load(),
+		SupersetMisses: s.supersetMisses.Load(),
+		XSampleHits:    s.xsampleHits.Load(),
+		XSampleGroups:  s.xsampleGroups.Load(),
+		DerivedBytes:   s.gops.stats().DerivedBytes,
 	}
 }
 
@@ -646,25 +641,27 @@ func (s *Service) scheduleFor(key iterationKey) ([]*graph.Sample, error) {
 	if key.epoch >= s.opts.TotalEpochs {
 		return nil, fmt.Errorf("%w: epoch %d beyond training (%d epochs)", vfs.ErrNotExist, key.epoch, s.opts.TotalEpochs)
 	}
+	start := (key.epoch / s.opts.ChunkEpochs) * s.opts.ChunkEpochs
 	s.mu.Lock()
 	samples, ok := s.schedule[key]
+	planned := s.plannedChunks[start]
 	s.mu.Unlock()
-	if ok {
-		return samples, nil
+	if !ok && !planned {
+		// The epoch's chunk has not been planned (or was invalidated by a
+		// dataset extension): plan it now. planChunk is idempotent per chunk.
+		if err := s.planChunk(start); err != nil {
+			return nil, err
+		}
+		// Best-effort checkpoint: recovery replans deterministically anyway.
+		_ = s.checkpointManifest()
+		s.mu.Lock()
+		samples, ok = s.schedule[key]
+		s.mu.Unlock()
 	}
-	// The epoch's chunk has not been planned (or was invalidated by a
-	// dataset extension): plan it now. planChunk is idempotent per chunk.
-	start := (key.epoch / s.opts.ChunkEpochs) * s.opts.ChunkEpochs
-	if err := s.planChunk(start); err != nil {
-		return nil, err
+	if !ok {
+		// A planned chunk without this key: the iteration is past the end
+		// of its epoch, and replanning would not add it.
+		return nil, fmt.Errorf("%w: iteration %v not in plan", vfs.ErrNotExist, key)
 	}
-	// Best-effort checkpoint: recovery replans deterministically anyway.
-	_ = s.checkpointManifest()
-	s.mu.Lock()
-	samples, ok = s.schedule[key]
-	s.mu.Unlock()
-	if ok {
-		return samples, nil
-	}
-	return nil, fmt.Errorf("%w: iteration %v not in plan", vfs.ErrNotExist, key)
+	return samples, nil
 }

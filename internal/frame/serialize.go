@@ -19,6 +19,9 @@ const (
 	frameMagic   = 0x53464d31 // "SFM1"
 	clipMagic    = 0x53434c31 // "SCL1"
 	maxDimension = 1 << 16
+	// maxDeflateRatio is deflate's largest possible expansion of its
+	// compressed input.
+	maxDeflateRatio = 1032
 )
 
 // zlibWriterPool and zlibReaderPool Reset-reuse the flate state machines
@@ -87,8 +90,9 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 // EncodeFrameFast serializes f losslessly in decode-cheap form: the zlib
 // stream uses stored (uncompressed) blocks, so DecodeFrame pays a memcpy
 // instead of an inflate. Bytes are larger, reads are cheaper — the
-// encoding the popularity-tiered store picks for hot objects. The output
-// is a standard stream; DecodeFrame handles both encodings untouched.
+// encoding of every frame object in the engine's memory tier (the store
+// compresses it only when it spills to disk). The output is a standard
+// stream; DecodeFrame handles both encodings untouched.
 func EncodeFrameFast(f *Frame) ([]byte, error) {
 	return encodeFrame(f, true)
 }
@@ -151,6 +155,11 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	pts := int64(binary.LittleEndian.Uint64(data[20:]))
 	if w <= 0 || h <= 0 || c <= 0 || w > maxDimension || h > maxDimension || c > 16 {
 		return nil, fmt.Errorf("frame: implausible geometry %dx%dx%d", w, h, c)
+	}
+	// The header must not size the allocation by itself: a payload cannot
+	// inflate to more than maxDeflateRatio times its length.
+	if n := w * h * c; n > maxDeflateRatio*(len(data)-28) {
+		return nil, fmt.Errorf("frame: %dx%dx%d samples exceed what a %d-byte payload can hold", w, h, c, len(data)-28)
 	}
 	r, err := getZlibReader(data[28:])
 	if err != nil {

@@ -10,17 +10,10 @@
 // pre-materialization threads only contend when they touch the same
 // shard. Byte accounting is global and atomic — MemBytes and MemPressure
 // (sampled by the scheduler at every dequeue) are single atomic loads,
-// never lock acquisitions. Eviction is a per-shard pass driven by the
-// global watermark: the used-and-unneeded ephemeral class drains first
-// under per-shard quotas proportional to each shard's share of it, then
-// a fairness sweep merges the shards' remaining candidates in global
-// priority order — one victim at a time from whichever shard holds the
-// globally best one — so a cold shard cannot strand the budget and a
-// shard holding a large urgent object is never over-billed. With a
-// single shard the store reproduces the exact global eviction order of
-// the unsharded design; with N shards the evicted set can differ only
-// within the used-ephemeral class (see DESIGN.md for the documented
-// fairness tolerance).
+// never lock acquisitions. Eviction is driven by the global watermark
+// and merges the shards' priority-sorted candidates: each victim comes
+// from whichever shard holds the globally best one, so the store evicts
+// in exactly the unsharded design's order at every shard count.
 //
 // Objects can be leased by reference: GetPinned returns the payload
 // together with a ref-counted Pin that keeps it memory-resident —
@@ -67,13 +60,6 @@ type Object struct {
 	// Ephemeral objects will not be needed in future epochs (safe to
 	// evict first once used).
 	Ephemeral bool
-	// Heat is the object's popularity score — for derived superset
-	// frames, the owning GOP-cache entry's observed acquire count at
-	// store time. Within an eviction class, colder objects evict first,
-	// so hot derived supersets stay memory-resident in their
-	// decode-cheap form while cold ones spill (compressed) to disk.
-	// Zero everywhere reproduces the legacy heat-blind order exactly.
-	Heat int64
 
 	// pins is the number of outstanding Pin leases on this object while
 	// it is memory-resident. A pinned object is skipped by eviction
@@ -117,9 +103,8 @@ type Stats struct {
 	// EvictStorms counts detected eviction storms: stormPasses evicting
 	// passes inside stormWindow (see Options.OnEvictStorm).
 	EvictStorms int64
-	// CompressedSpills counts cold (zero-heat) spills that landed on disk
-	// flate-compressed; SpillBytesSaved is the bytes that compression
-	// shaved off them.
+	// CompressedSpills counts spills that landed on disk flate-compressed;
+	// SpillBytesSaved is the bytes that compression shaved off them.
 	CompressedSpills int64
 	SpillBytesSaved  int64
 }
@@ -191,8 +176,7 @@ type Store struct {
 	spills     atomic.Int64
 	promotions atomic.Int64
 
-	// Popularity-tier counters: cold spills written compressed, and the
-	// bytes that saved.
+	// Spills written compressed, and the bytes that saved.
 	compressedSpills atomic.Int64
 	spillSaved       atomic.Int64
 
@@ -239,16 +223,13 @@ type Options struct {
 	// Dir is the disk tier directory; empty disables persistence.
 	Dir string
 	// Shards is the sub-store count; it is rounded up to a power of two
-	// and capped at 256. 0 picks a power of two near GOMAXPROCS. 1
-	// reproduces the exact global eviction order of the unsharded store.
+	// and capped at 256. 0 picks a power of two near GOMAXPROCS.
 	Shards int
 	// Obs receives store gauges, counters and trace events. Nil means
 	// no registration (tracing calls are nil-safe no-ops).
 	Obs *obs.Registry
-	// ColdCompress opts spills of cold (zero-heat) objects into flate
-	// compression on the disk tier (the popularity-tiered layout). Off,
-	// every spill is written verbatim — the legacy byte-accounting
-	// contract.
+	// ColdCompress writes every spill flate-compressed when that shrinks
+	// it. Off, every spill is written verbatim.
 	ColdCompress bool
 	// OnEvictStorm is invoked — outside store locks — when an eviction
 	// storm is detected (stormPasses evicting passes within stormWindow,
@@ -337,21 +318,7 @@ func Open(opts Options) (*Store, error) {
 			}
 		})
 		r.SnapshotFunc("storage.tier", func() map[string]int64 {
-			var hotObjs, hotBytes int64
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.mu.Lock()
-				for _, o := range sh.mem {
-					if o.Heat > 0 {
-						hotObjs++
-						hotBytes += int64(len(o.Data))
-					}
-				}
-				sh.mu.Unlock()
-			}
 			return map[string]int64{
-				"hot_objects":       hotObjs,
-				"hot_bytes":         hotBytes,
 				"compressed_spills": s.compressedSpills.Load(),
 				"spill_bytes_saved": s.spillSaved.Load(),
 			}
@@ -699,15 +666,13 @@ func (s *Store) writeDiskLocked(sh *shard, obj *Object) error {
 	if s.dir == "" {
 		return fmt.Errorf("storage: no disk tier configured")
 	}
-	// Popularity tiering, storage half: cold (zero-heat) objects go to
-	// disk flate-compressed when that actually shrinks them — already-
-	// compressed payloads are kept verbatim — while hot objects keep
-	// their decode-cheap bytes. The compressed form carries an ".objz"
-	// suffix so recovery and promotion know to inflate.
+	// Objects go to disk flate-compressed when that actually shrinks them;
+	// already-compressed payloads are kept verbatim. The compressed form
+	// carries an ".objz" suffix so recovery and promotion know to inflate.
 	data := obj.Data
 	path := s.diskPath(obj.Key)
 	compressed := false
-	if s.coldCompress && obj.Heat == 0 {
+	if s.coldCompress {
 		if z, ok := deflateSmaller(obj.Data); ok {
 			data, path, compressed = z, path+"z", true
 		}
@@ -776,46 +741,22 @@ func inflateAll(data []byte) ([]byte, error) {
 	return out, err
 }
 
-// evictBefore is the §6 eviction priority extended with popularity
-// tiering: used-and-unneeded ephemeral objects first, colder (lower
-// Heat) objects before hotter ones within a class, then longest-deadline
-// objects, keys breaking ties. With all heats zero the order is exactly
-// the legacy heat-blind policy.
-func evictBefore(a, b *Object) bool {
-	aFirst := a.Used && a.Ephemeral
-	bFirst := b.Used && b.Ephemeral
-	if aFirst != bFirst {
-		return aFirst
-	}
-	if a.Heat != b.Heat {
-		return a.Heat < b.Heat // cold evicts first
-	}
-	if a.Deadline != b.Deadline {
-		return a.Deadline > b.Deadline // longest deadline first
-	}
-	return a.Key < b.Key
-}
-
 // victim is one eviction candidate: the priority-relevant fields of an
 // object, snapshotted so passes can sort and merge without shard locks.
 type victim struct {
 	key      string
-	size     int64
 	deadline int64
-	heat     int64
 	ueph     bool // Used && Ephemeral: the first-priority class
 }
 
-// victimBefore is evictBefore over snapshots.
+// victimBefore is the §6 eviction priority: used-and-unneeded ephemeral
+// objects first, then longest-deadline objects, keys breaking ties.
 func victimBefore(a, b victim) bool {
 	if a.ueph != b.ueph {
 		return a.ueph
 	}
-	if a.heat != b.heat {
-		return a.heat < b.heat
-	}
 	if a.deadline != b.deadline {
-		return a.deadline > b.deadline
+		return a.deadline > b.deadline // longest deadline first
 	}
 	return a.key < b.key
 }
@@ -842,7 +783,7 @@ func (s *Store) refreshCand(i int) {
 			// before acting on a stale listing.
 			continue
 		}
-		vs = append(vs, victim{key: o.Key, size: int64(len(o.Data)), deadline: o.Deadline, heat: o.Heat, ueph: o.Used && o.Ephemeral})
+		vs = append(vs, victim{key: o.Key, deadline: o.Deadline, ueph: o.Used && o.Ephemeral})
 	}
 	gen := sh.gen
 	sh.mu.Unlock()
@@ -899,23 +840,12 @@ func (s *Store) evictVictim(i int) (bool, error) {
 }
 
 // maybeEvict enforces the 75% policy across shards. When the atomic
-// total crosses the watermark, one caller at a time (evictMu) runs a
-// two-round pass over per-shard candidate snapshots:
-//
-//  1. Reclaim round: the used-and-unneeded ephemeral class — objects the
-//     paper's policy always evicts first — is drained with per-shard byte
-//     quotas proportional to each shard's share of that class, fullest
-//     first.
-//  2. Fairness sweep: if the total is still above the watermark, victims
-//     are taken one at a time from whichever shard holds the globally
-//     best candidate (a cross-shard merge in evictBefore order). The
-//     sweep both keeps a cold shard from stranding the budget and keeps
-//     a shard that happens to hold a large, urgent object (a demand
-//     batch just materialized) from being over-billed: urgent objects go
-//     last, exactly as in the unsharded store.
-//
-// At Shards: 1 the two rounds compose to the exact global eviction
-// order. Callers below the watermark pay one atomic load.
+// total crosses the watermark, one caller at a time (evictMu) merges the
+// per-shard candidate snapshots: each victim is taken from whichever
+// shard holds the globally best candidate in victimBefore order, until
+// the total is back under the watermark. The evicted set is therefore
+// exactly the unsharded store's at every shard count. Callers below the
+// watermark pay one atomic load.
 func (s *Store) maybeEvict() error {
 	thr := s.watermark()
 	if s.memBytes.Load() <= thr {
@@ -931,67 +861,13 @@ func (s *Store) maybeEvict() error {
 	}()
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
-	total := s.memBytes.Load()
-	need := total - thr
-	if need <= 0 {
+	if s.memBytes.Load() <= thr {
 		return nil
 	}
 	passStart := s.tr.Now()
 	for i := range s.shards {
 		s.passEvicted[i], s.passFreed[i] = 0, 0
 	}
-
-	// Round 1: proportional reclaim of the used-ephemeral class.
-	type shardUse struct {
-		idx int
-		use int64
-	}
-	uses := make([]shardUse, 0, len(s.shards))
-	var totalUeph int64
-	for i := range s.shards {
-		s.refreshCand(i)
-		var u int64
-		for _, v := range s.cand[i][s.candPos[i]:] {
-			if !v.ueph {
-				break // candidates are sorted: the class is a prefix
-			}
-			u += v.size
-		}
-		if u > 0 {
-			uses = append(uses, shardUse{i, u})
-			totalUeph += u
-		}
-	}
-	sort.Slice(uses, func(i, j int) bool {
-		if uses[i].use != uses[j].use {
-			return uses[i].use > uses[j].use
-		}
-		return uses[i].idx < uses[j].idx
-	})
-	for _, su := range uses {
-		if s.memBytes.Load() <= thr {
-			break
-		}
-		quota := need*su.use/totalUeph + 1 // round up so small shares still drain
-		var freed int64
-		for freed < quota && s.memBytes.Load() > thr {
-			v, ok := s.nextVictim(su.idx)
-			if !ok || !v.ueph {
-				break
-			}
-			evicted, err := s.evictVictim(su.idx)
-			if err != nil {
-				return err
-			}
-			if evicted {
-				freed += v.size
-			}
-		}
-	}
-
-	// Round 2: the fairness sweep, a cross-shard priority merge. Leftover
-	// used-ephemeral candidates (quota rounding) sort first and drain
-	// before any deadline-ordered object is touched.
 	for s.memBytes.Load() > thr {
 		best, bestV := -1, victim{}
 		for i := range s.shards {

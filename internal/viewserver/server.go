@@ -640,8 +640,9 @@ func (s *Server) raTake(path string) *raEntry {
 }
 
 // scheduleReadahead prefetches the next Options.ReadAhead iterations of
-// the batch sequence containing p. Prefetches past the end of an epoch
-// fail inside their goroutine and simply aren't cached as successes.
+// the batch sequence containing p. A prefetch past the end of an epoch
+// names no planned batch: it fails fast with vfs.ErrNotExist, before the
+// engine does any work, and is dropped rather than cached.
 func (s *Server) scheduleReadahead(p vfs.Path) {
 	s.ramu.Lock()
 	defer s.ramu.Unlock()

@@ -24,6 +24,9 @@ go test ./bench
 echo "== storage race soak (promotion singleflight, 20 runs)"
 go test -race -count=20 ./internal/storage
 
+echo "== frame decoder fuzz (10s)"
+go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/frame/
+
 echo "== overlap-aware reuse smoke (superset hits)"
 # The four-view overlapping-crop quickstart must take the superset path
 # (nonzero superset hits) — see DESIGN.md §9. Byte identity to a naive
