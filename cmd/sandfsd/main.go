@@ -1,13 +1,13 @@
-// Command sandfsd is an interactive shell over the SAND view filesystem:
-// it starts an engine over a synthetic (or on-disk) dataset and lets you
-// browse and read views with ls / cat / stat / xattr commands — the
-// FUSE-mount experience of the paper, in-process.
+// Command sandfsd is an interactive shell over a running sandserve's view
+// filesystem: it mounts the server's views over the network dataplane
+// and lets you browse and read them with ls / cat / stat / read commands
+// — the FUSE-mount experience of the paper, without the kernel.
 //
 // Usage:
 //
-//	sandfsd                     # synthetic 8-video dataset
-//	sandfsd -data /tmp/mini     # dataset directory from sandgen
-//	sandfsd -metrics :9090      # also serve /metrics and /debug/trace
+//	sandserve &                 # the engine, on 127.0.0.1:7468
+//	sandfsd                     # shell over it
+//	sandfsd -addr host:7468     # shell over another server
 //
 // Commands:
 //
@@ -15,8 +15,9 @@
 //	stat PATH       show view size and metadata
 //	cat PATH        decode and summarize a view's payload
 //	read PATH N     hex-dump the first N bytes of a view
-//	stats           observability dump (engine/cache/scheduler metrics)
 //	quit
+//
+// The server's metrics are on its own -metrics endpoint.
 package main
 
 import (
@@ -28,100 +29,24 @@ import (
 	"strconv"
 	"strings"
 
-	"sand/internal/config"
 	"sand/internal/core"
-	"sand/internal/dataset"
 	"sand/internal/frame"
 	"sand/internal/metrics"
-	"sand/internal/obs"
 	"sand/internal/vfs"
+	"sand/internal/viewserver"
 )
 
-const defaultTask = `
-dataset:
-  tag: "train"
-  input_source: file
-  video_dataset_path: /dataset/train
-  sampling:
-    videos_per_batch: 2
-    frames_per_video: 8
-    frame_stride: 2
-    samples_per_video: 1
-  augmentation:
-  - name: "resize"
-    branch_type: "single"
-    inputs: ["frame"]
-    outputs: ["a0"]
-    config:
-    - resize:
-        shape: [64, 64]
-  - name: "crop"
-    branch_type: "single"
-    inputs: ["a0"]
-    outputs: ["a1"]
-    config:
-    - random_crop:
-        shape: [56, 56]
-`
-
 func main() {
-	dataDir := flag.String("data", "", "dataset directory (default: generate synthetic)")
-	taskFile := flag.String("task", "", "task config YAML file (default: built-in)")
-	epochs := flag.Int("epochs", 4, "total training epochs")
-	metricsAddr := flag.String("metrics", "", "HTTP address for /metrics and /debug/trace ('' disables)")
-	trace := flag.Bool("trace", false, "enable the event tracer at startup")
+	addr := flag.String("addr", "127.0.0.1:7468", "sandserve address to mount")
 	flag.Parse()
 
-	var ds *dataset.Dataset
-	var err error
-	if *dataDir != "" {
-		ds, err = dataset.LoadDir(*dataDir)
-	} else {
-		ds, err = dataset.Kinetics400.Miniature(8, 96, 96, 60, 3)
-	}
+	fs, err := viewserver.Dial("tcp", *addr, viewserver.ClientOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var task *config.Task
-	if *taskFile != "" {
-		task, err = config.LoadTaskFile(*taskFile)
-	} else {
-		task, err = config.LoadTask(defaultTask)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg := obs.New()
-	if *trace {
-		reg.Trace().Enable()
-	}
-	svc, err := core.New(core.Options{
-		Tasks:       []*config.Task{task},
-		Dataset:     ds,
-		ChunkEpochs: 2,
-		TotalEpochs: *epochs,
-		Workers:     4,
-		Coordinate:  true,
-		Seed:        1,
-		Obs:         reg,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer svc.Close()
-	fs := svc.FS()
-	if *metricsAddr != "" {
-		addr, stop, err := reg.StartServer(*metricsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
-		fmt.Printf("sandfsd: observability on http://%s/metrics (traces at /debug/trace)\n", addr)
-	}
-
-	fmt.Printf("sandfsd: %d videos, task %q, %d epochs. Views follow the Table 1 scheme:\n", len(ds.Videos), task.Tag, *epochs)
-	fmt.Printf("  /%s/<video>.mp4   /%s/<video>/frame<i>   /%s/<video>/frame<i>/aug<d>   /%s/<epoch>/<iter>/view\n",
-		task.Tag, task.Tag, task.Tag, task.Tag)
+	defer fs.Shutdown()
+	fmt.Printf("sandfsd: mounted %s. Views follow the Table 1 scheme:\n", *addr)
+	fmt.Println("  /<task>/<video>.mp4   /<task>/<video>/frame<i>   /<task>/<video>/frame<i>/aug<d>   /<task>/<epoch>/<iter>/view")
 
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("> ")
@@ -193,16 +118,14 @@ func main() {
 				}
 				fmt.Printf("  % x\n", buf[:got])
 			})
-		case "stats":
-			reg.WriteText(os.Stdout)
 		default:
-			fmt.Println("commands: ls [dir] | stat PATH | cat PATH | read PATH N | stats | quit")
+			fmt.Println("commands: ls [dir] | stat PATH | cat PATH | read PATH N | quit")
 		}
 		fmt.Print("> ")
 	}
 }
 
-func withFD(fs *vfs.FS, path string, fn func(fd int)) {
+func withFD(fs vfs.Mount, path string, fn func(fd int)) {
 	fd, err := fs.Open(path)
 	if err != nil {
 		fmt.Println("open:", err)

@@ -22,8 +22,8 @@
 //
 //	sandserve -registry 127.0.0.1:7470 -node gpu3 -capacity 2
 //
-// On exit it prints the dataplane counters (requests by op, bytes
-// served, sessions, read-ahead hit rate).
+// On exit it prints every metric of its obs registry: the engine's,
+// the scheduler's, the store's and the dataplane's.
 package main
 
 import (
@@ -211,8 +211,9 @@ func main() {
 		}
 		deadline := time.Now().Add(*drainTimeout)
 		for time.Now().Before(deadline) {
-			st := srv.Stats()
-			if st.OpenFDs == 0 && st.OpenSessions == 0 {
+			fds, _ := reg.Query("viewserver.fds")
+			sessions, _ := reg.Query("viewserver.sessions")
+			if fds == 0 && sessions == 0 {
 				break
 			}
 			time.Sleep(100 * time.Millisecond)
@@ -228,7 +229,6 @@ func main() {
 	}
 
 	fmt.Println()
-	srv.StatsTable().Render(os.Stdout)
 	reg.WriteText(os.Stdout)
 	srv.Close()
 }

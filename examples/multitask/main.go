@@ -87,13 +87,18 @@ func main() {
 		fmt.Printf("task %-8s consumed %3d clips at %dx%d over 2 epochs\n", tag, clips, w, w)
 	}
 
-	st := svc.Stats()
+	reg := svc.Obs()
+	count := func(name string) int64 {
+		v, _ := reg.Query(name)
+		return int64(v)
+	}
 	fmt.Printf("\nshared engine: %d frames decoded once for both tasks, %d cached objects reused\n",
-		st.ObjectsDecoded, st.ObjectsReused)
+		count("core.gop_frames_decoded"), count("core.objects_reused"))
+	prematHits := count("core.premat_hits")
 	fmt.Printf("pruning: %d collapses; batches pre-materialized before the GPUs asked: %d of %d\n",
-		st.PruneCollapses, st.PrematHits, st.BatchesServed)
+		svc.PruneResult().Collapses, prematHits, prematHits+count("core.demand_misses"))
 	fmt.Println()
-	if err := svc.Obs().WriteText(os.Stdout); err != nil {
+	if err := reg.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

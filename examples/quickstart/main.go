@@ -207,9 +207,9 @@ func main() {
 	// The digest covers every batch byte of the run; with a fixed seed it
 	// is deterministic.
 	fmt.Printf("batch digest: %x\n", digest.Sum(nil))
-	rs := svc.ReuseStats()
-	fmt.Printf("reuse: superset_hits=%d superset_misses=%d\n",
-		rs.SupersetHits, rs.SupersetMisses)
+	hits, _ := reg.Query("core.reuse.superset_hits")
+	misses, _ := reg.Query("core.reuse.superset_misses")
+	fmt.Printf("reuse: superset_hits=%d superset_misses=%d\n", int64(hits), int64(misses))
 
 	fmt.Println()
 	if err := reg.WriteText(os.Stdout); err != nil {

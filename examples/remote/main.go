@@ -4,8 +4,8 @@
 // viewserver.Client — the same four POSIX calls as the local quickstart
 // — and the example verifies each remote batch byte-for-byte against
 // the in-process filesystem before printing the server's dataplane
-// counters (the sequential read-ahead hit rate and the zero-copy hit /
-// copy-fallback split). -mem-budget-mb sizes the object store behind
+// counters (the sequential read-ahead hits and misses and the zero-copy
+// hit / copy-fallback split). -mem-budget-mb sizes the object store behind
 // the engine, so a tight budget exercises the pinned serve path under
 // live eviction.
 package main
@@ -127,26 +127,29 @@ func main() {
 			iter, batch.Len(), metrics.Bytes(float64(len(remote))), meta.Geometry)
 	}
 
-	st := srv.Stats()
+	reg := svc.Obs()
+	count := func(name string) int64 {
+		v, _ := reg.Query(name)
+		return int64(v)
+	}
+	hits, misses := count("viewserver.readahead.hit"), count("viewserver.readahead.miss")
+	zeroCopy := count("viewserver.dataplane.zerocopy.hit")
 	fmt.Printf("\nepoch done: %d iterations, %d clips; %s of views verified, %s total served over TCP\n",
-		iters, clips, metrics.Bytes(float64(wire)), metrics.Bytes(float64(st.BytesServed)))
-	fmt.Printf("read-ahead: %d hits / %d misses (%s hit rate)\n",
-		st.ReadaheadHits, st.ReadaheadMisses, metrics.Pct(st.ReadaheadHitRate()))
+		iters, clips, metrics.Bytes(float64(wire)), metrics.Bytes(float64(count("viewserver.bytes.served"))))
+	fmt.Printf("read-ahead: %d hits / %d misses\n", hits, misses)
 	fmt.Printf("dataplane: %d responses served by reference (zero-copy), %d copy fallbacks\n",
-		st.ZeroCopyHits, st.CopyFallbacks)
-	if st.ReadaheadHits == 0 {
+		zeroCopy, count("viewserver.dataplane.copy.fallback"))
+	if hits == 0 {
 		log.Fatal("expected the sequential epoch to produce read-ahead hits")
 	}
-	if st.ZeroCopyHits == 0 {
+	if zeroCopy == 0 {
 		log.Fatal("expected cached batches to be served by reference (zero zero-copy hits)")
 	}
-	if st.OpenFDs != 0 {
-		log.Fatalf("leaked %d server fds", st.OpenFDs)
+	if fds := count("viewserver.fds"); fds != 0 {
+		log.Fatalf("leaked %d server fds", fds)
 	}
 	fmt.Println()
-	srv.StatsTable().Render(os.Stdout)
-	fmt.Println()
-	if err := svc.Obs().WriteText(os.Stdout); err != nil {
+	if err := reg.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

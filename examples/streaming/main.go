@@ -85,11 +85,13 @@ func main() {
 			}
 		}
 	}
-	st := svc.Stats()
+	reg := svc.Obs()
+	decoded, _ := reg.Query("core.gop_frames_decoded")
+	reused, _ := reg.Query("core.objects_reused")
 	fmt.Printf("\ningested %d segments (%s); engine decoded %d frames, reused %d objects\n",
-		ingestor.Ingested(), metrics.Bytes(float64(ingestor.Bytes())), st.ObjectsDecoded, st.ObjectsReused)
+		ingestor.Ingested(), metrics.Bytes(float64(ingestor.Bytes())), int64(decoded), int64(reused))
 	fmt.Println()
-	if err := svc.Obs().WriteText(os.Stdout); err != nil {
+	if err := reg.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

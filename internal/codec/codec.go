@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"sand/internal/frame"
 )
@@ -299,20 +298,6 @@ type inflater struct {
 
 var inflaterPool sync.Pool
 
-// poolStats counts coder reuse for the metrics layer.
-var poolStats struct {
-	writerReuse atomic.Int64
-	readerReuse atomic.Int64
-}
-
-// PoolStats snapshots the package's flate-pool counters.
-func PoolStats() map[string]int64 {
-	return map[string]int64{
-		"codec.flate.writer_reuse": poolStats.writerReuse.Load(),
-		"codec.flate.reader_reuse": poolStats.readerReuse.Load(),
-	}
-}
-
 func deflateBytes(b []byte, level int) ([]byte, error) {
 	var buf bytes.Buffer
 	poolAny, _ := deflaterPools.LoadOrStore(level, &sync.Pool{})
@@ -321,7 +306,6 @@ func deflateBytes(b []byte, level int) ([]byte, error) {
 	if v := pool.Get(); v != nil {
 		fw = v.(*flate.Writer)
 		fw.Reset(&buf)
-		poolStats.writerReuse.Add(1)
 	} else {
 		var err error
 		fw, err = flate.NewWriter(&buf, level)
@@ -347,7 +331,6 @@ func inflateBytes(b []byte, dst []byte) error {
 		if err := it.fr.(flate.Resetter).Reset(&it.src, nil); err != nil {
 			return err
 		}
-		poolStats.readerReuse.Add(1)
 	} else {
 		it = &inflater{}
 		it.src.Reset(b)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"sand/internal/config"
 	"sand/internal/dataset"
 	"sand/internal/frame"
+	"sand/internal/obs"
 	"sand/internal/vfs"
 )
 
@@ -63,12 +66,25 @@ func newService(t testing.TB, tasks []*config.Task, videos int) *Service {
 		Workers:     4,
 		Coordinate:  true,
 		Seed:        5,
+		Obs:         obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// metric reads one counter or gauge from the service's obs registry. A
+// service must have a registry of its own (Options.Obs) for the value to
+// be its own: every service without one reports into obs.Default().
+func metric(t testing.TB, s *Service, name string) int64 {
+	t.Helper()
+	v, ok := s.Obs().Query(name)
+	if !ok {
+		t.Fatalf("no metric %q", name)
+	}
+	return int64(v)
 }
 
 func TestBatchCodecRoundTrip(t *testing.T) {
@@ -234,8 +250,8 @@ func TestChunkBoundaryReplan(t *testing.T) {
 	if _, _, err := loader.Next(2, 0); err != nil {
 		t.Fatalf("post-chunk epoch failed: %v", err)
 	}
-	if s.Stats().ChunksPlanned < 2 {
-		t.Fatalf("chunks planned = %d, want >= 2", s.Stats().ChunksPlanned)
+	if n := metric(t, s, "core.chunks_planned"); n < 2 {
+		t.Fatalf("chunks planned = %d, want >= 2", n)
 	}
 	// Beyond TotalEpochs: ENOENT.
 	if _, _, err := loader.Next(4, 0); !errors.Is(err, vfs.ErrNotExist) {
@@ -278,28 +294,30 @@ func TestReadPastEpochEndFailsBeforeWork(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		s.mu.Lock()
-		submitted := int64(len(s.prematSubmitted)) + s.stats.DemandMisses
+		submitted := int64(len(s.prematSubmitted)) + s.demandMisses.Load()
 		s.mu.Unlock()
-		if s.SchedStats().Completed == submitted {
+		completed := metric(t, s, "sched.completed")
+		if completed == submitted {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pool did not drain: %+v", s.SchedStats())
+			t.Fatalf("pool did not drain: %d of %d tasks completed", completed, submitted)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	before, hits := s.SchedStats(), s.Stats().PrematHits
+	errsBefore, doneBefore := metric(t, s, "sched.errors"), metric(t, s, "sched.completed")
+	hits := metric(t, s, "core.premat_hits")
 	s.mu.Lock()
 	pos := s.currentPos["train"]
 	s.mu.Unlock()
 	if _, err := fs.Open(vfs.BatchPath("train", 0, iters)); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("Open past the epoch's end = %v, want ErrNotExist", err)
 	}
-	after := s.SchedStats()
-	if after.Errors != before.Errors || after.Completed != before.Completed {
+	errsAfter, doneAfter := metric(t, s, "sched.errors"), metric(t, s, "sched.completed")
+	if errsAfter != errsBefore || doneAfter != doneBefore {
 		t.Fatalf("out-of-plan read ran work: errors %d -> %d, completed %d -> %d",
-			before.Errors, after.Errors, before.Completed, after.Completed)
+			errsBefore, errsAfter, doneBefore, doneAfter)
 	}
 	s.mu.Lock()
 	moved := s.currentPos["train"] != pos
@@ -313,7 +331,7 @@ func TestReadPastEpochEndFailsBeforeWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Close(fd)
-	if got := s.Stats().PrematHits; got != hits+1 {
+	if got := metric(t, s, "core.premat_hits"); got != hits+1 {
 		t.Fatalf("premat hits %d -> %d, want the in-range read to hit", hits, got)
 	}
 }
@@ -357,6 +375,57 @@ func TestVideoAndFrameViews(t *testing.T) {
 		t.Fatalf("decode cost xattr = %q, want 8", cost)
 	}
 	fs.Close(fd)
+}
+
+// TestFrameViewBytesIndependentOfCache reads every raw frame view before
+// and after the epochs have stored decoded frames as objects: a view's
+// bytes must not depend on whether the store or the decoder served it.
+func TestFrameViewBytesIndependentOfCache(t *testing.T) {
+	task := &config.Task{
+		Tag:         "raw",
+		Source:      config.SourceFile,
+		DatasetPath: "/data/mini",
+		Sampling:    config.Sampling{VideosPerBatch: 2, FramesPerVideo: 4, FrameStride: 2, SamplesPerVideo: 1},
+	}
+	s := newService(t, []*config.Task{task}, 2)
+	fs := s.FS()
+	views := func() map[string][]byte {
+		out := map[string][]byte{}
+		for _, e := range s.snapshot().Videos {
+			for i := 0; i < e.Spec.Frames; i++ {
+				path := fmt.Sprintf("/raw/%s/frame%d", e.Spec.Name, i)
+				fd, err := fs.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := fs.ReadAll(fd)
+				fs.Close(fd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[path] = data
+			}
+		}
+		return out
+	}
+	before := views()
+	loader, _ := s.NewLoader("raw")
+	iters, _ := s.ItersPerEpoch("raw")
+	for e := 0; e < 4; e++ {
+		for it := 0; it < iters; it++ {
+			if _, _, err := loader.Next(e, it); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(s.store.Keys("/obj/")) == 0 {
+		t.Fatal("the epochs stored no frame objects; the cached path went unexercised")
+	}
+	for path, data := range views() {
+		if !bytes.Equal(data, before[path]) {
+			t.Errorf("%s: bytes changed once the frame was cached", path)
+		}
+	}
 }
 
 func TestAugFrameView(t *testing.T) {
@@ -421,6 +490,7 @@ func TestMultiTaskSharing(t *testing.T) {
 		Workers:     4,
 		Coordinate:  true,
 		Seed:        5,
+		Obs:         obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,15 +504,14 @@ func TestMultiTaskSharing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decodedAfterA := s.Stats().ObjectsDecoded
+	decodedAfterA := metric(t, s, "core.gop_frames_decoded")
 	for it := 0; it < iters; it++ {
 		if _, _, err := lb.Next(0, it); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	decodedByB := st.ObjectsDecoded - decodedAfterA
-	if st.ObjectsReused == 0 {
+	decodedByB := metric(t, s, "core.gop_frames_decoded") - decodedAfterA
+	if metric(t, s, "core.objects_reused") == 0 {
 		t.Fatal("no object reuse across tasks")
 	}
 	if decodedByB >= decodedAfterA {
@@ -461,13 +530,11 @@ func TestPrematerializationKicksIn(t *testing.T) {
 			}
 		}
 	}
-	st := s.Stats()
-	if st.PrematHits == 0 {
-		t.Fatalf("no pre-materialization hits over %d iterations: %+v", 2*iters, st)
+	if metric(t, s, "core.premat_hits") == 0 {
+		t.Fatalf("no pre-materialization hits over %d iterations", 2*iters)
 	}
-	sched := s.SchedStats()
-	if sched.PrematRuns == 0 {
-		t.Fatalf("no pre-materialization tasks ran: %+v", sched)
+	if metric(t, s, "sched.premat_runs") == 0 {
+		t.Fatal("no pre-materialization tasks ran")
 	}
 }
 
@@ -485,6 +552,7 @@ func TestCrashRecovery(t *testing.T) {
 			Workers:     2,
 			Coordinate:  true,
 			Seed:        9,
+			Obs:         obs.New(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -496,7 +564,7 @@ func TestCrashRecovery(t *testing.T) {
 	if _, _, err := loader.Next(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	persisted := s1.StoreStats().DiskObjects
+	persisted := metric(t, s1, "storage.disk_objects")
 	s1.Close() // "crash"
 	if persisted == 0 {
 		t.Fatal("nothing persisted before crash")
@@ -504,7 +572,7 @@ func TestCrashRecovery(t *testing.T) {
 	// Restart over the same cache dir: recovered objects avoid decoding.
 	s2 := mk()
 	defer s2.Close()
-	if got := s2.StoreStats().DiskObjects; got < persisted {
+	if got := metric(t, s2, "storage.disk_objects"); got < persisted {
 		t.Fatalf("recovered %d disk objects, had %d", got, persisted)
 	}
 	loader2, _ := s2.NewLoader("train")
@@ -602,6 +670,7 @@ func TestMemoryPressureEngagesSJFAndEviction(t *testing.T) {
 		Lookahead:   8,
 		Coordinate:  true,
 		Seed:        13,
+		Obs:         obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -616,19 +685,17 @@ func TestMemoryPressureEngagesSJFAndEviction(t *testing.T) {
 			}
 		}
 	}
-	st := s.StoreStats()
-	if st.Evictions == 0 {
-		t.Fatalf("tiny budget caused no evictions: %+v", st)
+	if metric(t, s, "storage.evictions") == 0 {
+		t.Fatal("tiny budget caused no evictions")
 	}
-	if st.MemBytes > 96<<10 {
-		t.Fatalf("memory tier exceeded budget: %d", st.MemBytes)
+	if b := metric(t, s, "storage.mem_bytes"); b > 96<<10 {
+		t.Fatalf("memory tier exceeded budget: %d", b)
 	}
 	// The scheduler must have made at least some SJF decisions while the
 	// store sat above 80% (timing-dependent; tolerate zero only if the
 	// pool never saw premat work, which the lookahead guarantees it did).
-	sc := s.SchedStats()
-	if sc.PrematRuns == 0 {
-		t.Fatalf("no pre-materialization ran: %+v", sc)
+	if metric(t, s, "sched.premat_runs") == 0 {
+		t.Fatal("no pre-materialization ran")
 	}
 }
 

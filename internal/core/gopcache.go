@@ -47,10 +47,9 @@ type gopCache struct {
 	// dequeue) reads it without touching the cache lock.
 	bytes atomic.Int64
 
-	// counters (guarded by mu; snapshot via stats)
-	hits, misses, extends, evictions         int64
-	framesDecoded, bytesDecoded              int64
-	derivedHits, derivedMisses, derivedBytes int64
+	// Counters behind the core.gop_* obs names; atomic so the snapshot
+	// reads them without the cache lock.
+	hits, misses, evictions, framesDecoded atomic.Int64
 }
 
 type gopKey struct {
@@ -104,13 +103,13 @@ func (c *gopCache) acquire(ent *dataset.Entry, idx int) (*gopEntry, error) {
 	if e, ok := c.entries[key]; ok {
 		e.refs++
 		e.lastUse = c.clock
-		c.hits++
+		c.hits.Add(1)
 		c.mu.Unlock()
 		return e, nil
 	}
 	e := &gopEntry{key: key, ready: make(chan struct{}), refs: 1, lastUse: c.clock}
 	c.entries[key] = e
-	c.misses++
+	c.misses.Add(1)
 	c.mu.Unlock()
 
 	c.build(ent, e, k, idx)
@@ -168,9 +167,6 @@ func (c *gopCache) extend(ent *dataset.Entry, e *gopEntry, idx int) error {
 		n++
 	}
 	c.account(e, bytes, n)
-	c.mu.Lock()
-	c.extends++
-	c.mu.Unlock()
 	return nil
 }
 
@@ -179,8 +175,7 @@ func (c *gopCache) account(e *gopEntry, bytes, frames int64) {
 	c.mu.Lock()
 	e.bytes += bytes
 	c.bytes.Add(bytes)
-	c.bytesDecoded += bytes
-	c.framesDecoded += frames
+	c.framesDecoded.Add(frames)
 	c.evictLocked()
 	c.mu.Unlock()
 }
@@ -255,7 +250,7 @@ func (c *gopCache) evictLocked() {
 		c.bytes.Add(-victim.bytes)
 		dropped++
 		freed += victim.bytes
-		c.evictions++
+		c.evictions.Add(1)
 		// Frames are shared read-only and may still be referenced by
 		// batches in flight; the GC reclaims them. Never recycle here.
 	}
@@ -297,19 +292,11 @@ func (c *gopCache) claimDerived(e *gopEntry, dk string) (*frame.Frame, *derivedS
 			e.derived = map[string]*derivedSlot{}
 		}
 		e.derived[dk] = slot
-		c.derivedMisses++
 		c.mu.Unlock()
 		return nil, slot
 	}
 	c.mu.Unlock()
 	<-slot.ready
-	c.mu.Lock()
-	if slot.f != nil {
-		c.derivedHits++
-	} else {
-		c.derivedMisses++
-	}
-	c.mu.Unlock()
 	return slot.f, nil
 }
 
@@ -323,7 +310,6 @@ func (c *gopCache) publishDerived(e *gopEntry, slot *derivedSlot, f *frame.Frame
 	b := int64(f.Bytes())
 	e.bytes += b
 	c.bytes.Add(b)
-	c.derivedBytes += b
 	c.evictLocked()
 	c.mu.Unlock()
 	close(slot.ready)
@@ -338,26 +324,6 @@ func (c *gopCache) abandonDerived(e *gopEntry, dk string, slot *derivedSlot) {
 	}
 	c.mu.Unlock()
 	close(slot.ready)
-}
-
-// gopStats is a counter snapshot for the metrics layer.
-type gopStats struct {
-	Hits, Misses, Extends, Evictions         int64
-	FramesDecoded, BytesDecoded              int64
-	DerivedHits, DerivedMisses, DerivedBytes int64
-	Bytes                                    int64
-	Entries                                  int
-}
-
-func (c *gopCache) stats() gopStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return gopStats{
-		Hits: c.hits, Misses: c.misses, Extends: c.extends, Evictions: c.evictions,
-		FramesDecoded: c.framesDecoded, BytesDecoded: c.bytesDecoded,
-		DerivedHits: c.derivedHits, DerivedMisses: c.derivedMisses, DerivedBytes: c.derivedBytes,
-		Bytes: c.bytes.Load(), Entries: len(c.entries),
-	}
 }
 
 // lease opens a per-materialization view of the cache that pins each

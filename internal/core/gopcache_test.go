@@ -96,12 +96,11 @@ func TestGOPCacheConcurrentSameGOP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := c.stats()
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want exactly 1 build for one GOP", st.Misses)
+	if n := c.misses.Load(); n != 1 {
+		t.Fatalf("misses = %d, want exactly 1 build for one GOP", n)
 	}
-	if st.Hits < goroutines-1 {
-		t.Fatalf("hits = %d, want >= %d", st.Hits, goroutines-1)
+	if n := c.hits.Load(); n < goroutines-1 {
+		t.Fatalf("hits = %d, want >= %d", n, goroutines-1)
 	}
 	// Pixel correctness against an independent decoder.
 	for _, idx := range []int{5, 12, 29} {
@@ -151,9 +150,8 @@ func TestGOPCacheConcurrentAdjacentGOPs(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := c.stats()
-	if st.Misses != 3 {
-		t.Fatalf("misses = %d, want 3 (one build per GOP)", st.Misses)
+	if n := c.misses.Load(); n != 3 {
+		t.Fatalf("misses = %d, want 3 (one build per GOP)", n)
 	}
 	// Spot-check deep frames in each GOP against a reference decoder.
 	for _, idx := range []int{29, 59, 89} {
@@ -181,15 +179,17 @@ func TestGOPCacheByteBudgetEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.stats()
-	if st.Bytes > budget {
-		t.Fatalf("resident bytes %d exceed budget %d after releases", st.Bytes, budget)
+	if b := c.bytes.Load(); b > budget {
+		t.Fatalf("resident bytes %d exceed budget %d after releases", b, budget)
 	}
-	if st.Evictions == 0 {
+	if c.evictions.Load() == 0 {
 		t.Fatalf("expected evictions after decoding 10 GOPs into a %d-byte budget", budget)
 	}
-	if st.Entries > 2 {
-		t.Fatalf("entries = %d, want <= 2 under budget %d", st.Entries, budget)
+	c.mu.Lock()
+	entries := len(c.entries)
+	c.mu.Unlock()
+	if entries > 2 {
+		t.Fatalf("entries = %d, want <= 2 under budget %d", entries, budget)
 	}
 	// Evicted GOPs rebuild correctly on next access.
 	got, err := c.frameOnce(ent, 9)
@@ -259,8 +259,8 @@ func TestGOPCacheEvictionVsRefHolder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := c.stats(); st.Bytes > 15*frameBytes {
-		t.Fatalf("bytes %d over budget with no pins", st.Bytes)
+	if b := c.bytes.Load(); b > 15*frameBytes {
+		t.Fatalf("bytes %d over budget with no pins", b)
 	}
 }
 
@@ -333,12 +333,11 @@ func TestGOPCacheBudgetFloorUnderPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.stats()
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d under pressure floor, want 1 (no thrash)", st.Misses)
+	if n := c.misses.Load(); n != 1 {
+		t.Fatalf("misses = %d under pressure floor, want 1 (no thrash)", n)
 	}
-	if st.Evictions != 0 {
-		t.Fatalf("evictions = %d under pressure floor, want 0", st.Evictions)
+	if n := c.evictions.Load(); n != 0 {
+		t.Fatalf("evictions = %d under pressure floor, want 0", n)
 	}
 	// With nothing resident the shrink applies unfloored, so pressure
 	// still gates fresh admissions (and the legacy 1000/500/250 behavior
@@ -388,8 +387,8 @@ func TestGOPCacheScanResistance(t *testing.T) {
 	if !resident(20) {
 		t.Fatal("the GOP just decoded was evicted")
 	}
-	if st := c.stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if n := c.evictions.Load(); n != 1 {
+		t.Fatalf("evictions = %d, want 1", n)
 	}
 }
 
@@ -408,6 +407,7 @@ func TestGOPCacheDerivedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bytesBefore := c.bytes.Load()
 	f0, claim := c.claimDerived(e, "k1")
 	if f0 != nil || claim == nil {
 		t.Fatalf("first claim: frame=%v claim=%v, want leadership", f0, claim)
@@ -430,12 +430,8 @@ func TestGOPCacheDerivedFrames(t *testing.T) {
 	if f, cl := c.claimDerived(e, "k1"); f != f1 || cl != nil {
 		t.Fatalf("late claim: frame=%v claim=%v, want published hit", f, cl)
 	}
-	st := c.stats()
-	if st.DerivedHits != 2 || st.DerivedMisses != 1 {
-		t.Fatalf("derived hit/miss = %d/%d, want 2/1", st.DerivedHits, st.DerivedMisses)
-	}
-	if st.DerivedBytes != int64(f1.Bytes()) {
-		t.Fatalf("derived bytes %d, want %d", st.DerivedBytes, f1.Bytes())
+	if got := c.bytes.Load() - bytesBefore; got != int64(f1.Bytes()) {
+		t.Fatalf("derived bytes %d, want %d", got, f1.Bytes())
 	}
 	// An abandoned flight clears the slot so the next claimant leads.
 	if _, cl := c.claimDerived(e, "k2"); cl == nil {
@@ -448,7 +444,7 @@ func TestGOPCacheDerivedFrames(t *testing.T) {
 	} else {
 		c.abandonDerived(e, "k2", cl)
 	}
-	bytesWithDerived := c.stats().Bytes
+	bytesWithDerived := c.bytes.Load()
 	lease.release()
 	// Shrink the budget to force the entry (and its derived frames) out.
 	c.mu.Lock()

@@ -148,7 +148,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 		}
 		switch {
 		case f != nil:
-			s.countReuse()
+			s.objectsReused.Add(1)
 		case grp != nil:
 			// Overlapping-view fast path: slice this chain's crop out of
 			// the group's shared superset region, then run the suffix.
@@ -382,13 +382,6 @@ func (s *Service) storeFrame(key string, f *frame.Frame, deadline int64) error {
 	return nil
 }
 
-// countReuse bumps the reuse counter.
-func (s *Service) countReuse() {
-	s.mu.Lock()
-	s.stats.ObjectsReused++
-	s.mu.Unlock()
-}
-
 // materializeBatch builds the full batch payload for one iteration,
 // stores it under the batch key and returns it, so a caller can serve
 // the bytes even if the store evicts the object right away.
@@ -473,10 +466,7 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	bk := batchKey(key.task, key.epoch, key.iter)
 	if obj, pin, err := s.store.GetPinned(bk); err == nil {
 		s.store.MarkUsed(bk)
-		s.mu.Lock()
-		s.stats.BatchesServed++
-		s.stats.PrematHits++
-		s.mu.Unlock()
+		s.prematHits.Add(1)
 		s.tr.Instant("core", "premat_hit", 0, bk)
 		s.histView.Observe(time.Since(readStart).Nanoseconds())
 		s.schedulePremat(key)
@@ -519,10 +509,7 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 		data, pin = obj.Data, p
 		s.store.MarkUsed(bk)
 	}
-	s.mu.Lock()
-	s.stats.BatchesServed++
-	s.stats.DemandMisses++
-	s.mu.Unlock()
+	s.demandMisses.Add(1)
 	s.histView.Observe(time.Since(readStart).Nanoseconds())
 	s.schedulePremat(key)
 	return data, pin, nil

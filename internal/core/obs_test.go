@@ -119,8 +119,8 @@ func TestTraceIDThreading(t *testing.T) {
 }
 
 // TestMetricsEndpoint drives one epoch and asserts the /metrics
-// exposition carries the acceptance metrics: GOP hit rate, eviction
-// count, and view-read latency quantiles.
+// exposition carries the acceptance metrics: GOP hits, eviction count,
+// and view-read latency quantiles.
 func TestMetricsEndpoint(t *testing.T) {
 	reg := obs.New()
 	s := obsService(t, reg)
@@ -134,7 +134,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		"sand_core_gop_hit_rate",
+		"sand_core_gop_hits",
 		"sand_storage_evictions",
 		`sand_core_view_read_seconds{quantile="0.5"}`,
 		`sand_core_view_read_seconds{quantile="0.99"}`,

@@ -11,6 +11,7 @@ import (
 	"sand/internal/config"
 	"sand/internal/dataset"
 	"sand/internal/frame"
+	"sand/internal/obs"
 )
 
 // oracleBatch materializes one iteration the slow, obviously correct way:
@@ -130,10 +131,10 @@ var oracleEnvs = []oracleEnv{
 }
 
 // oracleRows runs one fixture under every oracleEnv: all batches must
-// equal the oracle's, then expect (when non-nil) checks the reuse
-// counters; roomy reports a 64 MiB memory tier, where derived frames
-// stay cached long enough for hit counts to be meaningful.
-func oracleRows(t *testing.T, tasks []*config.Task, ds *dataset.Dataset, expect func(t *testing.T, rs ReuseStats, roomy bool)) {
+// equal the oracle's, then expect (when non-nil) checks the service's
+// reuse counters; roomy reports a 64 MiB memory tier, where derived
+// frames stay cached long enough for hit counts to be meaningful.
+func oracleRows(t *testing.T, tasks []*config.Task, ds *dataset.Dataset, expect func(t *testing.T, s *Service, roomy bool)) {
 	for _, env := range oracleEnvs {
 		t.Run(env.name, func(t *testing.T) {
 			t.Parallel()
@@ -147,6 +148,7 @@ func oracleRows(t *testing.T, tasks []*config.Task, ds *dataset.Dataset, expect 
 				Workers:       env.workers,
 				Coordinate:    true,
 				Seed:          11,
+				Obs:           obs.New(),
 			}
 			if env.cacheDir {
 				opts.CacheDir = t.TempDir()
@@ -158,7 +160,7 @@ func oracleRows(t *testing.T, tasks []*config.Task, ds *dataset.Dataset, expect 
 			defer s.Close()
 			checkOracle(t, s)
 			if expect != nil {
-				expect(t, s.ReuseStats(), env.memBudget >= 64<<20)
+				expect(t, s, env.memBudget >= 64<<20)
 			}
 		})
 	}

@@ -127,12 +127,13 @@ func (s *Service) materializeFrameView(p vfs.Path) ([]byte, map[string]string, e
 		return obj.Data, frameXattrs(p, ent.Video), nil
 	}
 	// Decode through the shared GOP cache: repeated frame views of one
-	// GOP reuse the same reconstruction.
+	// GOP reuse the same reconstruction. The encoding is the stored
+	// object's, so a view's bytes do not depend on whether it was cached.
 	f, err := s.gops.frameOnce(ent, p.Frame)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := frame.EncodeFrame(f)
+	data, err := frame.EncodeFrameFast(f)
 	if err != nil {
 		return nil, nil, err
 	}

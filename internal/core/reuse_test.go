@@ -127,9 +127,9 @@ func TestSupersetByteIdentical(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(d.prefix+tc.name, func(t *testing.T) {
 				task := overlapTask(t, "ov-"+tc.name, tc.prefix, tc.branches)
-				oracleRows(t, []*config.Task{task}, d.ds, func(t *testing.T, rs ReuseStats, roomy bool) {
-					if tc.name != "random" && roomy && rs.SupersetHits == 0 {
-						t.Fatalf("superset never fired: %+v", rs)
+				oracleRows(t, []*config.Task{task}, d.ds, func(t *testing.T, s *Service, roomy bool) {
+					if tc.name != "random" && roomy && metric(t, s, "core.reuse.superset_hits") == 0 {
+						t.Fatal("superset never fired")
 					}
 				})
 			})
@@ -147,9 +147,9 @@ func TestSupersetSerialParallelIdentical(t *testing.T) {
 	task := overlapTask(t, "serpar", resize64, []config.OpSpec{
 		crop(48, 48, 0, 0), crop(48, 48, 16, 16), crop(48, 48, 8, 4), crop(48, 48, 2, 12),
 	})
-	oracleRows(t, []*config.Task{task}, miniDataset(t, 4), func(t *testing.T, rs ReuseStats, roomy bool) {
-		if roomy && rs.SupersetHits == 0 {
-			t.Fatalf("superset never fired: %+v", rs)
+	oracleRows(t, []*config.Task{task}, miniDataset(t, 4), func(t *testing.T, s *Service, roomy bool) {
+		if roomy && metric(t, s, "core.reuse.superset_hits") == 0 {
+			t.Fatal("superset never fired")
 		}
 	})
 }
@@ -163,9 +163,9 @@ func TestDisjointWindowsNoReuse(t *testing.T) {
 	})
 	for _, d := range oracleDatasets(t) {
 		t.Run(d.name, func(t *testing.T) {
-			oracleRows(t, []*config.Task{task}, d.ds, func(t *testing.T, rs ReuseStats, _ bool) {
-				if rs.SupersetHits != 0 || rs.SupersetMisses != 0 {
-					t.Fatalf("disjoint windows formed a reuse group: %+v", rs)
+			oracleRows(t, []*config.Task{task}, d.ds, func(t *testing.T, s *Service, _ bool) {
+				if metric(t, s, "core.reuse.superset_hits") != 0 || metric(t, s, "core.reuse.superset_misses") != 0 {
+					t.Fatal("disjoint windows formed a reuse group")
 				}
 			})
 		})
@@ -265,9 +265,10 @@ func TestBatchScopeByteIdentical(t *testing.T) {
 	measured, helper := batchOverlapTasks(t)
 	for _, d := range oracleDatasets(t) {
 		t.Run(d.name, func(t *testing.T) {
-			oracleRows(t, []*config.Task{measured, helper}, d.ds, func(t *testing.T, rs ReuseStats, roomy bool) {
-				if rs.XSampleGroups == 0 || (roomy && rs.XSampleHits == 0) {
-					t.Fatalf("batch scope never fired across samples: %+v", rs)
+			oracleRows(t, []*config.Task{measured, helper}, d.ds, func(t *testing.T, s *Service, roomy bool) {
+				groups, hits := metric(t, s, "core.reuse.xsample_groups"), metric(t, s, "core.reuse.xsample_hits")
+				if groups == 0 || (roomy && hits == 0) {
+					t.Fatalf("batch scope never fired across samples: %d groups, %d hits", groups, hits)
 				}
 			})
 		})

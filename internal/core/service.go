@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sand/internal/codec"
 	"sand/internal/config"
 	"sand/internal/dataset"
 	"sand/internal/frame"
@@ -130,7 +129,13 @@ type Service struct {
 	flight   *obs.FlightRecorder // auto trace dumps on SLO breach (nil = off)
 	histView *obs.Histogram      // view-read latency (ns), demand + premat-hit
 
-	// reuse counters (atomic: bumped from intra-sample workers)
+	// Event counters, exposed only through the "core" and "core.reuse"
+	// obs snapshots. Atomic: readers and workers bump them concurrently.
+	chunksPlanned  atomic.Int64
+	demandMisses   atomic.Int64 // batches materialized on the demand path
+	prematHits     atomic.Int64 // batches already materialized when read
+	objectsReused  atomic.Int64 // frames served from a cached store object
+	streamedVideos atomic.Int64
 	supersetHits   atomic.Int64 // views served from a shared superset region
 	supersetMisses atomic.Int64 // superset regions computed fresh
 	xsampleHits    atomic.Int64 // superset hits served through a cross-sample group
@@ -158,20 +163,6 @@ type Service struct {
 	// cachedFingerprint is the configuration hash used by the plan
 	// manifest (fault-tolerance checkpointing).
 	cachedFingerprint string
-
-	stats ServiceStats
-}
-
-// ServiceStats counts engine-level events.
-type ServiceStats struct {
-	ChunksPlanned  int
-	BatchesServed  int64
-	DemandMisses   int64 // batches materialized on the demand path
-	PrematHits     int64 // batches already materialized when read
-	ObjectsDecoded int64
-	ObjectsReused  int64
-	PruneCollapses int
-	StreamedVideos int
 }
 
 // New creates and starts a service.
@@ -252,51 +243,34 @@ func New(opts Options) (*Service, error) {
 		return nil, err
 	}
 	s.pool = pool
-	reg.Gauge("core.gop.hit_rate", func() float64 { return s.GOPStats().HitRate() })
 	reg.Gauge("core.mem_pressure", s.memPressure)
 	reg.SnapshotFunc("core", func() map[string]int64 {
-		st := s.Stats()
-		g := s.gops.stats()
 		return map[string]int64{
-			"chunks_planned":     int64(st.ChunksPlanned),
-			"batches_served":     st.BatchesServed,
-			"demand_misses":      st.DemandMisses,
-			"premat_hits":        st.PrematHits,
-			"objects_decoded":    st.ObjectsDecoded,
-			"objects_reused":     st.ObjectsReused,
-			"streamed_videos":    int64(st.StreamedVideos),
+			"chunks_planned":     s.chunksPlanned.Load(),
+			"demand_misses":      s.demandMisses.Load(),
+			"premat_hits":        s.prematHits.Load(),
+			"objects_reused":     s.objectsReused.Load(),
+			"streamed_videos":    s.streamedVideos.Load(),
 			"flight_dumps":       s.flight.Dumps(),
-			"gop_hits":           g.Hits,
-			"gop_misses":         g.Misses,
-			"gop_extends":        g.Extends,
-			"gop_evictions":      g.Evictions,
-			"gop_frames_decoded": g.FramesDecoded,
-			"gop_bytes":          g.Bytes,
+			"gop_hits":           s.gops.hits.Load(),
+			"gop_misses":         s.gops.misses.Load(),
+			"gop_evictions":      s.gops.evictions.Load(),
+			"gop_frames_decoded": s.gops.framesDecoded.Load(),
 		}
 	})
 	reg.SnapshotFunc("core.reuse", func() map[string]int64 {
-		g := s.gops.stats()
 		return map[string]int64{
 			"superset_hits":   s.supersetHits.Load(),
 			"superset_misses": s.supersetMisses.Load(),
 			"xsample_hits":    s.xsampleHits.Load(),
 			"xsample_groups":  s.xsampleGroups.Load(),
-			"derived_bytes":   g.DerivedBytes,
 		}
 	})
-	// Pool counters already carry dotted names ("frame.pool.gets"); the
-	// prefix-strip keeps the exposed names identical to the legacy ones.
+	// frame.PoolStats keys are full names; the registry adds the prefix back.
 	reg.SnapshotFunc("frame", func() map[string]int64 {
 		out := map[string]int64{}
 		for k, v := range frame.PoolStats() {
 			out[strings.TrimPrefix(k, "frame.")] = v
-		}
-		return out
-	})
-	reg.SnapshotFunc("codec", func() map[string]int64 {
-		out := map[string]int64{}
-		for k, v := range codec.PoolStats() {
-			out[strings.TrimPrefix(k, "codec.")] = v
 		}
 		return out
 	})
@@ -337,76 +311,9 @@ func (s *Service) memPressure() float64 {
 	return p
 }
 
-// Stats returns engine counters. ObjectsDecoded includes every frame the
-// decoded-GOP cache reconstructed (roll-forward frames included), so the
-// value matches the decoder's real work, not just the requested frames.
-func (s *Service) Stats() ServiceStats {
-	s.mu.Lock()
-	st := s.stats
-	s.mu.Unlock()
-	st.ObjectsDecoded += s.gops.stats().FramesDecoded
-	return st
-}
-
-// StoreStats returns the storage tier's counters.
+// StoreStats returns the storage tier's counters. Only bench/ reads them
+// this way; everything else reads the "storage" obs snapshot.
 func (s *Service) StoreStats() storage.Stats { return s.store.Stats() }
-
-// GOPCacheStats summarizes the decoded-GOP cache for reporting.
-type GOPCacheStats struct {
-	Hits, Misses, Extends, Evictions         int64
-	FramesDecoded, BytesDecoded              int64
-	DerivedHits, DerivedMisses, DerivedBytes int64
-	Bytes                                    int64
-	Entries                                  int
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (g GOPCacheStats) HitRate() float64 {
-	if g.Hits+g.Misses == 0 {
-		return 0
-	}
-	return float64(g.Hits) / float64(g.Hits+g.Misses)
-}
-
-// GOPStats returns the decoded-GOP cache's counters.
-func (s *Service) GOPStats() GOPCacheStats {
-	st := s.gops.stats()
-	return GOPCacheStats(st)
-}
-
-// ReuseStats summarizes the overlap-aware computation-reuse layer.
-type ReuseStats struct {
-	// SupersetHits counts views served as sub-slices of a shared superset
-	// region; SupersetMisses counts superset regions computed fresh.
-	SupersetHits, SupersetMisses int64
-	// XSampleHits counts superset hits served through a group spanning
-	// more than one sample of a batch; XSampleGroups counts such groups
-	// at plan time.
-	XSampleHits, XSampleGroups int64
-	// DerivedBytes is the cumulative footprint of cached superset frames.
-	DerivedBytes int64
-}
-
-// ReuseStats returns the computation-reuse counters.
-func (s *Service) ReuseStats() ReuseStats {
-	return ReuseStats{
-		SupersetHits:   s.supersetHits.Load(),
-		SupersetMisses: s.supersetMisses.Load(),
-		XSampleHits:    s.xsampleHits.Load(),
-		XSampleGroups:  s.xsampleGroups.Load(),
-		DerivedBytes:   s.gops.stats().DerivedBytes,
-	}
-}
-
-// SchedStats returns the scheduler's counters.
-func (s *Service) SchedStats() sched.Stats { return s.pool.Stats() }
-
-// CostStats returns the scheduler cost model's counters.
-func (s *Service) CostStats() sched.CostModelStats { return s.pool.Cost().Stats() }
-
-// FlightDumps returns how many trace files the flight recorder wrote
-// (0 when Options.FlightDir is unset).
-func (s *Service) FlightDumps() int64 { return s.flight.Dumps() }
 
 // PruneResult returns the active chunk's pruning summary.
 func (s *Service) PruneResult() graph.PruneResult {
@@ -486,7 +393,7 @@ func (s *Service) ExtendDataset(entries []dataset.Entry) error {
 		next.Videos = append(next.Videos, e)
 	}
 	s.ds = next
-	s.stats.StreamedVideos += len(entries)
+	s.streamedVideos.Add(int64(len(entries)))
 
 	// Invalidate plans for chunks that have not started yet (lookahead
 	// pre-materialization may have planned them against the old dataset):
@@ -597,8 +504,7 @@ func (s *Service) planChunk(startEpoch int) error {
 	s.chunkStart = startEpoch
 	s.plan = plan
 	s.pruneRes = res
-	s.stats.ChunksPlanned++
-	s.stats.PruneCollapses += res.Collapses
+	s.chunksPlanned.Add(1)
 
 	// Per task and epoch: shuffle videos (each task independently — the
 	// once-per-epoch coverage rule holds per task) and group them into

@@ -28,13 +28,8 @@ var framePools struct {
 
 // poolCounters tracks pooled-buffer traffic for the metrics layer.
 var poolCounters struct {
-	gets        atomic.Int64 // NewPooled calls
-	reuses      atomic.Int64 // NewPooled calls served from the pool
-	puts        atomic.Int64 // Recycle calls
-	bytesAlloc  atomic.Int64 // bytes newly allocated on pool misses
-	bytesReused atomic.Int64 // bytes served from the pool
-	zlibWriters atomic.Int64 // serializer writer reuses
-	zlibReaders atomic.Int64 // serializer reader reuses
+	gets   atomic.Int64 // NewPooled calls
+	reuses atomic.Int64 // NewPooled calls served from the pool
 }
 
 func sizePool(n int) *sync.Pool {
@@ -67,11 +62,9 @@ func NewPooled(w, h, c int) *Frame {
 	poolCounters.gets.Add(1)
 	if v := sizePool(n).Get(); v != nil {
 		poolCounters.reuses.Add(1)
-		poolCounters.bytesReused.Add(int64(n))
 		p := v.(*[]byte)
 		return &Frame{W: w, H: h, C: c, Pix: *p, Index: -1, pooled: p}
 	}
-	poolCounters.bytesAlloc.Add(int64(n))
 	pix := make([]byte, n)
 	// The *[]byte wrapper rides along with the buffer through its whole
 	// pool lifetime, so Recycle never re-boxes the slice header.
@@ -95,7 +88,6 @@ func Recycle(f *Frame) {
 	} else {
 		*wrapper = pix
 	}
-	poolCounters.puts.Add(1)
 	sizePool(len(pix)).Put(wrapper)
 }
 
@@ -103,12 +95,7 @@ func Recycle(f *Frame) {
 // full dotted names ("frame.pool.gets").
 func PoolStats() map[string]int64 {
 	return map[string]int64{
-		"frame.pool.gets":         poolCounters.gets.Load(),
-		"frame.pool.reuses":       poolCounters.reuses.Load(),
-		"frame.pool.puts":         poolCounters.puts.Load(),
-		"frame.pool.bytes_alloc":  poolCounters.bytesAlloc.Load(),
-		"frame.pool.bytes_reused": poolCounters.bytesReused.Load(),
-		"frame.zlib.writer_reuse": poolCounters.zlibWriters.Load(),
-		"frame.zlib.reader_reuse": poolCounters.zlibReaders.Load(),
+		"frame.pool.gets":   poolCounters.gets.Load(),
+		"frame.pool.reuses": poolCounters.reuses.Load(),
 	}
 }

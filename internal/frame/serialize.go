@@ -45,7 +45,6 @@ func getZlibWriter(dst io.Writer) *zlib.Writer {
 	if v := zlibWriterPool.Get(); v != nil {
 		zw := v.(*zlib.Writer)
 		zw.Reset(dst)
-		poolCounters.zlibWriters.Add(1)
 		return zw
 	}
 	return zlib.NewWriter(dst)
@@ -55,7 +54,6 @@ func getZlibStoredWriter(dst io.Writer) *zlib.Writer {
 	if v := zlibStoredPool.Get(); v != nil {
 		zw := v.(*zlib.Writer)
 		zw.Reset(dst)
-		poolCounters.zlibWriters.Add(1)
 		return zw
 	}
 	zw, _ := zlib.NewWriterLevel(dst, zlib.NoCompression) // level is valid: no error
@@ -69,7 +67,6 @@ func getZlibReader(data []byte) (*pooledZlibReader, error) {
 		if err := r.zr.(zlib.Resetter).Reset(&r.src, nil); err != nil {
 			return nil, err
 		}
-		poolCounters.zlibReaders.Add(1)
 		return r, nil
 	}
 	r := &pooledZlibReader{}

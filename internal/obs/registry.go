@@ -37,11 +37,11 @@ func (c *Counter) Get() int64 {
 
 // Registry is the one interface every subsystem reports through:
 // counters (push, cached pointer), gauges (pull, closure), histograms
-// (push, cached pointer), snapshot providers (pull, bridge for legacy
-// counter sets), and the embedded Tracer. All methods tolerate a nil
+// (push, cached pointer), snapshot providers (pull: the subsystem's own
+// counters), and the embedded Tracer. All methods tolerate a nil
 // receiver, so instrumented code runs unconditionally.
 //
-// Metric names are dotted ("core.gop.hits"); the Prometheus exposition
+// Metric names are dotted ("core.gop_hits"); the Prometheus exposition
 // sanitizes them to sand_core_gop_hits. Histogram names end in "_ns" by
 // convention and expose as *_seconds summaries.
 type Registry struct {
@@ -118,8 +118,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // SnapshotFunc registers (or replaces) a named snapshot provider: fn
 // returns a map of counter-style values exposed under "prefix.key". This
-// is how subsystems count: each owns its atomics (store stats, scheduler
-// stats, view-server counters) and exposes them through one provider.
+// is how subsystems count: each owns its counters and exposes them
+// through one provider, and readers query them by name.
 func (r *Registry) SnapshotFunc(prefix string, fn func() map[string]int64) {
 	if r == nil || fn == nil {
 		return

@@ -285,31 +285,26 @@ func runCluster(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 		// release counts depend on wall-clock queue waits, but with a
 		// scenario SLO armed the "did it ever engage" bit is
 		// deterministic, so it is safe for the run-twice report diff.
-		engagedEver, releasedEver := 0.0, 0.0
-		for _, n := range h.nodes {
-			st := n.svc.SchedStats()
-			if st.AdmissionEngages > 0 {
-				engagedEver = 1
-			}
-			if st.AdmissionReleases > 0 {
-				releasedEver = 1
-			}
-		}
-		snap.Set("sched.admission.engaged_ever", engagedEver)
-		snap.Set("sched.admission.released_ever", releasedEver)
-		// Cross-sample reuse across the fleet, boolean for the same
+		//
+		// Cross-sample reuse across the fleet is a boolean for the same
 		// reason: which node serves which batch depends on router health
 		// races, so per-node hit counts are nondeterministic — but with
 		// the reuse_batch workload some node always materializes a
 		// multi-sample batch, so "did batch-scoped planning ever share
 		// across samples" is safe for the run-twice report diff.
-		xsampleEver := 0.0
-		for _, n := range h.nodes {
-			if n.svc.ReuseStats().XSampleHits > 0 {
-				xsampleEver = 1
+		for ever, name := range map[string]string{
+			"sched.admission.engaged_ever":  "sched.admission_engages",
+			"sched.admission.released_ever": "sched.admission_releases",
+			"core.reuse.xsample_ever":       "core.reuse.xsample_hits",
+		} {
+			v := 0.0
+			for _, n := range h.nodes {
+				if c, _ := n.svc.Obs().Query(name); c > 0 {
+					v = 1
+				}
 			}
+			snap.Set(ever, v)
 		}
-		snap.Set("core.reuse.xsample_ever", xsampleEver)
 		return snap
 	}
 

@@ -22,6 +22,13 @@ func admPool(t *testing.T) *Pool {
 	return p
 }
 
+// engaged reports whether the admission gate is closed.
+func engaged(p *Pool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.admEngaged
+}
+
 // feed pushes n identical demand-wait samples through the gate logic.
 func feed(p *Pool, n int, wait time.Duration) {
 	for i := 0; i < n; i++ {
@@ -36,14 +43,13 @@ func TestAdmissionEngageAndRelease(t *testing.T) {
 
 	// Below the minimum sample count nothing moves, however bad the waits.
 	feed(p, admMinSamples-1, 10*time.Millisecond)
-	if p.Stats().AdmissionEngaged {
+	if engaged(p) {
 		t.Fatal("gate engaged before admMinSamples")
 	}
 
 	// One more bad sample crosses the threshold.
 	feed(p, 1, 10*time.Millisecond)
-	st := p.Stats()
-	if !st.AdmissionEngaged || st.AdmissionEngages != 1 {
+	if st := counts(p); !engaged(p) || st.admissionEngages != 1 {
 		t.Fatalf("after %d bad samples: %+v, want engaged once", admMinSamples, st)
 	}
 
@@ -52,8 +58,8 @@ func TestAdmissionEngageAndRelease(t *testing.T) {
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("premat submit error = %v, want ErrAdmission", err)
 	}
-	if got := p.Stats().AdmissionRejected; got != 1 {
-		t.Fatalf("AdmissionRejected = %d, want 1", got)
+	if got := counts(p).admissionRejected; got != 1 {
+		t.Fatalf("admission rejected = %d, want 1", got)
 	}
 	done := make(chan struct{})
 	if err := p.Submit(&Task{Key: "d", Kind: Demand, Run: func() error { close(done); return nil }}); err != nil {
@@ -65,8 +71,7 @@ func TestAdmissionEngageAndRelease(t *testing.T) {
 	// the ring falls below the release threshold once every bad sample
 	// has been overwritten.
 	feed(p, admWindowSize+admDwell, 100*time.Microsecond)
-	st = p.Stats()
-	if st.AdmissionEngaged || st.AdmissionReleases != 1 {
+	if st := counts(p); engaged(p) || st.admissionReleases != 1 {
 		t.Fatalf("after recovery: %+v, want released once", st)
 	}
 	if err := p.Submit(&Task{Key: "pm2", Kind: Premat, Run: func() error { return nil }}); err != nil {
@@ -77,18 +82,17 @@ func TestAdmissionEngageAndRelease(t *testing.T) {
 func TestAdmissionHysteresisNoFlapping(t *testing.T) {
 	p := admPool(t)
 	feed(p, admMinSamples, 10*time.Millisecond)
-	if !p.Stats().AdmissionEngaged {
+	if !engaged(p) {
 		t.Fatal("gate did not engage")
 	}
 	// Waits inside the hysteresis band (below the 1ms SLO, above the
 	// 0.5ms release threshold) must leave the gate exactly where it is,
 	// even after the window has fully turned over.
 	feed(p, 3*admWindowSize, 700*time.Microsecond)
-	st := p.Stats()
-	if !st.AdmissionEngaged {
+	if !engaged(p) {
 		t.Fatal("gate released inside the hysteresis band")
 	}
-	if st.AdmissionEngages != 1 || st.AdmissionReleases != 0 {
+	if st := counts(p); st.admissionEngages != 1 || st.admissionReleases != 0 {
 		t.Fatalf("gate flapped: %+v", st)
 	}
 }
@@ -100,7 +104,7 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 	}
 	defer p.Abort()
 	feed(p, 10*admWindowSize, time.Hour)
-	if st := p.Stats(); st.AdmissionEngaged || st.AdmissionEngages != 0 {
+	if st := counts(p); engaged(p) || st.admissionEngages != 0 {
 		t.Fatalf("gate moved with SLO unset: %+v", st)
 	}
 }
@@ -133,13 +137,12 @@ func TestAdmissionShedsPrematTail(t *testing.T) {
 	}
 
 	feed(p, admMinSamples, 10*time.Millisecond)
-	st := p.Stats()
-	if !st.AdmissionEngaged {
+	if !engaged(p) {
 		t.Fatal("gate did not engage")
 	}
 	// One survivor per worker (earliest deadline), the rest shed.
-	if want := int64(queued - 1); st.AdmissionShed != want {
-		t.Fatalf("AdmissionShed = %d, want %d", st.AdmissionShed, want)
+	if got, want := counts(p).admissionShed, int64(queued-1); got != want {
+		t.Fatalf("admission shed = %d, want %d", got, want)
 	}
 	if depth := p.QueueDepth(); depth != 1 {
 		t.Fatalf("queue depth after shed = %d, want 1 survivor", depth)

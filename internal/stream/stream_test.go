@@ -7,6 +7,7 @@ import (
 	"sand/internal/config"
 	"sand/internal/core"
 	"sand/internal/dataset"
+	"sand/internal/obs"
 )
 
 func testService(t testing.TB, videos, totalEpochs, chunkEpochs int) *core.Service {
@@ -40,6 +41,7 @@ func testService(t testing.TB, videos, totalEpochs, chunkEpochs int) *core.Servi
 		Workers:     2,
 		Coordinate:  true,
 		Seed:        21,
+		Obs:         obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +123,8 @@ func TestStreamedVideosJoinNextChunk(t *testing.T) {
 	if in.Ingested() != 2 || in.Bytes() <= 0 {
 		t.Fatalf("ingestor accounting: %d segments, %d bytes", in.Ingested(), in.Bytes())
 	}
-	if svc.Stats().StreamedVideos != 2 {
-		t.Fatalf("service counted %d streamed videos", svc.Stats().StreamedVideos)
+	if n, _ := svc.Obs().Query("core.streamed_videos"); n != 2 {
+		t.Fatalf("service counted %v streamed videos", n)
 	}
 	// Finish chunk 0.
 	if _, _, err := loader.Next(1, 0); err != nil {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sand/internal/metrics"
 	"sand/internal/obs"
 	"sand/internal/vfs"
 )
@@ -51,7 +50,8 @@ func (o *Options) normalize() {
 	}
 }
 
-// Stats is a snapshot of server counters.
+// Stats is a typed snapshot of the server's counters. Only tests and
+// bench/ read it; everything else reads the "viewserver" obs snapshot.
 type Stats struct {
 	// Requests counts completed requests by op name.
 	Requests map[string]int64
@@ -75,15 +75,6 @@ type Stats struct {
 	// cache-resident).
 	ZeroCopyHits  int64
 	CopyFallbacks int64
-}
-
-// ReadaheadHitRate returns hits / (hits + misses), 0 when idle.
-func (s Stats) ReadaheadHitRate() float64 {
-	total := s.ReadaheadHits + s.ReadaheadMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ReadaheadHits) / float64(total)
 }
 
 // Server exports a vfs.Mount over length-prefixed frames. One goroutine
@@ -286,30 +277,6 @@ func (s *Server) counters() map[string]int64 {
 		m["op."+op] = n
 	}
 	return m
-}
-
-// StatsTable renders the counters plus gauges for reporting.
-func (s *Server) StatsTable() *metrics.Table {
-	st := s.Stats()
-	t := metrics.NewTable("viewserver", "counter", "value")
-	ops := make([]string, 0, len(st.Requests))
-	for op := range st.Requests {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		t.AddRow("op."+op, st.Requests[op])
-	}
-	t.AddRow("bytes.served", st.BytesServed)
-	t.AddRow("sessions.open", st.OpenSessions)
-	t.AddRow("fds.open", st.OpenFDs)
-	t.AddRow("readahead.hit", st.ReadaheadHits)
-	t.AddRow("readahead.miss", st.ReadaheadMisses)
-	t.AddRow("readahead.hitrate", metrics.Pct(st.ReadaheadHitRate()))
-	t.AddRow("readahead.bytes", st.ReadaheadBytes)
-	t.AddRow("dataplane.zerocopy.hit", st.ZeroCopyHits)
-	t.AddRow("dataplane.copy.fallback", st.CopyFallbacks)
-	return t
 }
 
 // session is one connection's state: a private fd namespace reclaimed on
