@@ -7,11 +7,12 @@ test:
 	go build ./...
 	go test ./...
 
-# Dataplane and frame-decoder fuzzing (bounded; extend -fuzztime for
+# Dataplane, frame- and batch-decoder fuzzing (bounded; extend -fuzztime for
 # longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
 	go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/frame/
+	go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/core/
 
 # The end-to-end epoch benchmark with per-layer attribution (see
 # bench/README.md).

@@ -54,38 +54,69 @@ func EncodeBatch(b *frame.Batch) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBatch reverses EncodeBatch.
-func DecodeBatch(data []byte) (*frame.Batch, error) {
+// batchFraming is a serialized batch's framing, read without decoding
+// any pixels: the header's epoch and iteration, and per clip its
+// EncodeClip bytes (subslices of the batch) and its label.
+type batchFraming struct {
+	epoch, iter int
+	clips       [][]byte
+	labels      []string
+}
+
+// walkBatch reads a serialized batch's framing: the header, then per clip
+// an 8-byte length prefix, the clip and the label. It is the one parser
+// of the format — DecodeBatch decodes the clips it returns, batchXattrs
+// reads only their headers. The header may not claim more clips than the
+// bytes behind it can hold prefixes for.
+func walkBatch(data []byte) (batchFraming, error) {
 	if len(data) < 16 || binary.LittleEndian.Uint32(data[0:]) != batchMagic {
-		return nil, fmt.Errorf("core: bad batch header")
+		return batchFraming{}, fmt.Errorf("core: bad batch header")
 	}
 	n := int(binary.LittleEndian.Uint32(data[4:]))
-	if n <= 0 || n > 1<<16 {
-		return nil, fmt.Errorf("core: implausible clip count %d", n)
+	if n <= 0 || n > 1<<16 || n > (len(data)-16)/8 {
+		return batchFraming{}, fmt.Errorf("core: implausible clip count %d", n)
 	}
-	b := &frame.Batch{
-		Epoch:     int(binary.LittleEndian.Uint32(data[8:])),
-		Iteration: int(binary.LittleEndian.Uint32(data[12:])),
+	b := batchFraming{
+		epoch:  int(binary.LittleEndian.Uint32(data[8:])),
+		iter:   int(binary.LittleEndian.Uint32(data[12:])),
+		clips:  make([][]byte, n),
+		labels: make([]string, n),
 	}
 	off := 16
 	for i := 0; i < n; i++ {
 		if off+8 > len(data) {
-			return nil, fmt.Errorf("core: batch truncated at clip %d", i)
+			return batchFraming{}, fmt.Errorf("core: batch truncated at clip %d", i)
 		}
 		clipLen := int(binary.LittleEndian.Uint32(data[off:]))
 		labelLen := int(binary.LittleEndian.Uint32(data[off+4:]))
 		off += 8
 		if off+clipLen+labelLen > len(data) {
-			return nil, fmt.Errorf("core: batch clip %d payload truncated", i)
+			return batchFraming{}, fmt.Errorf("core: batch clip %d payload truncated", i)
 		}
-		clip, err := frame.DecodeClip(data[off : off+clipLen])
-		if err != nil {
+		b.clips[i] = data[off : off+clipLen]
+		off += clipLen
+		b.labels[i] = string(data[off : off+labelLen])
+		off += labelLen
+	}
+	return b, nil
+}
+
+// DecodeBatch reverses EncodeBatch. It verifies every frame's checksum.
+func DecodeBatch(data []byte) (*frame.Batch, error) {
+	fr, err := walkBatch(data)
+	if err != nil {
+		return nil, err
+	}
+	b := &frame.Batch{
+		Epoch:     fr.epoch,
+		Iteration: fr.iter,
+		Clips:     make([]*frame.Clip, len(fr.clips)),
+		Labels:    fr.labels,
+	}
+	for i, enc := range fr.clips {
+		if b.Clips[i], err = frame.DecodeClip(enc); err != nil {
 			return nil, fmt.Errorf("core: batch clip %d: %w", i, err)
 		}
-		off += clipLen
-		b.Labels = append(b.Labels, string(data[off:off+labelLen]))
-		off += labelLen
-		b.Clips = append(b.Clips, clip)
 	}
 	return b, nil
 }

@@ -528,6 +528,12 @@ func TestPrematerializationKicksIn(t *testing.T) {
 			if _, _, err := loader.Next(e, it); err != nil {
 				t.Fatal(err)
 			}
+			if e == 0 && it == 0 {
+				// The first read is a demand miss that schedules the next
+				// iterations; wait for the first of them instead of racing
+				// the trainer against the pool.
+				waitForBatch(t, s, iterationKey{"train", 0, 1})
+			}
 		}
 	}
 	if metric(t, s, "core.premat_hits") == 0 {
@@ -535,6 +541,21 @@ func TestPrematerializationKicksIn(t *testing.T) {
 	}
 	if metric(t, s, "sched.premat_runs") == 0 {
 		t.Fatal("no pre-materialization tasks ran")
+	}
+}
+
+// waitForBatch polls until key's batch object is in the store.
+func waitForBatch(t *testing.T, s *Service, key iterationKey) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, _, err := s.peekBatch(key); err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("batch %v was never pre-materialized", key)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

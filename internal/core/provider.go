@@ -72,30 +72,42 @@ func (s *Service) MaterializePinned(p vfs.Path) (*vfs.View, error) {
 	return vfs.NewPinnedView(data, xattrs, pin.Release), nil
 }
 
-// batchXattrs decodes a serialized batch just far enough to publish its
-// metadata attributes.
+// batchXattrs publishes a serialized batch's metadata attributes from its
+// headers alone: the batch framing gives the clip count and labels, and
+// clip 0's frame headers give the timestamps and geometry. No pixel is
+// inflated; a batch object is only ever bytes this process encoded, and
+// the pixel checksums are verified where the bytes are consumed
+// (DecodeBatch).
 func batchXattrs(p vfs.Path, data []byte) (map[string]string, error) {
-	batch, err := DecodeBatch(data)
+	b, err := walkBatch(data)
 	if err != nil {
 		return nil, err
 	}
-	xattrs := map[string]string{
-		"user.sand.clips":  strconv.Itoa(batch.Len()),
-		"user.sand.epoch":  strconv.Itoa(p.Epoch),
-		"user.sand.iter":   strconv.Itoa(p.Iteration),
-		"user.sand.labels": strings.Join(batch.Labels, ","),
+	frames, err := frame.ClipFrames(b.clips[0])
+	if err != nil {
+		return nil, fmt.Errorf("core: batch clip 0: %w", err)
 	}
-	if batch.Len() > 0 && batch.Clips[0].Len() > 0 {
-		var ts []string
-		for _, f := range batch.Clips[0].Frames {
-			ts = append(ts, strconv.FormatInt(f.PTS, 10))
+	ts := make([]string, len(frames))
+	var first frame.FrameHeader
+	for i, enc := range frames {
+		h, err := frame.ParseFrameHeader(enc)
+		if err != nil {
+			return nil, fmt.Errorf("core: batch clip 0 frame %d: %w", i, err)
 		}
-		xattrs["user.sand.timestamps"] = strings.Join(ts, ",")
-		w, h, c := batch.Clips[0].Geometry()
-		xattrs["user.sand.geometry"] = fmt.Sprintf("%dx%dx%d", w, h, c)
-		xattrs["user.sand.frames_per_clip"] = strconv.Itoa(batch.Clips[0].Len())
+		if i == 0 {
+			first = h
+		}
+		ts[i] = strconv.FormatInt(h.PTS, 10)
 	}
-	return xattrs, nil
+	return map[string]string{
+		"user.sand.clips":           strconv.Itoa(len(b.clips)),
+		"user.sand.epoch":           strconv.Itoa(p.Epoch),
+		"user.sand.iter":            strconv.Itoa(p.Iteration),
+		"user.sand.labels":          strings.Join(b.labels, ","),
+		"user.sand.timestamps":      strings.Join(ts, ","),
+		"user.sand.geometry":        fmt.Sprintf("%dx%dx%d", first.W, first.H, first.C),
+		"user.sand.frames_per_clip": strconv.Itoa(len(frames)),
+	}, nil
 }
 
 func (s *Service) materializeVideoView(p vfs.Path) ([]byte, map[string]string, error) {

@@ -2,8 +2,12 @@ package frame
 
 import (
 	"bytes"
+	"compress/zlib"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -227,6 +231,90 @@ func TestDecodeClipRejectsCorruption(t *testing.T) {
 	enc, _ := EncodeClip(c)
 	if _, err := DecodeClip(enc[:len(enc)-2]); err == nil {
 		t.Error("accepted truncated clip")
+	}
+}
+
+// TestDecodeClipHeaderCannotSizeAllocation: an 8-byte clip whose header
+// claims 1<<20 frames is rejected before anything is sized by that count.
+func TestDecodeClipHeaderCannotSizeAllocation(t *testing.T) {
+	in := make([]byte, 8)
+	binary.LittleEndian.PutUint32(in[0:], clipMagic)
+	binary.LittleEndian.PutUint32(in[4:], 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeClip(in)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a clip header claiming 1<<20 frames over no payload")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("rejecting an 8-byte clip allocated %d bytes, want < 64 KiB", got)
+	}
+}
+
+// noisyFrame is a smooth gradient with 4 bits of noise per sample: after
+// the Sub filter it has little redundancy beyond its symbol statistics,
+// like an augmented video frame.
+func noisyFrame(rng *rand.Rand, w, h, c int) *Frame {
+	f := New(w, h, c)
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				f.Set(x, y, ch, byte(x+2*y+40*ch+rng.Intn(16)))
+			}
+		}
+	}
+	return f
+}
+
+// subFiltered is the byte stream EncodeFrame compresses: every row
+// delta-coded against the sample to its left.
+func subFiltered(f *Frame) []byte {
+	out := make([]byte, 0, len(f.Pix))
+	for i, v := range f.Pix {
+		if i%f.W == 0 {
+			out = append(out, v)
+		} else {
+			out = append(out, v-f.Pix[i-1])
+		}
+	}
+	return out
+}
+
+// TestEncodeFrameStaysCompressed guards the batch payload encoding: on a
+// Sub-filtered noisy frame EncodeFrame's stream is within 2 % of zlib's
+// default level on the same bytes, and plain compress/zlib inflates it.
+// A raw or stored-block payload fails the size bound.
+func TestEncodeFrameStaysCompressed(t *testing.T) {
+	f := noisyFrame(rand.New(rand.NewSource(12)), 112, 112, 3)
+	enc, err := EncodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered := subFiltered(f)
+	var ref bytes.Buffer
+	zw, err := zlib.NewWriterLevel(&ref, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(filtered)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stream := enc[frameHeaderLen:]
+	if limit := ref.Len() * 102 / 100; len(stream) > limit {
+		t.Fatalf("EncodeFrame stream is %d bytes, want <= %d (1.02x zlib level 6's %d)", len(stream), limit, ref.Len())
+	}
+	zr, err := zlib.NewReader(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, filtered) {
+		t.Fatal("compress/zlib inflates EncodeFrame's stream to bytes other than the Sub-filtered planes")
 	}
 }
 

@@ -10,10 +10,15 @@ import (
 	"sync"
 )
 
-// Serialization of frames and clips for the storage tier. The format is a
-// small header followed by zlib-compressed, row-predicted pixel data: each
-// row is delta-coded against the pixel to its left (Sub filter, as in PNG),
-// which makes smooth synthetic video compress well while staying lossless.
+// Serialization of frames and clips. An encoded frame is a 28-byte SFM1
+// header (geometry, index, PTS) followed by a zlib stream of row-predicted
+// pixel data: each row is delta-coded against the pixel to its left (Sub
+// filter, as in PNG). Two encoders write that stream and one decoder reads
+// both: EncodeFrame entropy-codes the filtered bytes with Huffman-only
+// deflate blocks, and EncodeFrameFast stores them. An encoded clip is an
+// 8-byte SCL1 header (frame count) followed by length-prefixed frames.
+// ParseFrameHeader and ClipFrames are the framing walk the decoders
+// share; they read every header without inflating any pixels.
 
 const (
 	frameMagic   = 0x53464d31 // "SFM1"
@@ -22,43 +27,48 @@ const (
 	// maxDeflateRatio is deflate's largest possible expansion of its
 	// compressed input.
 	maxDeflateRatio = 1032
+	frameHeaderLen  = 28
+	clipHeaderLen   = 8
+	// minClipFrameLen is the fewest bytes a frame can take inside a clip:
+	// its length prefix and its header.
+	minClipFrameLen = 4 + frameHeaderLen
 )
 
-// zlibWriterPool and zlibReaderPool Reset-reuse the flate state machines
-// (and their ~64KB windows) across frames instead of rebuilding them for
-// every EncodeFrame/DecodeFrame call on the storage hot path.
-var zlibWriterPool = sync.Pool{}
+// writerPool Reset-reuses zlib writers (and their ~64KB windows) of one
+// level across frames instead of rebuilding them for every encode; the
+// level is baked into the flate state, so each level pools separately.
+type writerPool struct {
+	level int
+	pool  sync.Pool
+}
 
-// zlibStoredPool holds NoCompression writers for EncodeFrameFast; the
-// level is baked into the flate state, so fast and default writers pool
-// separately.
-var zlibStoredPool = sync.Pool{}
+var (
+	// huffmanWriters back EncodeFrame. On Sub-filtered frames deflate's
+	// LZ77 match search finds almost nothing an entropy coder does not, at
+	// several times the cost.
+	huffmanWriters = &writerPool{level: zlib.HuffmanOnly}
+	// storedWriters back EncodeFrameFast.
+	storedWriters = &writerPool{level: zlib.NoCompression}
+)
 
+func (p *writerPool) get(dst io.Writer) *zlib.Writer {
+	if v := p.pool.Get(); v != nil {
+		zw := v.(*zlib.Writer)
+		zw.Reset(dst)
+		return zw
+	}
+	zw, _ := zlib.NewWriterLevel(dst, p.level) // both levels are valid: no error
+	return zw
+}
+
+// zlibReaderPool Reset-reuses the inflate state across DecodeFrame calls
+// the same way.
 type pooledZlibReader struct {
 	src bytes.Reader
 	zr  io.ReadCloser // also a zlib.Resetter
 }
 
 var zlibReaderPool = sync.Pool{}
-
-func getZlibWriter(dst io.Writer) *zlib.Writer {
-	if v := zlibWriterPool.Get(); v != nil {
-		zw := v.(*zlib.Writer)
-		zw.Reset(dst)
-		return zw
-	}
-	return zlib.NewWriter(dst)
-}
-
-func getZlibStoredWriter(dst io.Writer) *zlib.Writer {
-	if v := zlibStoredPool.Get(); v != nil {
-		zw := v.(*zlib.Writer)
-		zw.Reset(dst)
-		return zw
-	}
-	zw, _ := zlib.NewWriterLevel(dst, zlib.NoCompression) // level is valid: no error
-	return zw
-}
 
 func getZlibReader(data []byte) (*pooledZlibReader, error) {
 	if v := zlibReaderPool.Get(); v != nil {
@@ -79,9 +89,13 @@ func getZlibReader(data []byte) (*pooledZlibReader, error) {
 	return r, nil
 }
 
-// EncodeFrame serializes f losslessly.
+// EncodeFrame serializes f losslessly and compactly: the Sub-filtered
+// planes are Huffman-coded without an LZ77 match search, which on
+// augmented frames compresses as well as zlib's default level at a
+// fraction of the time. It is the encoding of every batch payload. The
+// output is a standard zlib stream with its adler32 checksum.
 func EncodeFrame(f *Frame) ([]byte, error) {
-	return encodeFrame(f, false)
+	return encodeFrame(f, huffmanWriters)
 }
 
 // EncodeFrameFast serializes f losslessly in decode-cheap form: the zlib
@@ -91,12 +105,12 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 // compresses it only when it spills to disk). The output is a standard
 // stream; DecodeFrame handles both encodings untouched.
 func EncodeFrameFast(f *Frame) ([]byte, error) {
-	return encodeFrame(f, true)
+	return encodeFrame(f, storedWriters)
 }
 
-func encodeFrame(f *Frame, fast bool) ([]byte, error) {
+func encodeFrame(f *Frame, writers *writerPool) ([]byte, error) {
 	var buf bytes.Buffer
-	hdr := make([]byte, 28)
+	hdr := make([]byte, frameHeaderLen)
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(f.W))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(f.H))
@@ -105,12 +119,7 @@ func encodeFrame(f *Frame, fast bool) ([]byte, error) {
 	binary.LittleEndian.PutUint64(hdr[20:], uint64(f.PTS))
 	buf.Write(hdr)
 
-	var zw *zlib.Writer
-	if fast {
-		zw = getZlibStoredWriter(&buf)
-	} else {
-		zw = getZlibWriter(&buf)
-	}
+	zw := writers.get(&buf)
 	filtered := make([]byte, f.W)
 	for c := 0; c < f.C; c++ {
 		plane := f.Plane(c)
@@ -129,42 +138,59 @@ func encodeFrame(f *Frame, fast bool) ([]byte, error) {
 	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("frame: compress close: %w", err)
 	}
-	if fast {
-		zlibStoredPool.Put(zw)
-	} else {
-		zlibWriterPool.Put(zw)
-	}
+	writers.pool.Put(zw)
 	return buf.Bytes(), nil
 }
 
-// DecodeFrame reverses EncodeFrame.
-func DecodeFrame(data []byte) (*Frame, error) {
-	if len(data) < 28 {
-		return nil, fmt.Errorf("frame: truncated header (%d bytes)", len(data))
+// FrameHeader is what an encoded frame's SFM1 header declares.
+type FrameHeader struct {
+	W, H, C int
+	Index   int
+	PTS     int64
+}
+
+// ParseFrameHeader validates an encoded frame's header without touching
+// its pixel stream: the magic, a plausible geometry, and a sample count
+// the payload behind the header could inflate to. DecodeFrame runs the
+// same checks, so any frame it accepts parses here.
+func ParseFrameHeader(data []byte) (FrameHeader, error) {
+	if len(data) < frameHeaderLen {
+		return FrameHeader{}, fmt.Errorf("frame: truncated header (%d bytes)", len(data))
 	}
 	if binary.LittleEndian.Uint32(data[0:]) != frameMagic {
-		return nil, fmt.Errorf("frame: bad magic %#x", binary.LittleEndian.Uint32(data[0:]))
+		return FrameHeader{}, fmt.Errorf("frame: bad magic %#x", binary.LittleEndian.Uint32(data[0:]))
 	}
-	w := int(binary.LittleEndian.Uint32(data[4:]))
-	h := int(binary.LittleEndian.Uint32(data[8:]))
-	c := int(binary.LittleEndian.Uint32(data[12:]))
-	idx := int(int32(binary.LittleEndian.Uint32(data[16:])))
-	pts := int64(binary.LittleEndian.Uint64(data[20:]))
-	if w <= 0 || h <= 0 || c <= 0 || w > maxDimension || h > maxDimension || c > 16 {
-		return nil, fmt.Errorf("frame: implausible geometry %dx%dx%d", w, h, c)
+	h := FrameHeader{
+		W:     int(binary.LittleEndian.Uint32(data[4:])),
+		H:     int(binary.LittleEndian.Uint32(data[8:])),
+		C:     int(binary.LittleEndian.Uint32(data[12:])),
+		Index: int(int32(binary.LittleEndian.Uint32(data[16:]))),
+		PTS:   int64(binary.LittleEndian.Uint64(data[20:])),
+	}
+	if h.W <= 0 || h.H <= 0 || h.C <= 0 || h.W > maxDimension || h.H > maxDimension || h.C > 16 {
+		return FrameHeader{}, fmt.Errorf("frame: implausible geometry %dx%dx%d", h.W, h.H, h.C)
 	}
 	// The header must not size the allocation by itself: a payload cannot
 	// inflate to more than maxDeflateRatio times its length.
-	if n := w * h * c; n > maxDeflateRatio*(len(data)-28) {
-		return nil, fmt.Errorf("frame: %dx%dx%d samples exceed what a %d-byte payload can hold", w, h, c, len(data)-28)
+	if payload := len(data) - frameHeaderLen; h.W*h.H*h.C > maxDeflateRatio*payload {
+		return FrameHeader{}, fmt.Errorf("frame: %dx%dx%d samples exceed what a %d-byte payload can hold", h.W, h.H, h.C, payload)
 	}
-	r, err := getZlibReader(data[28:])
+	return h, nil
+}
+
+// DecodeFrame reverses EncodeFrame and EncodeFrameFast.
+func DecodeFrame(data []byte) (*Frame, error) {
+	h, err := ParseFrameHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	r, err := getZlibReader(data[frameHeaderLen:])
 	if err != nil {
 		return nil, fmt.Errorf("frame: decompress: %w", err)
 	}
 	// NewPooled: io.ReadFull overwrites every sample below.
-	f := NewPooled(w, h, c)
-	f.Index, f.PTS = idx, pts
+	f := NewPooled(h.W, h.H, h.C)
+	f.Index, f.PTS = h.Index, h.PTS
 	if _, err := io.ReadFull(r.zr, f.Pix); err != nil {
 		Recycle(f)
 		return nil, fmt.Errorf("frame: decompress payload: %w", err)
@@ -178,10 +204,10 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	}
 	zlibReaderPool.Put(r)
 	// Undo the Sub filter.
-	for ch := 0; ch < c; ch++ {
+	for ch := 0; ch < h.C; ch++ {
 		plane := f.Plane(ch)
-		for y := 0; y < h; y++ {
-			row := plane[y*w : (y+1)*w]
+		for y := 0; y < h.H; y++ {
+			row := plane[y*h.W : (y+1)*h.W]
 			prev := byte(0)
 			for x := range row {
 				row[x] += prev
@@ -195,7 +221,7 @@ func DecodeFrame(data []byte) (*Frame, error) {
 // EncodeClip serializes every frame of a clip into one buffer.
 func EncodeClip(c *Clip) ([]byte, error) {
 	var buf bytes.Buffer
-	hdr := make([]byte, 8)
+	hdr := make([]byte, clipHeaderLen)
 	binary.LittleEndian.PutUint32(hdr[0:], clipMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(c.Frames)))
 	buf.Write(hdr)
@@ -212,32 +238,50 @@ func EncodeClip(c *Clip) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeClip reverses EncodeClip.
-func DecodeClip(data []byte) (*Clip, error) {
-	if len(data) < 8 || binary.LittleEndian.Uint32(data[0:]) != clipMagic {
+// ClipFrames walks an encoded clip's framing — the header, then a length
+// prefix before each frame — and returns each frame's encoded bytes as
+// subslices of data, decoding none of them. A clip must hold at least one
+// frame, and its header may not claim more frames than the bytes behind
+// it can hold, so the returned slice is never sized by the header alone.
+func ClipFrames(data []byte) ([][]byte, error) {
+	if len(data) < clipHeaderLen || binary.LittleEndian.Uint32(data[0:]) != clipMagic {
 		return nil, fmt.Errorf("frame: bad clip header")
 	}
 	n := int(binary.LittleEndian.Uint32(data[4:]))
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("frame: implausible clip length %d", n)
+	if n == 0 {
+		return nil, ErrEmptyClip
 	}
-	off := 8
-	frames := make([]*Frame, 0, n)
-	for i := 0; i < n; i++ {
+	if room := (len(data) - clipHeaderLen) / minClipFrameLen; n < 0 || n > room {
+		return nil, fmt.Errorf("frame: clip claims %d frames, its %d bytes hold at most %d", n, len(data), room)
+	}
+	frames := make([][]byte, n)
+	off := clipHeaderLen
+	for i := range frames {
 		if off+4 > len(data) {
 			return nil, fmt.Errorf("frame: clip truncated at frame %d", i)
 		}
 		sz := int(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
-		if off+sz > len(data) {
+		if sz > len(data)-off {
 			return nil, fmt.Errorf("frame: clip frame %d payload truncated", i)
 		}
-		f, err := DecodeFrame(data[off : off+sz])
-		if err != nil {
+		frames[i] = data[off : off+sz]
+		off += sz
+	}
+	return frames, nil
+}
+
+// DecodeClip reverses EncodeClip.
+func DecodeClip(data []byte) (*Clip, error) {
+	encs, err := ClipFrames(data)
+	if err != nil {
+		return nil, err
+	}
+	frames := make([]*Frame, len(encs))
+	for i, enc := range encs {
+		if frames[i], err = DecodeFrame(enc); err != nil {
 			return nil, fmt.Errorf("frame: clip frame %d: %w", i, err)
 		}
-		frames = append(frames, f)
-		off += sz
 	}
 	return NewClip(frames)
 }

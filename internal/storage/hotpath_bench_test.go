@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkStoreRoundTrip measures the object-store hot path the engine
-// pays for every cached intermediate: serialize a frame, Put it into the
-// memory tier, Get it back, and deserialize. The zlib writer/reader
-// allocations dominate pre-pooling.
+// pays for every cached intermediate: serialize a frame the way the
+// engine stores frame objects (EncodeFrameFast, stored zlib blocks), Put
+// it into the memory tier, Get it back, and deserialize.
 func BenchmarkStoreRoundTrip(b *testing.B) {
 	s, err := Open(Options{MemBudget: 256 << 20})
 	if err != nil {
@@ -22,7 +22,7 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := frame.EncodeFrame(f)
+		data, err := frame.EncodeFrameFast(f)
 		if err != nil {
 			b.Fatal(err)
 		}

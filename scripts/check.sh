@@ -27,6 +27,9 @@ go test -race -count=20 ./internal/storage
 echo "== frame decoder fuzz (10s)"
 go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/frame/
 
+echo "== batch decoder fuzz (10s)"
+go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/core/
+
 echo "== overlap-aware reuse smoke (superset hits)"
 # The four-view overlapping-crop quickstart must take the superset path
 # (nonzero superset hits) — see DESIGN.md §9. Byte identity to a naive
