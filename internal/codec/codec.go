@@ -14,8 +14,11 @@
 //
 // I-frames use left-neighbour spatial prediction; P-frames use temporal
 // prediction against the previous reconstructed frame. Residuals are
-// entropy-coded with DEFLATE (compress/flate). Encoding is lossless: the
-// decoder reconstructs bit-exact pixels, which the test suite verifies.
+// entropy-coded with DEFLATE: compress/flate writes them, and
+// internal/inflate decodes each payload in one call into the decoder's
+// residual buffer, whose size the container header fixes. Encoding is
+// lossless: the decoder reconstructs bit-exact pixels, which the test
+// suite verifies.
 package codec
 
 import (
@@ -24,10 +27,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"sand/internal/frame"
+	"sand/internal/inflate"
 )
 
 // FrameType distinguishes intra-coded from predicted frames.
@@ -55,6 +58,7 @@ const (
 	containerMagic = 0x54564331 // "TVC1"
 	headerSize     = 36
 	indexEntrySize = 9 // offset(8) + type(1)
+	maxDimension   = 1 << 16
 	// DefaultGOP mirrors the ~1s keyframe interval typical of the
 	// H.264-encoded web video the paper's datasets use (30 fps).
 	DefaultGOP = 30
@@ -144,6 +148,12 @@ func Encode(clip *frame.Clip, params EncodeParams) (*Video, error) {
 	if err := params.normalize(); err != nil {
 		return nil, err
 	}
+	return encode(clip, params)
+}
+
+// encode is Encode with params taken as given, so Level 0 means stored
+// blocks (flate.NoCompression) rather than the default level.
+func encode(clip *frame.Clip, params EncodeParams) (*Video, error) {
 	if clip == nil || clip.Len() == 0 {
 		return nil, frame.ErrEmptyClip
 	}
@@ -231,8 +241,10 @@ func Parse(data []byte) (*Video, error) {
 		Data:       data,
 	}
 	total := binary.LittleEndian.Uint64(data[28:])
-	if v.W <= 0 || v.H <= 0 || v.C <= 0 || v.C > 16 || v.GOP <= 0 || v.FrameCount <= 0 {
-		return nil, fmt.Errorf("codec: implausible header %+v", v)
+	if v.W <= 0 || v.H <= 0 || v.C <= 0 || v.W > maxDimension || v.H > maxDimension || v.C > 16 ||
+		v.FPS <= 0 || v.GOP <= 0 || v.FrameCount <= 0 {
+		return nil, fmt.Errorf("codec: implausible header %dx%dx%d fps %d gop %d frames %d",
+			v.W, v.H, v.C, v.FPS, v.GOP, v.FrameCount)
 	}
 	if total != uint64(len(data)) {
 		return nil, fmt.Errorf("codec: size mismatch: header says %d, have %d", total, len(data))
@@ -257,6 +269,17 @@ func Parse(data []byte) (*Video, error) {
 	}
 	if v.index[0].ftype != IFrame {
 		return nil, errors.New("codec: stream does not start with an I-frame")
+	}
+	// The header must not size the decoder's buffers by itself: every
+	// frame inflates to W·H·C bytes, which frame 0's payload must be able
+	// to hold.
+	off := v.index[0].offset
+	sz := uint64(binary.LittleEndian.Uint32(data[off:]))
+	if sz > uint64(len(data))-off-4 {
+		return nil, errors.New("codec: frame 0 payload truncated")
+	}
+	if samples := uint64(v.W * v.H * v.C); samples > inflate.MaxRatio*sz {
+		return nil, fmt.Errorf("codec: %dx%dx%d frames exceed what frame 0's %d-byte payload can hold", v.W, v.H, v.C, sz)
 	}
 	return v, nil
 }
@@ -286,17 +309,9 @@ func predictTemporal(f, ref *frame.Frame, dst []byte) {
 	}
 }
 
-// deflaterPools and inflaterPool Reset-reuse flate state across frames:
-// encoding and random-access decoding otherwise rebuild a ~32-64KB flate
-// state machine for every single frame payload.
+// deflaterPools Reset-reuse flate writers across frames: encoding
+// otherwise rebuilds a ~64KB flate state machine for every frame payload.
 var deflaterPools sync.Map // flate level -> *sync.Pool of *flate.Writer
-
-type inflater struct {
-	src bytes.Reader
-	fr  io.ReadCloser // also a flate.Resetter
-}
-
-var inflaterPool sync.Pool
 
 func deflateBytes(b []byte, level int) ([]byte, error) {
 	var buf bytes.Buffer
@@ -321,28 +336,4 @@ func deflateBytes(b []byte, level int) ([]byte, error) {
 	}
 	pool.Put(fw)
 	return buf.Bytes(), nil
-}
-
-func inflateBytes(b []byte, dst []byte) error {
-	var it *inflater
-	if v := inflaterPool.Get(); v != nil {
-		it = v.(*inflater)
-		it.src.Reset(b)
-		if err := it.fr.(flate.Resetter).Reset(&it.src, nil); err != nil {
-			return err
-		}
-	} else {
-		it = &inflater{}
-		it.src.Reset(b)
-		it.fr = flate.NewReader(&it.src)
-	}
-	if _, err := io.ReadFull(it.fr, dst); err != nil {
-		return err
-	}
-	var one [1]byte
-	if _, err := it.fr.Read(one[:]); err != io.EOF {
-		return fmt.Errorf("codec: trailing data in frame payload: %v", err)
-	}
-	inflaterPool.Put(it)
-	return nil
 }

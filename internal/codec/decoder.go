@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"sand/internal/frame"
+	"sand/internal/inflate"
 )
 
 // Stats counts decoder work so experiments can report operation counts
@@ -131,7 +132,7 @@ func (d *Decoder) decodeOne(i int) (*frame.Frame, error) {
 	if start+sz > len(data) {
 		return nil, fmt.Errorf("codec: frame %d payload truncated", i)
 	}
-	if err := inflateBytes(data[start:start+sz], d.scratch); err != nil {
+	if err := inflate.Raw(d.scratch, data[start:start+sz]); err != nil {
 		return nil, fmt.Errorf("codec: frame %d: %w", i, err)
 	}
 	// Reconstruct into the ping-pong buffer not holding the reference;

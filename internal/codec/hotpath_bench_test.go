@@ -33,7 +33,7 @@ func benchVideo(b *testing.B, frames, w, h int) *Video {
 // BenchmarkCodecRandomAccess measures the sparse-sampling hot path: a
 // fresh decoder performing strided random access, paying full decode
 // amplification each iteration. Allocations per op track the per-frame
-// flate-reader and scratch-frame churn the buffer-pooling layer removes.
+// decoder-state and scratch-frame churn the pooling layers remove.
 func BenchmarkCodecRandomAccess(b *testing.B) {
 	v := benchVideo(b, 120, 64, 64)
 	indices := []int{5, 17, 42, 63, 88, 110}

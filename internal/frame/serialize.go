@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"sync"
+
+	"sand/internal/inflate"
 )
 
 // Serialization of frames and clips. An encoded frame is a 28-byte SFM1
@@ -15,20 +17,21 @@ import (
 // pixel data: each row is delta-coded against the pixel to its left (Sub
 // filter, as in PNG). Two encoders write that stream and one decoder reads
 // both: EncodeFrame entropy-codes the filtered bytes with Huffman-only
-// deflate blocks, and EncodeFrameFast stores them. An encoded clip is an
-// 8-byte SCL1 header (frame count) followed by length-prefixed frames.
+// deflate blocks, and EncodeFrameFast stores them. The header fixes the
+// raw size, so DecodeFrame inflates the stream in one internal/inflate
+// call straight into the frame's pixel buffer, with no streaming reader,
+// and rejects a stream that does not fill it exactly or fails its adler32
+// check. An encoded clip is an 8-byte SCL1 header (frame count) followed
+// by length-prefixed frames.
 // ParseFrameHeader and ClipFrames are the framing walk the decoders
 // share; they read every header without inflating any pixels.
 
 const (
-	frameMagic   = 0x53464d31 // "SFM1"
-	clipMagic    = 0x53434c31 // "SCL1"
-	maxDimension = 1 << 16
-	// maxDeflateRatio is deflate's largest possible expansion of its
-	// compressed input.
-	maxDeflateRatio = 1032
-	frameHeaderLen  = 28
-	clipHeaderLen   = 8
+	frameMagic     = 0x53464d31 // "SFM1"
+	clipMagic      = 0x53434c31 // "SCL1"
+	maxDimension   = 1 << 16
+	frameHeaderLen = 28
+	clipHeaderLen  = 8
 	// minClipFrameLen is the fewest bytes a frame can take inside a clip:
 	// its length prefix and its header.
 	minClipFrameLen = 4 + frameHeaderLen
@@ -59,34 +62,6 @@ func (p *writerPool) get(dst io.Writer) *zlib.Writer {
 	}
 	zw, _ := zlib.NewWriterLevel(dst, p.level) // both levels are valid: no error
 	return zw
-}
-
-// zlibReaderPool Reset-reuses the inflate state across DecodeFrame calls
-// the same way.
-type pooledZlibReader struct {
-	src bytes.Reader
-	zr  io.ReadCloser // also a zlib.Resetter
-}
-
-var zlibReaderPool = sync.Pool{}
-
-func getZlibReader(data []byte) (*pooledZlibReader, error) {
-	if v := zlibReaderPool.Get(); v != nil {
-		r := v.(*pooledZlibReader)
-		r.src.Reset(data)
-		if err := r.zr.(zlib.Resetter).Reset(&r.src, nil); err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
-	r := &pooledZlibReader{}
-	r.src.Reset(data)
-	zr, err := zlib.NewReader(&r.src)
-	if err != nil {
-		return nil, err
-	}
-	r.zr = zr
-	return r, nil
 }
 
 // EncodeFrame serializes f losslessly and compactly: the Sub-filtered
@@ -171,8 +146,8 @@ func ParseFrameHeader(data []byte) (FrameHeader, error) {
 		return FrameHeader{}, fmt.Errorf("frame: implausible geometry %dx%dx%d", h.W, h.H, h.C)
 	}
 	// The header must not size the allocation by itself: a payload cannot
-	// inflate to more than maxDeflateRatio times its length.
-	if payload := len(data) - frameHeaderLen; h.W*h.H*h.C > maxDeflateRatio*payload {
+	// inflate to more than inflate.MaxRatio times its length.
+	if payload := len(data) - frameHeaderLen; h.W*h.H*h.C > inflate.MaxRatio*payload {
 		return FrameHeader{}, fmt.Errorf("frame: %dx%dx%d samples exceed what a %d-byte payload can hold", h.W, h.H, h.C, payload)
 	}
 	return h, nil
@@ -184,25 +159,14 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := getZlibReader(data[frameHeaderLen:])
-	if err != nil {
-		return nil, fmt.Errorf("frame: decompress: %w", err)
-	}
-	// NewPooled: io.ReadFull overwrites every sample below.
+	// NewPooled: the inflate fills every sample, and the stream must
+	// fill Pix exactly, end cleanly and match its adler32 trailer.
 	f := NewPooled(h.W, h.H, h.C)
 	f.Index, f.PTS = h.Index, h.PTS
-	if _, err := io.ReadFull(r.zr, f.Pix); err != nil {
+	if err := inflate.Zlib(f.Pix, data[frameHeaderLen:]); err != nil {
 		Recycle(f)
 		return nil, fmt.Errorf("frame: decompress payload: %w", err)
 	}
-	// Read to EOF so zlib verifies the trailing checksum; a truncated or
-	// corrupted stream must not round-trip silently.
-	var one [1]byte
-	if _, err := r.zr.Read(one[:]); err != io.EOF {
-		Recycle(f)
-		return nil, fmt.Errorf("frame: trailing data or corrupt stream: %v", err)
-	}
-	zlibReaderPool.Put(r)
 	// Undo the Sub filter.
 	for ch := 0; ch < h.C; ch++ {
 		plane := f.Plane(ch)

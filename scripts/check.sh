@@ -30,6 +30,12 @@ go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/frame/
 echo "== batch decoder fuzz (10s)"
 go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/core/
 
+echo "== inflate differential fuzz against compress/flate and compress/zlib (10s)"
+go test -run=xxx -fuzz=FuzzInflate -fuzztime=10s ./internal/inflate/
+
+echo "== TVC container parse + decode fuzz (10s)"
+go test -run=xxx -fuzz=FuzzParseVideo -fuzztime=10s ./internal/codec/
+
 echo "== overlap-aware reuse smoke (superset hits)"
 # The four-view overlapping-crop quickstart must take the superset path
 # (nonzero superset hits) — see DESIGN.md §9. Byte identity to a naive
