@@ -5,7 +5,8 @@
 // — and the example verifies each remote batch byte-for-byte against
 // the in-process filesystem before printing the server's dataplane
 // counters (the sequential read-ahead hits and misses and the zero-copy
-// hit / copy-fallback split). -mem-budget-mb sizes the object store behind
+// hit / copy-fallback split). Read-ahead is opt-in; the example turns it
+// on at depth 2 and asserts that it hits. -mem-budget-mb sizes the object store behind
 // the engine, so a tight budget exercises the pinned serve path under
 // live eviction.
 package main
@@ -63,7 +64,7 @@ func main() {
 	}
 	defer svc.Close()
 
-	srv := viewserver.New(svc.FS(), viewserver.Options{ReadAhead: viewserver.DefaultReadAhead, Obs: svc.Obs()})
+	srv := viewserver.New(svc.FS(), viewserver.Options{ReadAhead: 2, Obs: svc.Obs()})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -29,11 +29,12 @@ var benchStale = map[string]bool{
 // registry, serves one epoch remotely, and checks the metric catalogue
 // three ways: every name bench/ reads is published, OBSERVABILITY.md's
 // /metrics reference lists exactly the gathered names, and the leak
-// gauges read zero once the client is gone.
+// gauges read zero once the client is gone. Read-ahead runs at depth 2,
+// not the default (off), because the test asserts read-ahead hits.
 func TestMetricCatalogue(t *testing.T) {
 	reg := obs.New()
 	s := obsService(t, reg)
-	srv := viewserver.New(s.FS(), viewserver.Options{ReadAhead: viewserver.DefaultReadAhead, Obs: reg})
+	srv := viewserver.New(s.FS(), viewserver.Options{ReadAhead: 2, Obs: reg})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

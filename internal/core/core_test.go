@@ -291,20 +291,7 @@ func TestReadPastEpochEndFailsBeforeWork(t *testing.T) {
 	}
 	fs.Close(fd)
 	// Let every submitted task finish so the counters hold still.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s.mu.Lock()
-		submitted := int64(len(s.prematSubmitted)) + s.demandMisses.Load()
-		s.mu.Unlock()
-		completed := metric(t, s, "sched.completed")
-		if completed == submitted {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool did not drain: %d of %d tasks completed", completed, submitted)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitPoolIdle(t, s)
 
 	errsBefore, doneBefore := metric(t, s, "sched.errors"), metric(t, s, "sched.completed")
 	hits := metric(t, s, "core.premat_hits")
@@ -333,6 +320,20 @@ func TestReadPastEpochEndFailsBeforeWork(t *testing.T) {
 	fs.Close(fd)
 	if got := metric(t, s, "core.premat_hits"); got != hits+1 {
 		t.Fatalf("premat hits %d -> %d, want the in-range read to hit", hits, got)
+	}
+}
+
+// waitPoolIdle waits until the service's pool has nothing queued and
+// nothing running.
+func waitPoolIdle(t testing.TB, s *Service) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.pool.QueueDepth() != 0 || s.pool.Idle() != s.pool.Workers() {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool did not drain: %d queued, %d of %d workers idle",
+				s.pool.QueueDepth(), s.pool.Idle(), s.pool.Workers())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

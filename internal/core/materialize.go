@@ -446,6 +446,88 @@ func (s *Service) ensureBatch(key iterationKey) ([]byte, error) {
 	return data, err
 }
 
+// batchFlight is the one build of a batch that is queued or running.
+// Every field is guarded by Service.mu except done, which closes once
+// data and err are final.
+type batchFlight struct {
+	// started is set by the goroutine that claims the build; a demand
+	// read that finds it set waits on done instead of building.
+	started bool
+	// demand is set once a demand read owns the build: it promoted the
+	// queued premat task or submitted demand work of its own. Later
+	// reads wait, and admission control's shed leaves the flight alone.
+	demand bool
+	done   chan struct{}
+	data   []byte
+	err    error
+}
+
+// runFlight builds key's batch for f unless another task claimed f
+// first. Premat and demand tasks share it, so whichever runs first
+// builds and the other returns at once. deadline is 0 on the demand
+// path.
+func (s *Service) runFlight(key iterationKey, f *batchFlight, deadline int64, tid obs.TraceID) error {
+	if !s.claimFlight(f) {
+		return nil
+	}
+	if s.buildStarted != nil {
+		s.buildStarted(key)
+	}
+	var data []byte
+	var err error
+	if deadline == 0 {
+		data, err = s.materializeBatch(key, deadline, tid)
+	} else if data, _, err = s.peekBatch(key); err != nil {
+		data, err = s.materializeBatch(key, deadline, tid)
+	}
+	s.finishFlight(key, f, data, err)
+	return err
+}
+
+// claimFlight marks f started; it reports false if it already was.
+func (s *Service) claimFlight(f *batchFlight) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f.started {
+		return false
+	}
+	f.started = true
+	return true
+}
+
+// finishFlight publishes a claimed flight's result, retires it and
+// wakes its waiters.
+func (s *Service) finishFlight(key iterationKey, f *batchFlight, data []byte, err error) {
+	s.mu.Lock()
+	f.data, f.err = data, err
+	if s.flights[key] == f {
+		delete(s.flights, key)
+	}
+	s.mu.Unlock()
+	close(f.done)
+}
+
+// onTaskError is the pool's error callback. A premat task shed by
+// admission control never ran: its dedupe mark is cleared so a later
+// planning point submits the iteration again, and its flight, unless a
+// demand read already owns it, is dropped.
+func (s *Service) onTaskError(t *sched.Task, err error) {
+	if !errors.Is(err, sched.ErrAdmission) {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for key, f := range s.flights {
+		if batchKey(key.task, key.epoch, key.iter) != t.Key {
+			continue
+		}
+		delete(s.prematSubmitted, key)
+		if !f.started && !f.demand {
+			delete(s.flights, key)
+		}
+	}
+}
+
 // ensureBatchPin is ensureBatch returning the payload as a pinned
 // reference: while the (possibly nil) pin is held the batch object
 // stays cache-resident, so network servers can write the bytes to a
@@ -473,37 +555,20 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 		return obj.Data, pin, nil
 	}
 
-	// Demand path: run at top priority and wait. The trace ID correlates
-	// the scheduler's enqueue/dequeue events with the batch/sample/frame
-	// spans materialization emits. Carrying the op signature and edge
-	// count means demand runs train the scheduler's cost model too — the
-	// SJF estimates stay fresh even when pre-materialization is gated off.
-	tid := obs.NextTraceID()
-	remaining, sig := planEstimate(samples)
-	var built []byte // written before done is signalled
-	done := make(chan error, 1)
-	err = s.pool.Submit(&sched.Task{
-		Key:       bk,
-		Kind:      sched.Demand,
-		Sig:       sig,
-		Remaining: remaining,
-		Trace:     tid,
-		Run: func() error {
-			var err error
-			built, err = s.materializeBatch(key, 0, tid)
-			done <- err
-			return err
-		},
-	})
-	if err != nil {
-		return nil, nil, err
+	// Demand path: wait for the batch's one build. A build this read
+	// only joined may have failed where a build of its own would not (a
+	// premat build's spill hit a disk error, say), so that read tries
+	// once more before it reports the error.
+	f, joined := s.awaitBuild(key, bk, samples)
+	if f.err != nil && joined {
+		f, _ = s.awaitBuild(key, bk, samples)
 	}
-	if err := <-done; err != nil {
-		return nil, nil, err
+	if f.err != nil {
+		return nil, nil, f.err
 	}
 	// Under a tight budget the store may already have evicted the fresh
-	// batch; the bytes just built are still valid, served without a pin.
-	data := built
+	// batch; the flight's bytes are still valid, served without a pin.
+	data := f.data
 	var pin *storage.Pin
 	if obj, p, err := s.store.GetPinned(bk); err == nil {
 		data, pin = obj.Data, p
@@ -515,10 +580,55 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	return data, pin, nil
 }
 
+// awaitBuild waits for the one build of key's batch and returns its
+// finished flight. It joins the build if it runs or a demand read
+// already owns it (joined is then true), promotes its premat task if it
+// is queued, and submits a demand task only when there is no flight or
+// the promotion found no task (shed or refused). The wait happens on
+// the caller's goroutine, never inside a worker.
+func (s *Service) awaitBuild(key iterationKey, bk string, samples []*graph.Sample) (f *batchFlight, joined bool) {
+	s.mu.Lock()
+	f = s.flights[key]
+	joined = f != nil && (f.started || f.demand)
+	promote := f != nil && !joined
+	if f == nil {
+		f = &batchFlight{done: make(chan struct{})}
+		s.flights[key] = f
+	}
+	f.demand = true
+	s.mu.Unlock()
+	if joined {
+		s.flightJoins.Add(1)
+	} else if !promote || !s.pool.Promote(bk) {
+		// Demand runs carry the op signature and edge count, so they
+		// train the scheduler's cost model too — the SJF estimates stay
+		// fresh even when pre-materialization is gated off. The trace ID
+		// correlates the scheduler's events with the build's spans.
+		tid := obs.NextTraceID()
+		remaining, sig := planEstimate(samples)
+		err := s.pool.Submit(&sched.Task{
+			Key:       bk,
+			Kind:      sched.Demand,
+			Sig:       sig,
+			Remaining: remaining,
+			Trace:     tid,
+			Run:       func() error { return s.runFlight(key, f, 0, tid) },
+		})
+		if err != nil && s.claimFlight(f) {
+			// The pool is closing: fail this read and any that joined it.
+			s.finishFlight(key, f, nil, err)
+		}
+	}
+	<-f.done
+	return f, joined
+}
+
 // schedulePremat submits pre-materialization tasks for the next Lookahead
 // iterations of the task, with EDF deadlines and SJF remaining-work
-// estimates. Iteration advancement consults per-epoch iteration counts,
-// which can differ across chunks under streaming ingest.
+// estimates. Each submission registers the batch's flight, so a demand
+// read arriving before the build finishes promotes or joins it.
+// Iteration advancement consults per-epoch iteration counts, which can
+// differ across chunks under streaming ingest.
 func (s *Service) schedulePremat(after iterationKey) {
 	epoch, iter := after.epoch, after.iter
 	for ahead := 1; ahead <= s.opts.Lookahead; ahead++ {
@@ -557,6 +667,14 @@ func (s *Service) schedulePremat(after iterationKey) {
 		deadline := int64(ahead)
 		k := key
 		tid := obs.NextTraceID()
+		s.mu.Lock()
+		if s.flights[key] != nil {
+			s.mu.Unlock()
+			continue // a demand read is building it
+		}
+		f := &batchFlight{done: make(chan struct{})}
+		s.flights[key] = f
+		s.mu.Unlock()
 		err = s.pool.Submit(&sched.Task{
 			Key:       batchKey(k.task, k.epoch, k.iter),
 			Kind:      sched.Premat,
@@ -564,22 +682,20 @@ func (s *Service) schedulePremat(after iterationKey) {
 			Remaining: remaining,
 			Sig:       sig,
 			Trace:     tid,
-			Run: func() error {
-				// Skip if a demand read already produced it.
-				if _, _, err := s.peekBatch(k); err == nil {
-					return nil
-				}
-				_, err := s.materializeBatch(k, deadline, tid)
-				return err
-			},
+			Run:       func() error { return s.runFlight(k, f, deadline, tid) },
 		})
 		if err != nil {
 			// Refused (admission control engaged, or the pool is shutting
-			// down): clear the dedupe mark so a later planning point can
-			// resubmit the iteration, and stop planning further ahead —
-			// deeper lookahead would only be refused too.
+			// down): clear the dedupe mark and the unclaimed flight so a
+			// later planning point can resubmit the iteration, and stop
+			// planning further ahead — deeper lookahead would only be
+			// refused too. A demand read that found the flight queued
+			// fails to promote it and submits its own build.
 			s.mu.Lock()
 			delete(s.prematSubmitted, key)
+			if s.flights[key] == f && !f.started && !f.demand {
+				delete(s.flights, key)
+			}
 			s.mu.Unlock()
 			return
 		}

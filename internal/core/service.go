@@ -132,8 +132,9 @@ type Service struct {
 	// Event counters, exposed only through the "core" and "core.reuse"
 	// obs snapshots. Atomic: readers and workers bump them concurrently.
 	chunksPlanned  atomic.Int64
-	demandMisses   atomic.Int64 // batches materialized on the demand path
+	demandMisses   atomic.Int64 // reads that found their batch unbuilt and waited for it
 	prematHits     atomic.Int64 // batches already materialized when read
+	flightJoins    atomic.Int64 // demand reads that waited on a build running or owned by an earlier read
 	objectsReused  atomic.Int64 // frames served from a cached store object
 	streamedVideos atomic.Int64
 	supersetHits   atomic.Int64 // views served from a shared superset region
@@ -158,8 +159,12 @@ type Service struct {
 	prematSubmitted map[iterationKey]bool
 	// plannedChunks records chunk start epochs already planned.
 	plannedChunks map[int]bool
-	// batchReady signals per-iteration completion for blocking reads.
-	batchReady map[iterationKey]chan struct{}
+	// flights holds the one queued or running build of each batch, so a
+	// demand read joins or promotes it instead of building it again.
+	flights map[iterationKey]*batchFlight
+	// buildStarted, when set (tests only), is called by the goroutine
+	// that claims a flight, before it builds.
+	buildStarted func(iterationKey)
 	// cachedFingerprint is the configuration hash used by the plan
 	// manifest (fault-tolerance checkpointing).
 	cachedFingerprint string
@@ -179,7 +184,7 @@ func New(opts Options) (*Service, error) {
 		currentPos:      map[string]iterationKey{},
 		prematSubmitted: map[iterationKey]bool{},
 		plannedChunks:   map[int]bool{},
-		batchReady:      map[iterationKey]chan struct{}{},
+		flights:         map[iterationKey]*batchFlight{},
 	}
 	for _, t := range opts.Tasks {
 		if _, dup := s.tasks[t.Tag]; dup {
@@ -235,6 +240,7 @@ func New(opts Options) (*Service, error) {
 	pool, err := sched.NewPool(sched.Options{
 		Workers:      opts.Workers,
 		MemPressure:  s.memPressure,
+		OnError:      s.onTaskError,
 		AdmissionSLO: opts.DemandSLO,
 		OnSLOBreach:  func(reason string) { s.flight.Breach(reason) },
 		Obs:          reg,
@@ -249,6 +255,7 @@ func New(opts Options) (*Service, error) {
 			"chunks_planned":     s.chunksPlanned.Load(),
 			"demand_misses":      s.demandMisses.Load(),
 			"premat_hits":        s.prematHits.Load(),
+			"flight_joins":       s.flightJoins.Load(),
 			"objects_reused":     s.objectsReused.Load(),
 			"streamed_videos":    s.streamedVideos.Load(),
 			"flight_dumps":       s.flight.Dumps(),

@@ -35,11 +35,12 @@ func ddpEngine(t *testing.T) (*core.Service, *config.Task, int) {
 	return svc, task, len(ds.Videos)
 }
 
-// ddpServe exports svc through one view server with the default read-ahead
-// and dials clients sessions to it.
+// ddpServe exports svc through one view server with read-ahead at depth 2
+// (the DDP test asserts read-ahead hits; the default is off) and dials
+// clients sessions to it.
 func ddpServe(t *testing.T, svc *core.Service, clients int) (*viewserver.Server, string, []*viewserver.Client) {
 	t.Helper()
-	srv := viewserver.New(svc.FS(), viewserver.Options{ReadAhead: viewserver.DefaultReadAhead})
+	srv := viewserver.New(svc.FS(), viewserver.Options{ReadAhead: 2})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

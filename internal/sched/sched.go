@@ -3,7 +3,11 @@
 // for the paper's preprocessing threads) executes two kinds of tasks:
 //
 //   - Demand-feeding tasks — producing the batch the GPU is waiting for —
-//     always run before any pre-materialization work.
+//     always run before any pre-materialization work. While one runs, a
+//     premat task starts only if a worker stays free after it starts, so
+//     the next demand task never queues behind speculative work, and a
+//     queued premat task the trainer now waits for can be promoted into
+//     the demand class (Promote).
 //   - Pre-materialization tasks are ordered earliest-deadline-first
 //     (deadline = iterations until the object is needed), so lagging work
 //     is boosted automatically. When memory pressure exceeds
@@ -92,6 +96,7 @@ type Task struct {
 type counters struct {
 	completed, errors      int64
 	demandRuns, prematRuns int64
+	promotions             int64 // queued premat tasks moved into the demand class
 	sjfDecisions           int64
 	modeSwitches           int64 // EDF<->SJF policy changes observed across dequeues
 	admissionEngages       int64 // times the gate closed
@@ -140,9 +145,12 @@ type Pool struct {
 	draining bool
 	queued   int // live (unclaimed) tasks across demand + premat
 	workers  int
-	running  int // tasks currently executing in workers
-	wg       sync.WaitGroup
-	stats    counters
+	running  int // tasks claimed by workers and not yet finished
+	// runningDemand counts the running demand tasks; while it is nonzero
+	// a premat task may not take the last free worker.
+	runningDemand int
+	wg            sync.WaitGroup
+	stats         counters
 }
 
 // Options configures a pool.
@@ -154,7 +162,9 @@ type Options struct {
 	// nil means no pressure (always EDF).
 	MemPressure func() float64
 	// OnError is called when a task's Run returns an error; nil ignores
-	// errors beyond counting them.
+	// errors beyond counting them. It is also called, with ErrAdmission
+	// and without running the task, for every queued premat task that
+	// admission control sheds, so the submitter can plan it again later.
 	OnError func(*Task, error)
 	// Cost is the run-time model ordering the SJF heap (predicted
 	// nanoseconds instead of raw edge counts). nil creates a private
@@ -232,6 +242,7 @@ func NewPool(opts Options) (*Pool, error) {
 			"errors":             c.errors,
 			"demand_runs":        c.demandRuns,
 			"premat_runs":        c.prematRuns,
+			"promotions":         c.promotions,
 			"sjf_decisions":      c.sjfDecisions,
 			"mode_switches":      c.modeSwitches,
 			"admission_engages":  c.admissionEngages,
@@ -313,6 +324,39 @@ func (p *Pool) Submit(t *Task) error {
 	return nil
 }
 
+// Promote moves the queued premat task with the given key into the
+// demand class: the trainer now waits for its output. The premat entry
+// becomes a tombstone in both heaps and a demand copy joins the back of
+// the demand FIFO, so the queue depth is unchanged. The copy's demand
+// wait starts at promotion: admission control judges the demand path by
+// how long demand work waits, and premat queue time is not that.
+// Promote returns false when no queued premat task has the key (it is
+// running, finished, was shed, or was never submitted); the caller then
+// submits demand work of its own.
+func (p *Pool) Promote(key string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return false
+	}
+	for _, t := range p.edfHeap.items {
+		if t.Key != key || t.done.Load() {
+			continue
+		}
+		t.done.Store(true)
+		p.demand = append(p.demand, &Task{
+			Key: t.Key, Kind: Demand, Deadline: t.Deadline, Remaining: t.Remaining,
+			Sig: t.Sig, Run: t.Run, Trace: t.Trace,
+			seq: t.seq, enqueued: time.Now(), costNS: t.costNS,
+		})
+		p.stats.promotions++
+		p.tr.Instant("sched", "promote", t.Trace, t.Key)
+		p.cond.Signal()
+		return true
+	}
+	return false
+}
+
 func (p *Pool) queueDepthLocked() int {
 	return p.queued
 }
@@ -344,15 +388,22 @@ func (p *Pool) next() *Task {
 			t := p.demand[0]
 			p.demand = p.demand[1:]
 			p.queued--
+			p.running++
+			p.runningDemand++
 			p.stats.demandRuns++
 			wait := time.Since(t.enqueued).Nanoseconds()
 			p.histWait.Observe(wait)
 			p.histDemand.Observe(wait)
-			breach := p.noteDemandWaitLocked(wait)
+			breach, shed := p.noteDemandWaitLocked(wait)
 			p.tr.Instant("sched", "dequeue", t.Trace, "demand "+t.Key)
 			p.mu.Unlock()
 			if breach != "" && p.onBreach != nil {
 				p.onBreach(breach)
+			}
+			if p.onError != nil {
+				for _, st := range shed {
+					p.onError(st, ErrAdmission)
+				}
 			}
 			return t
 		}
@@ -373,12 +424,18 @@ func (p *Pool) next() *Task {
 		if useSJF {
 			primary, secondary = &p.sjfHeap, &p.edfHeap
 		}
-		t := pop(primary)
-		if t == nil {
-			t = pop(secondary) // drain stragglers regardless of policy
+		// Premat never takes the last free worker while a demand task
+		// runs: that worker stays free for the next demand task. With no
+		// demand running, premat fills every worker.
+		var t *Task
+		if p.runningDemand == 0 || p.running+1 < p.workers {
+			if t = pop(primary); t == nil {
+				t = pop(secondary) // drain stragglers regardless of policy
+			}
 		}
 		if t != nil {
 			p.queued--
+			p.running++
 			policy := "edf "
 			if useSJF {
 				p.stats.sjfDecisions++
@@ -408,9 +465,6 @@ func (p *Pool) worker() {
 		if t == nil {
 			return
 		}
-		p.mu.Lock()
-		p.running++
-		p.mu.Unlock()
 		var spanStart int64
 		traced := p.tr.Enabled()
 		if traced {
@@ -428,6 +482,9 @@ func (p *Pool) worker() {
 		}
 		p.mu.Lock()
 		p.running--
+		if t.Kind == Demand {
+			p.runningDemand--
+		}
 		p.stats.completed++
 		if err != nil {
 			p.stats.errors++
@@ -475,12 +532,12 @@ func (p *Pool) Abort() {
 }
 
 // noteDemandWaitLocked records one demand queue-wait sample and moves
-// the admission gate if the windowed p99 crossed a threshold. Returns a
-// non-empty breach reason when the gate just engaged (the caller invokes
-// the breach callback after dropping p.mu).
-func (p *Pool) noteDemandWaitLocked(waitNS int64) string {
+// the admission gate if the windowed p99 crossed a threshold. When the
+// gate just engaged it returns a non-empty breach reason and the premat
+// tasks it shed; the caller reports both after dropping p.mu.
+func (p *Pool) noteDemandWaitLocked(waitNS int64) (string, []*Task) {
 	if p.admSLO == 0 {
-		return ""
+		return "", nil
 	}
 	if len(p.admWindow) < admWindowSize {
 		p.admWindow = append(p.admWindow, waitNS)
@@ -490,10 +547,10 @@ func (p *Pool) noteDemandWaitLocked(waitNS int64) string {
 	p.admIdx = (p.admIdx + 1) % admWindowSize
 	p.admCount++
 	if p.admCount < admMinSamples {
-		return ""
+		return "", nil
 	}
 	if p.admSwitches > 0 && p.admCount-p.admSwitch < admDwell {
-		return ""
+		return "", nil
 	}
 	p99 := p.windowP99Locked()
 	if !p.admEngaged && p99 > p.admSLO {
@@ -502,11 +559,11 @@ func (p *Pool) noteDemandWaitLocked(waitNS int64) string {
 		p.admSwitches++
 		p.admSwitch = p.admCount
 		shed := p.shedPrematLocked()
-		p.stats.admissionShed += int64(shed)
+		p.stats.admissionShed += int64(len(shed))
 		p.tr.Instant("sched", "admission", 0,
-			fmt.Sprintf("engage p99=%dns slo=%dns shed=%d", p99, p.admSLO, shed))
+			fmt.Sprintf("engage p99=%dns slo=%dns shed=%d", p99, p.admSLO, len(shed)))
 		return fmt.Sprintf("sched demand p99 %s over SLO %s (shed %d premat)",
-			time.Duration(p99), time.Duration(p.admSLO), shed)
+			time.Duration(p99), time.Duration(p.admSLO), len(shed)), shed
 	}
 	if p.admEngaged && p99 < p.admRelease {
 		p.admEngaged = false
@@ -516,7 +573,7 @@ func (p *Pool) noteDemandWaitLocked(waitNS int64) string {
 		p.tr.Instant("sched", "admission", 0,
 			fmt.Sprintf("release p99=%dns threshold=%dns", p99, p.admRelease))
 	}
-	return ""
+	return "", nil
 }
 
 // windowP99Locked computes the p99 of the demand-wait ring without
@@ -549,10 +606,9 @@ func (p *Pool) windowP99Locked() int64 {
 // shedPrematLocked drops the queued premat tail when admission engages:
 // the earliest-deadline tasks up to the worker count survive (they are
 // the ones most likely to still matter), everything else is tombstoned
-// so later pops skip it in both heaps. Returns the number of tasks shed.
-func (p *Pool) shedPrematLocked() int {
-	var keep []*Task
-	shed := 0
+// so later pops skip it in both heaps. Returns the tasks shed.
+func (p *Pool) shedPrematLocked() []*Task {
+	var keep, shed []*Task
 	for p.edfHeap.Len() > 0 {
 		t := heap.Pop(&p.edfHeap).(*Task)
 		if t.done.Load() {
@@ -564,7 +620,7 @@ func (p *Pool) shedPrematLocked() int {
 		}
 		t.done.Store(true) // tombstone; the SJF twin is skipped on pop
 		p.queued--
-		shed++
+		shed = append(shed, t)
 	}
 	for _, t := range keep {
 		heap.Push(&p.edfHeap, t)

@@ -14,15 +14,18 @@ import (
 	"sand/internal/vfs"
 )
 
-// DefaultReadAhead is the recommended fixed prefetch depth.
-const DefaultReadAhead = 2
+// DefaultReadAhead is the default prefetch depth: off. The engine's
+// pre-materialization is the one look-ahead mechanism, ranked below
+// demand reads; read-ahead opens batches through the demand path, so
+// with it on a speculative read outranks real premat work.
+const DefaultReadAhead = 0
 
 // Options tunes a Server.
 type Options struct {
 	// ReadAhead is how many subsequent batch views the server prefetches
 	// when a client opens /{task}/{epoch}/{iter}/view — the dataplane
-	// analogue of sequential read-ahead. The zero value disables
-	// prefetching; pass DefaultReadAhead for the recommended depth.
+	// analogue of sequential read-ahead. The zero value, which is also
+	// DefaultReadAhead, disables prefetching.
 	ReadAhead int
 	// MaxInflight bounds concurrently executing requests per session.
 	// When a client pipelines past the limit the server stops reading its
