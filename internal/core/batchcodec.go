@@ -12,15 +12,22 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"sand/internal/frame"
 )
 
 const batchMagic = 0x53424131 // "SBA1"
 
+// batchBufs pools EncodeBatch's scratch buffer: a batch is encoded into
+// one and copied out once at its exact size.
+var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // EncodeBatch serializes a training batch: a count header followed by
 // length-prefixed clip payloads and their labels. This is the byte stream
-// a read() on a batch view returns.
+// a read() on a batch view returns. Every clip is appended into one
+// pooled buffer, and the result is one exact-size copy of it, so its
+// capacity is its length.
 func EncodeBatch(b *frame.Batch) ([]byte, error) {
 	if len(b.Clips) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -28,30 +35,32 @@ func EncodeBatch(b *frame.Batch) ([]byte, error) {
 	if len(b.Labels) != 0 && len(b.Labels) != len(b.Clips) {
 		return nil, fmt.Errorf("core: %d labels for %d clips", len(b.Labels), len(b.Clips))
 	}
-	var out []byte
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(hdr[0:], batchMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.Clips)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(b.Epoch))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(b.Iteration))
-	out = append(out, hdr...)
+	buf := batchBufs.Get().(*[]byte)
+	out := binary.LittleEndian.AppendUint32((*buf)[:0], batchMagic)
+	defer func() {
+		*buf = out
+		batchBufs.Put(buf)
+	}()
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.Clips)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(b.Epoch))
+	out = binary.LittleEndian.AppendUint32(out, uint32(b.Iteration))
 	for i, clip := range b.Clips {
-		enc, err := frame.EncodeClip(clip)
-		if err != nil {
-			return nil, fmt.Errorf("core: clip %d: %w", i, err)
-		}
 		label := ""
 		if len(b.Labels) > 0 {
 			label = b.Labels[i]
 		}
-		var pre [8]byte
-		binary.LittleEndian.PutUint32(pre[0:], uint32(len(enc)))
-		binary.LittleEndian.PutUint32(pre[4:], uint32(len(label)))
-		out = append(out, pre[:]...)
-		out = append(out, enc...)
+		at := len(out)
+		var err error
+		// The clip's length prefix is patched in once it is written.
+		out, err = frame.AppendClip(append(out, 0, 0, 0, 0, 0, 0, 0, 0), clip)
+		if err != nil {
+			return nil, fmt.Errorf("core: clip %d: %w", i, err)
+		}
+		binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-8))
+		binary.LittleEndian.PutUint32(out[at+4:], uint32(len(label)))
 		out = append(out, label...)
 	}
-	return out, nil
+	return append(make([]byte, 0, len(out)), out...), nil
 }
 
 // batchFraming is a serialized batch's framing, read without decoding

@@ -128,6 +128,36 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeBatchOwnsItsBytes: EncodeBatch encodes into a pooled buffer
+// but returns its own exact-size copy, which a later encode leaves alone.
+func TestEncodeBatchOwnsItsBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	mkBatch := func(iter int) *frame.Batch {
+		f := frame.New(24, 16, 3)
+		rng.Read(f.Pix)
+		c, _ := frame.NewClip([]*frame.Frame{f, f.Clone()})
+		return &frame.Batch{Clips: []*frame.Clip{c}, Iteration: iter}
+	}
+	first := mkBatch(1)
+	data, err := EncodeBatch(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(data) != len(data) {
+		t.Fatalf("cap %d != len %d: the store would undercount the batch", cap(data), len(data))
+	}
+	if _, err := EncodeBatch(mkBatch(2)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBatch(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iteration != 1 || !got.Clips[0].Frames[1].Equal(first.Clips[0].Frames[1]) {
+		t.Fatal("a later EncodeBatch changed an earlier batch's bytes")
+	}
+}
+
 func TestBatchCodecErrors(t *testing.T) {
 	if _, err := EncodeBatch(&frame.Batch{}); err == nil {
 		t.Fatal("accepted empty batch")
@@ -135,6 +165,9 @@ func TestBatchCodecErrors(t *testing.T) {
 	c, _ := frame.NewClip([]*frame.Frame{frame.New(2, 2, 1)})
 	if _, err := EncodeBatch(&frame.Batch{Clips: []*frame.Clip{c}, Labels: []string{"a", "b"}}); err == nil {
 		t.Fatal("accepted label/clip mismatch")
+	}
+	if _, err := EncodeBatch(&frame.Batch{Clips: []*frame.Clip{c, {}}}); err == nil {
+		t.Fatal("accepted a clip with no frames, which DecodeBatch rejects")
 	}
 	if _, err := DecodeBatch([]byte{1, 2, 3}); err == nil {
 		t.Fatal("accepted garbage")

@@ -148,16 +148,25 @@ var ErrEmptyClip = errors.New("frame: empty clip")
 
 // NewClip builds a clip and validates that all frames share one geometry.
 func NewClip(frames []*Frame) (*Clip, error) {
+	if err := checkClip(frames); err != nil {
+		return nil, err
+	}
+	return &Clip{Frames: frames}, nil
+}
+
+// checkClip is NewClip's validation: at least one frame, all of one
+// geometry.
+func checkClip(frames []*Frame) error {
 	if len(frames) == 0 {
-		return nil, ErrEmptyClip
+		return ErrEmptyClip
 	}
 	for i := 1; i < len(frames); i++ {
 		if !frames[0].SameShape(frames[i]) {
-			return nil, fmt.Errorf("frame: clip frame %d geometry %dx%dx%d != frame 0 %dx%dx%d",
+			return fmt.Errorf("frame: clip frame %d geometry %dx%dx%d != frame 0 %dx%dx%d",
 				i, frames[i].W, frames[i].H, frames[i].C, frames[0].W, frames[0].H, frames[0].C)
 		}
 	}
-	return &Clip{Frames: frames}, nil
+	return nil
 }
 
 // Len returns the number of frames in the clip.

@@ -223,6 +223,35 @@ func TestClipEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeClipRefusesWhatDecodeClipRejects: the clip writer refuses
+// the clips its reader refuses — no frames, or frames of two geometries —
+// instead of writing bytes DecodeClip cannot read back. AppendClip leaves
+// its destination as it was. The frame writers refuse a geometry
+// ParseFrameHeader refuses, and a pixel buffer of the wrong length.
+func TestEncodeClipRefusesWhatDecodeClipRejects(t *testing.T) {
+	for name, f := range map[string]*Frame{
+		"17 channels": {W: 2, H: 2, C: 17, Pix: make([]byte, 2*2*17)},
+		"short Pix":   {W: 4, H: 4, C: 3, Pix: make([]byte, 47)},
+	} {
+		for enc, encode := range map[string]func(*Frame) ([]byte, error){"EncodeFrame": EncodeFrame, "EncodeFrameFast": EncodeFrameFast} {
+			if _, err := encode(f); err == nil {
+				t.Fatalf("%s: %s accepted a frame no decoder reads back", name, enc)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	mixed := &Clip{Frames: []*Frame{randomFrame(rng, 8, 8, 3), randomFrame(rng, 8, 6, 3)}}
+	for name, c := range map[string]*Clip{"empty": {}, "mixed geometry": mixed} {
+		if data, err := EncodeClip(c); err == nil {
+			_, derr := DecodeClip(data)
+			t.Fatalf("%s: EncodeClip wrote %d bytes that DecodeClip rejects: %v", name, len(data), derr)
+		}
+		if out, err := AppendClip([]byte("dst"), c); err == nil || string(out) != "dst" {
+			t.Fatalf("%s: AppendClip returned %q, %v; want dst unchanged and an error", name, out, err)
+		}
+	}
+}
+
 func TestDecodeClipRejectsCorruption(t *testing.T) {
 	if _, err := DecodeClip([]byte{1, 2, 3}); err == nil {
 		t.Error("accepted tiny buffer")
@@ -383,15 +412,71 @@ func TestQuickSubRectCompose(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeFrame(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	f := smoothFrame(rng, 256, 256, 3)
-	b.SetBytes(int64(f.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeFrame(f); err != nil {
-			b.Fatal(err)
+var encodeSink []byte
+
+// stdlibEncodeFrame is EncodeFrame as compress/zlib's HuffmanOnly writer
+// wrote it, the reference BenchmarkEncodeFrame holds it to: zw is
+// Reset-reused and takes one Write per Sub-filtered row.
+func stdlibEncodeFrame(zw *zlib.Writer, f *Frame) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(appendFrameHeader(nil, f))
+	zw.Reset(&buf)
+	filtered := make([]byte, f.W)
+	for off := 0; off < len(f.Pix); off += f.W {
+		prev := byte(0)
+		for x, v := range f.Pix[off : off+f.W] {
+			filtered[x] = v - prev
+			prev = v
 		}
+		if _, err := zw.Write(filtered); err != nil {
+			return nil, err
+		}
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// BenchmarkEncodeFrame times EncodeFrame, and the compress/zlib writer it
+// replaced, so the ratio stays visible: "112x112x3-noisy" is shaped like
+// a batch frame, "256x256x3-smooth" is a gradient of a handful of
+// symbols that spans three blocks.
+func BenchmarkEncodeFrame(b *testing.B) {
+	cases := []struct {
+		name string
+		f    *Frame
+	}{
+		{"112x112x3-noisy", noisyFrame(rand.New(rand.NewSource(9)), 112, 112, 3)},
+		{"256x256x3-smooth", smoothFrame(rand.New(rand.NewSource(9)), 256, 256, 3)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.Run("encode", func(b *testing.B) {
+				b.SetBytes(int64(c.f.Bytes()))
+				for i := 0; i < b.N; i++ {
+					enc, err := EncodeFrame(c.f)
+					if err != nil {
+						b.Fatal(err)
+					}
+					encodeSink = enc
+				}
+			})
+			b.Run("stdlib", func(b *testing.B) {
+				zw, err := zlib.NewWriterLevel(io.Discard, zlib.HuffmanOnly)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(c.f.Bytes()))
+				for i := 0; i < b.N; i++ {
+					enc, err := stdlibEncodeFrame(zw, c.f)
+					if err != nil {
+						b.Fatal(err)
+					}
+					encodeSink = enc
+				}
+			})
+		})
 	}
 }
 

@@ -83,3 +83,49 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEncodeFrame holds both encoders to their contracts on fuzzed
+// frames of bounded geometry (up to 160×160×4, so up to two blocks):
+// compress/zlib and inflate.Zlib both inflate each stream to the
+// Sub-filtered samples, the Huffman-only stream stays within 0.1 % + 16
+// bytes of compress/zlib's HuffmanOnly stream, the stored stream is
+// byte-identical to compress/zlib's at NoCompression, and DecodeFrame
+// returns the frame from both.
+func FuzzEncodeFrame(f *testing.F) {
+	rng := rand.New(rand.NewSource(12))
+	for _, geom := range [][3]uint8{{0, 0, 0}, {6, 4, 2}, {111, 111, 2}, {159, 159, 3}} {
+		pix := make([]byte, 1+rng.Intn(4096))
+		rng.Read(pix)
+		f.Add(geom[0], geom[1], geom[2], int32(rng.Intn(1000)), int64(rng.Intn(1e6)), pix)
+	}
+	f.Add(uint8(40), uint8(30), uint8(0), int32(-1), int64(0), []byte{})
+	f.Add(uint8(127), uint8(127), uint8(3), int32(5), int64(7), noisyFrame(rng, 64, 64, 1).Pix)
+	f.Fuzz(func(t *testing.T, wRaw, hRaw, cRaw uint8, index int32, pts int64, pix []byte) {
+		w, h, c := 1+int(wRaw)%160, 1+int(hRaw)%160, 1+int(cRaw)%4
+		fr := New(w, h, c)
+		fr.Index, fr.PTS = int(index), pts
+		if len(pix) > 0 {
+			for i := range fr.Pix {
+				fr.Pix[i] = pix[i%len(pix)] + byte(i/len(pix))
+			}
+		}
+		huff, err := EncodeFrame(fr)
+		if err != nil {
+			t.Fatalf("EncodeFrame: %v", err)
+		}
+		stored, err := EncodeFrameFast(fr)
+		if err != nil {
+			t.Fatalf("EncodeFrameFast: %v", err)
+		}
+		checkStreams(t, subFiltered(fr), huff[frameHeaderLen:], stored[frameHeaderLen:])
+		for name, enc := range map[string][]byte{"EncodeFrame": huff, "EncodeFrameFast": stored} {
+			got, err := DecodeFrame(enc)
+			if err != nil {
+				t.Fatalf("DecodeFrame of %s: %v", name, err)
+			}
+			if !got.Equal(fr) || got.Index != fr.Index || got.PTS != fr.PTS {
+				t.Fatalf("DecodeFrame of %s returned a different frame", name)
+			}
+		}
+	})
+}

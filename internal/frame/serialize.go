@@ -1,13 +1,9 @@
 package frame
 
 import (
-	"bytes"
-	"compress/zlib"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 
 	"sand/internal/inflate"
 )
@@ -17,7 +13,9 @@ import (
 // pixel data: each row is delta-coded against the pixel to its left (Sub
 // filter, as in PNG). Two encoders write that stream and one decoder reads
 // both: EncodeFrame entropy-codes the filtered bytes with Huffman-only
-// deflate blocks, and EncodeFrameFast stores them. The header fixes the
+// deflate blocks, and EncodeFrameFast stores them; both are the
+// hand-written zlib writer in deflate.go, which appends to the caller's
+// buffer, so AppendClip encodes a whole clip into one. The header fixes the
 // raw size, so DecodeFrame inflates the stream in one internal/inflate
 // call straight into the frame's pixel buffer, with no streaming reader,
 // and rejects a stream that does not fill it exactly or fails its adler32
@@ -37,40 +35,20 @@ const (
 	minClipFrameLen = 4 + frameHeaderLen
 )
 
-// writerPool Reset-reuses zlib writers (and their ~64KB windows) of one
-// level across frames instead of rebuilding them for every encode; the
-// level is baked into the flate state, so each level pools separately.
-type writerPool struct {
-	level int
-	pool  sync.Pool
-}
-
-var (
-	// huffmanWriters back EncodeFrame. On Sub-filtered frames deflate's
-	// LZ77 match search finds almost nothing an entropy coder does not, at
-	// several times the cost.
-	huffmanWriters = &writerPool{level: zlib.HuffmanOnly}
-	// storedWriters back EncodeFrameFast.
-	storedWriters = &writerPool{level: zlib.NoCompression}
-)
-
-func (p *writerPool) get(dst io.Writer) *zlib.Writer {
-	if v := p.pool.Get(); v != nil {
-		zw := v.(*zlib.Writer)
-		zw.Reset(dst)
-		return zw
-	}
-	zw, _ := zlib.NewWriterLevel(dst, p.level) // both levels are valid: no error
-	return zw
-}
-
 // EncodeFrame serializes f losslessly and compactly: the Sub-filtered
 // planes are Huffman-coded without an LZ77 match search, which on
 // augmented frames compresses as well as zlib's default level at a
 // fraction of the time. It is the encoding of every batch payload. The
-// output is a standard zlib stream with its adler32 checksum.
+// output is a standard zlib stream with its adler32 checksum, and its
+// capacity is its length.
 func EncodeFrame(f *Frame) ([]byte, error) {
-	return encodeFrame(f, huffmanWriters)
+	if err := checkEncodable(f); err != nil {
+		return nil, err
+	}
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.staged = e.appendFrame(e.staged[:0], f)
+	return append(make([]byte, 0, len(e.staged)), e.staged...), nil
 }
 
 // EncodeFrameFast serializes f losslessly in decode-cheap form: the zlib
@@ -78,43 +56,49 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 // instead of an inflate. Bytes are larger, reads are cheaper — the
 // encoding of every frame object in the engine's memory tier (the store
 // compresses it only when it spills to disk). The output is a standard
-// stream; DecodeFrame handles both encodings untouched.
+// stream, byte-identical to compress/zlib's at NoCompression, and its
+// capacity is its length; DecodeFrame handles both encodings untouched.
 func EncodeFrameFast(f *Frame) ([]byte, error) {
-	return encodeFrame(f, storedWriters)
+	if err := checkEncodable(f); err != nil {
+		return nil, err
+	}
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	dst := appendFrameHeader(make([]byte, 0, frameHeaderLen+storedLen(len(f.Pix))), f)
+	return appendStored(dst, e.filter(f)), nil
 }
 
-func encodeFrame(f *Frame, writers *writerPool) ([]byte, error) {
-	var buf bytes.Buffer
-	hdr := make([]byte, frameHeaderLen)
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(f.W))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(f.H))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(f.C))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(int32(f.Index)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(f.PTS))
-	buf.Write(hdr)
+// checkEncodable refuses a frame whose encoding ParseFrameHeader would
+// refuse, or whose pixel buffer does not match its geometry.
+func checkEncodable(f *Frame) error {
+	if !validGeometry(f.W, f.H, f.C) {
+		return fmt.Errorf("frame: cannot encode geometry %dx%dx%d", f.W, f.H, f.C)
+	}
+	if len(f.Pix) != f.W*f.H*f.C {
+		return fmt.Errorf("frame: pixel buffer length %d != %d*%d*%d", len(f.Pix), f.W, f.H, f.C)
+	}
+	return nil
+}
 
-	zw := writers.get(&buf)
-	filtered := make([]byte, f.W)
-	for c := 0; c < f.C; c++ {
-		plane := f.Plane(c)
-		for y := 0; y < f.H; y++ {
-			row := plane[y*f.W : (y+1)*f.W]
-			prev := byte(0)
-			for x, v := range row {
-				filtered[x] = v - prev
-				prev = v
-			}
-			if _, err := zw.Write(filtered); err != nil {
-				return nil, fmt.Errorf("frame: compress: %w", err)
-			}
-		}
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("frame: compress close: %w", err)
-	}
-	writers.pool.Put(zw)
-	return buf.Bytes(), nil
+// validGeometry is the geometry an SFM1 header may declare: both encoders
+// refuse, and ParseFrameHeader rejects, any other.
+func validGeometry(w, h, c int) bool {
+	return w > 0 && h > 0 && c > 0 && w <= maxDimension && h <= maxDimension && c <= 16
+}
+
+func appendFrameHeader(dst []byte, f *Frame) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.W))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.H))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.C))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(f.Index)))
+	return binary.LittleEndian.AppendUint64(dst, uint64(f.PTS))
+}
+
+// appendFrame appends EncodeFrame's bytes for f, which checkEncodable
+// accepts, to dst.
+func (e *encoder) appendFrame(dst []byte, f *Frame) []byte {
+	return e.appendHuffman(appendFrameHeader(dst, f), e.filter(f))
 }
 
 // FrameHeader is what an encoded frame's SFM1 header declares.
@@ -142,7 +126,7 @@ func ParseFrameHeader(data []byte) (FrameHeader, error) {
 		Index: int(int32(binary.LittleEndian.Uint32(data[16:]))),
 		PTS:   int64(binary.LittleEndian.Uint64(data[20:])),
 	}
-	if h.W <= 0 || h.H <= 0 || h.C <= 0 || h.W > maxDimension || h.H > maxDimension || h.C > 16 {
+	if !validGeometry(h.W, h.H, h.C) {
 		return FrameHeader{}, fmt.Errorf("frame: implausible geometry %dx%dx%d", h.W, h.H, h.C)
 	}
 	// The header must not size the allocation by itself: a payload cannot
@@ -184,22 +168,31 @@ func DecodeFrame(data []byte) (*Frame, error) {
 
 // EncodeClip serializes every frame of a clip into one buffer.
 func EncodeClip(c *Clip) ([]byte, error) {
-	var buf bytes.Buffer
-	hdr := make([]byte, clipHeaderLen)
-	binary.LittleEndian.PutUint32(hdr[0:], clipMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(c.Frames)))
-	buf.Write(hdr)
-	for i, f := range c.Frames {
-		enc, err := EncodeFrame(f)
-		if err != nil {
-			return nil, fmt.Errorf("frame: clip frame %d: %w", i, err)
-		}
-		var sz [4]byte
-		binary.LittleEndian.PutUint32(sz[:], uint32(len(enc)))
-		buf.Write(sz[:])
-		buf.Write(enc)
+	return AppendClip(nil, c)
+}
+
+// AppendClip appends EncodeClip's bytes for c to dst. It refuses a clip
+// DecodeClip would: no frames, or frames of more than one geometry. On
+// error it returns dst unchanged.
+func AppendClip(dst []byte, c *Clip) ([]byte, error) {
+	if err := checkClip(c.Frames); err != nil {
+		return dst, err
 	}
-	return buf.Bytes(), nil
+	for i, f := range c.Frames {
+		if err := checkEncodable(f); err != nil {
+			return dst, fmt.Errorf("frame: clip frame %d: %w", i, err)
+		}
+	}
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	out := binary.LittleEndian.AppendUint32(dst, clipMagic)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(c.Frames)))
+	for _, f := range c.Frames {
+		at := len(out)
+		out = e.appendFrame(append(out, 0, 0, 0, 0), f)
+		binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-4))
+	}
+	return out, nil
 }
 
 // ClipFrames walks an encoded clip's framing — the header, then a length

@@ -30,6 +30,12 @@ go test -race -count=20 -run 'Promote|Flight|Dispatch' ./internal/sched ./intern
 echo "== frame decoder fuzz (10s)"
 go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/frame/
 
+echo "== frame encoder fuzz against compress/zlib and inflate.Zlib (10s)"
+# An exec encodes with both stdlib references and inflates twice, so it
+# takes milliseconds: cap input minimization at 1s to leave the 10s for
+# fuzzing.
+go test -run=xxx -fuzz=FuzzEncodeFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/frame/
+
 echo "== batch decoder fuzz (10s)"
 go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/core/
 
