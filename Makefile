@@ -7,8 +7,9 @@ test:
 	go build ./...
 	go test ./...
 
-# Dataplane, frame-decoder, frame-encoder, batch-, inflate and
-# TVC-container fuzzing (bounded; extend -fuzztime for longer campaigns).
+# Dataplane, frame-decoder, frame-encoder, batch-, inflate, TVC-container
+# and disk-tier recovery fuzzing (bounded; extend -fuzztime for longer
+# campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
 	go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/frame/
@@ -16,6 +17,7 @@ fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/core/
 	go test -run=xxx -fuzz=FuzzInflate -fuzztime=30s ./internal/inflate/
 	go test -run=xxx -fuzz=FuzzParseVideo -fuzztime=30s ./internal/codec/
+	go test -run=xxx -fuzz=FuzzRecover -fuzztime=30s ./internal/storage/
 
 # The end-to-end epoch benchmark with per-layer attribution (see
 # bench/README.md).

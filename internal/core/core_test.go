@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -593,28 +595,32 @@ func waitForBatch(t *testing.T, s *Service, key iterationKey) {
 	}
 }
 
+// crashService opens an engine over a cache dir, for tests that "crash"
+// one engine and restart another over the same directory.
+func crashService(t *testing.T, dir string, ds *dataset.Dataset) *Service {
+	t.Helper()
+	s, err := New(Options{
+		Tasks:       []*config.Task{miniTask(t, "train")},
+		Dataset:     ds,
+		ChunkEpochs: 2,
+		TotalEpochs: 2,
+		MemBudget:   64 << 20,
+		CacheDir:    dir,
+		Workers:     2,
+		Coordinate:  true,
+		Seed:        9,
+		Obs:         obs.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ds := miniDataset(t, 3)
-	mk := func() *Service {
-		s, err := New(Options{
-			Tasks:       []*config.Task{miniTask(t, "train")},
-			Dataset:     ds,
-			ChunkEpochs: 2,
-			TotalEpochs: 2,
-			MemBudget:   64 << 20,
-			CacheDir:    dir,
-			Workers:     2,
-			Coordinate:  true,
-			Seed:        9,
-			Obs:         obs.New(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s1 := mk()
+	s1 := crashService(t, dir, ds)
 	loader, _ := s1.NewLoader("train")
 	if _, _, err := loader.Next(0, 0); err != nil {
 		t.Fatal(err)
@@ -625,7 +631,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal("nothing persisted before crash")
 	}
 	// Restart over the same cache dir: recovered objects avoid decoding.
-	s2 := mk()
+	s2 := crashService(t, dir, ds)
 	defer s2.Close()
 	if got := metric(t, s2, "storage.disk_objects"); got < persisted {
 		t.Fatalf("recovered %d disk objects, had %d", got, persisted)
@@ -633,6 +639,78 @@ func TestCrashRecovery(t *testing.T) {
 	loader2, _ := s2.NewLoader("train")
 	if _, _, err := loader2.Next(0, 0); err != nil {
 		t.Fatalf("post-recovery read: %v", err)
+	}
+}
+
+// TestCrashRecoveryRecomputesGarbledObjects garbles every persisted frame
+// object between the crash and the restart — each .objz still inflates
+// but one payload byte is flipped, and each .obj has a flipped byte — and
+// checks that the restarted engine drops the bad objects and recomputes
+// the first engine's batch instead of failing the read.
+func TestCrashRecoveryRecomputesGarbledObjects(t *testing.T) {
+	dir := t.TempDir()
+	ds := miniDataset(t, 3)
+	s1 := crashService(t, dir, ds)
+	loader, _ := s1.NewLoader("train")
+	b1, _, err := loader.Next(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeBatch(b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close() // "crash"
+
+	garbled := 0
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		compressed := strings.HasSuffix(path, ".objz")
+		if !compressed && !strings.HasSuffix(path, ".obj") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if compressed {
+			if data, err = io.ReadAll(flate.NewReader(bytes.NewReader(data))); err != nil {
+				return err
+			}
+		}
+		data[len(data)/2] ^= 0xFF
+		if compressed {
+			var buf bytes.Buffer
+			zw, _ := flate.NewWriter(&buf, flate.BestSpeed)
+			zw.Write(data)
+			zw.Close()
+			data = buf.Bytes()
+		}
+		garbled++
+		return os.WriteFile(path, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if garbled == 0 {
+		t.Fatal("no persisted objects to garble")
+	}
+
+	s2 := crashService(t, dir, ds)
+	defer s2.Close()
+	loader2, _ := s2.NewLoader("train")
+	b2, _, err := loader2.Next(0, 0)
+	if err != nil {
+		t.Fatalf("read over %d garbled objects: %v", garbled, err)
+	}
+	got, err := EncodeBatch(b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("batch recomputed over garbled objects differs from the first engine's")
 	}
 }
 

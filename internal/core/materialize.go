@@ -141,11 +141,9 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 		}
 		// Deepest cached augmentation prefix in the object store wins;
 		// DecodeFrame hands us an exclusively owned frame.
-		f, fromDepth, err := s.loadBestCached(sm, chain, idx, total, stopDepth)
+		f, fromDepth := s.loadBestCached(sm, chain, idx, total, stopDepth)
 		owned := true
-		if err != nil {
-			return err
-		}
+		var err error
 		switch {
 		case f != nil:
 			s.objectsReused.Add(1)
@@ -255,11 +253,11 @@ func (s *Service) intraSampleWorkers(n int) int {
 // loadBestCached searches the store for the deepest cached prefix of one
 // chain for one frame: the leaf first, then shallower aug objects, then
 // the decoded frame. Returns the loaded frame and the depth it
-// corresponds to, or (nil, 0, nil) when nothing is cached. Depths at or
+// corresponds to, or (nil, 0) when nothing usable is cached. Depths at or
 // below stopDepth are not consulted (-1 searches all the way down to the
 // decoded frame); superset-grouped chains stop at the crop depth, where
 // the shared region is the cheaper source.
-func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, idx, total, stopDepth int) (*frame.Frame, int, error) {
+func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, idx, total, stopDepth int) (*frame.Frame, int) {
 	for d := total; d > stopDepth; d-- {
 		var key string
 		if d == 0 {
@@ -268,17 +266,25 @@ func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, i
 			key = augKey(sm.Video, idx, cumulativeSig(chain.Ops, d))
 		}
 		obj, err := s.store.Get(key)
-		if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
 			continue
 		}
-		f, err := frame.DecodeFrame(obj.Data)
+		var f *frame.Frame
+		if err == nil {
+			f, err = frame.DecodeFrame(obj.Data)
+		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: corrupt cached object %s: %w", key, err)
+			// An unreadable or garbled object (a damaged spill file) is
+			// dropped, so this frame is recomputed from a shallower depth
+			// instead of failing every later read of it. A file Delete
+			// cannot remove is already out of the store's index.
+			_ = s.store.Delete(key)
+			continue
 		}
 		s.store.MarkUsed(key)
-		return f, d, nil
+		return f, d
 	}
-	return nil, 0, nil
+	return nil, 0
 }
 
 // applyOps runs chain.Ops[fromDepth:] on f, storing intermediate objects

@@ -185,7 +185,7 @@ func oracleDatasets(t testing.TB) []oracleDataset {
 // TestOracleGenerated checks the engine against the oracle over seeded
 // random configurations: datasets, one or two tasks of random ops in
 // single or multi/merge stages, sampling, worker counts, memory, storage
-// and GOP-cache budgets, store shards and chunk boundaries. The generator
+// and GOP-cache budgets and chunk boundaries. The generator
 // is deterministic, so -run TestOracleGenerated/seed-N replays a failure.
 func TestOracleGenerated(t *testing.T) {
 	corpora := map[string]*dataset.Dataset{}

@@ -369,7 +369,7 @@ func (p *Pool) next() *Task {
 		// included — so pressure crossings surface as mode_switch events
 		// even during demand-dominated phases. The sample happens outside
 		// p.mu: the pressure feed is a couple of atomic loads in the
-		// sharded store, and keeping the caller-supplied callback out of
+		// object store, and keeping the caller-supplied callback out of
 		// the critical section means it can never stall other dequeues or
 		// invert lock order against the storage tier.
 		useSJF := p.pressure != nil && p.pressure() > MemoryPressureThreshold

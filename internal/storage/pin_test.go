@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// pinStore opens a memory-only store with a small budget and the given
-// shard count.
-func pinStore(t *testing.T, budget int64, shards int) *Store {
+// pinStore opens a memory-only store with a small budget.
+func pinStore(t *testing.T, budget int64) *Store {
 	t.Helper()
-	s, err := Open(Options{MemBudget: budget, Shards: shards})
+	s, err := Open(Options{MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func put(t *testing.T, s *Store, key string, size int, ueph bool) {
 // reclaims everything else in its class; after release it is evictable
 // again.
 func TestPinSkipsEviction(t *testing.T) {
-	s := pinStore(t, 1000, 1)
+	s := pinStore(t, 1000)
 	put(t, s, "/a", 300, true)
 	obj, pin, err := s.GetPinned("/a")
 	if err != nil || pin == nil {
@@ -69,7 +68,7 @@ func TestPinSkipsEviction(t *testing.T) {
 
 // TestPinNested: the object stays ineligible until the last lease drops.
 func TestPinNested(t *testing.T) {
-	s := pinStore(t, 1000, 1)
+	s := pinStore(t, 1000)
 	put(t, s, "/a", 400, true)
 	_, p1, _ := s.GetPinned("/a")
 	_, p2, _ := s.GetPinned("/a")
@@ -91,7 +90,7 @@ func TestPinNested(t *testing.T) {
 // settles the accounting once; the holder's bytes stay intact and the
 // late Release does not double-subtract.
 func TestPinSurvivesReplaceAndDelete(t *testing.T) {
-	s := pinStore(t, 10000, 1)
+	s := pinStore(t, 10000)
 	put(t, s, "/a", 100, false)
 	obj, pin, _ := s.GetPinned("/a")
 	want := append([]byte(nil), obj.Data...)
@@ -158,11 +157,11 @@ func TestGetPinnedPromotesFromDisk(t *testing.T) {
 	pin.Release()
 }
 
-// TestPinConcurrent hammers pin/release against Put/eviction churn on a
-// sharded store; accounting must reconcile to zero and no pinned
+// TestPinConcurrent hammers pin/release against Put/eviction churn;
+// accounting must reconcile to zero and no pinned
 // payload may ever change. Run with -race.
 func TestPinConcurrent(t *testing.T) {
-	s := pinStore(t, 64<<10, 8)
+	s := pinStore(t, 64<<10)
 	const keys = 16
 	for i := 0; i < keys; i++ {
 		put(t, s, fmt.Sprintf("/k%d", i), 1024, false)
@@ -204,9 +203,11 @@ func TestPinConcurrent(t *testing.T) {
 	if got := s.PinnedBytes(); got != 0 {
 		t.Fatalf("pinned bytes after all releases = %d, want 0", got)
 	}
-	for i := range s.shards {
-		if got := s.shards[i].pinnedBytes.Load(); got != 0 {
-			t.Fatalf("shard %d pinned bytes = %d, want 0", i, got)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for key, o := range s.mem {
+		if o.pins != 0 {
+			t.Fatalf("%s still holds %d pins after all releases", key, o.pins)
 		}
 	}
 }

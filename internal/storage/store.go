@@ -4,16 +4,13 @@
 // longest-deadline objects), lossless compression for persisted frames,
 // and crash recovery by scanning previously persisted objects.
 //
-// The store is hash-sharded: keys map to N sub-stores (N a power of two
-// near GOMAXPROCS by default, Options.Shards to override), each with its
-// own mutex and object maps, so concurrent demand-feed and
-// pre-materialization threads only contend when they touch the same
-// shard. Byte accounting is global and atomic — MemBytes and MemPressure
-// (sampled by the scheduler at every dequeue) are single atomic loads,
-// never lock acquisitions. Eviction is driven by the global watermark
-// and merges the shards' priority-sorted candidates: each victim comes
-// from whichever shard holds the globally best one, so the store evicts
-// in exactly the unsharded design's order at every shard count.
+// One mutex guards both tiers' maps and every eviction pass. Byte
+// accounting is atomic — MemBytes and MemPressure (sampled by the
+// scheduler at every dequeue) are single atomic loads, never lock
+// acquisitions. An eviction pass sorts the unpinned objects once in §6
+// priority order and evicts from the head until the store is back under
+// the watermark. Persist writes a spill file's bytes outside the lock and
+// only renames it into place under it.
 //
 // Objects can be leased by reference: GetPinned returns the payload
 // together with a ref-counted Pin that keeps it memory-resident —
@@ -23,19 +20,20 @@
 //
 // With an observability registry attached (Options.Obs), the store
 // exposes occupancy gauges (including pinned bytes) and hit/miss/eviction
-// counters, and traces watermark crossings and per-shard eviction passes
+// counters, and traces watermark crossings and eviction passes
 // (internal/obs).
 package storage
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,7 +63,7 @@ type Object struct {
 	// it is memory-resident. A pinned object is skipped by eviction
 	// passes (its bytes may be mid-flight on a zero-copy response), so
 	// Data can be handed to the network tier by reference. Guarded by
-	// the owning shard's mutex.
+	// the store's mutex.
 	pins int32
 }
 
@@ -79,9 +77,6 @@ var ErrDiskBudget = errors.New("storage: disk budget exhausted")
 // EvictionThreshold is the fill fraction beyond which the store evicts
 // (the paper uses 75% of the designated budget).
 const EvictionThreshold = 0.75
-
-// maxShards bounds Options.Shards (and the GOMAXPROCS-derived default).
-const maxShards = 256
 
 // Stats reports store counters.
 type Stats struct {
@@ -118,31 +113,6 @@ const (
 	stormCooldown = 5 * time.Second
 )
 
-// shard is one hash-partitioned sub-store. Both tiers' metadata maps for
-// a key live in the key's shard, so every per-key operation takes exactly
-// one shard mutex.
-type shard struct {
-	mu     sync.Mutex
-	mem    map[string]*Object
-	disk   map[string]diskEntry
-	promos map[string]*promotion // in-flight disk->memory promotions
-
-	// gen counts mutations of the memory tier (insert, delete, evict,
-	// priority flag change). Eviction passes cache a priority-sorted
-	// candidate snapshot per shard and use gen to detect staleness, so an
-	// untouched shard costs one lock acquisition and a comparison per
-	// pass instead of a rescan. Guarded by mu.
-	gen uint64
-
-	// memBytes and pinnedBytes are the shard's shares of Store.memBytes
-	// and Store.pinnedBytes, kept so the accounting can be checked shard
-	// by shard.
-	memBytes    atomic.Int64
-	pinnedBytes atomic.Int64
-
-	_ [64]byte // pad shards onto separate cache lines
-}
-
 // promotion is one in-flight disk read being shared by every concurrent
 // Get of the same spilled key.
 type promotion struct {
@@ -151,7 +121,7 @@ type promotion struct {
 	err  error
 }
 
-// Store is the two-tier sharded object store. All methods are safe for
+// Store is the two-tier object store. All methods are safe for
 // concurrent use.
 type Store struct {
 	memBudget    int64
@@ -159,11 +129,16 @@ type Store struct {
 	dir          string // disk tier directory; "" disables the disk tier
 	coldCompress bool
 
-	shards []shard
-	mask   uint32
+	// mu guards both tiers' maps, the objects' Used flags and pin counts,
+	// eviction passes and the storm state below.
+	mu     sync.Mutex
+	mem    map[string]*Object
+	disk   map[string]diskEntry
+	promos map[string]*promotion // in-flight disk->memory promotions
 
-	// Global accounting: single atomic adds on mutation, single atomic
+	// Byte accounting: atomic adds on mutation (under mu), single atomic
 	// loads on the scheduler-sampled read paths (MemBytes, MemPressure).
+	// diskBytes is also reserved outside mu by Persist's file write.
 	memBytes    atomic.Int64
 	diskBytes   atomic.Int64
 	pinnedBytes atomic.Int64
@@ -178,24 +153,7 @@ type Store struct {
 	compressedSpills atomic.Int64
 	spillSaved       atomic.Int64
 
-	// evictMu serializes eviction passes so concurrent over-watermark
-	// Puts do not stampede into redundant passes. Plain Put/Get/Delete
-	// traffic never touches it below the watermark.
-	evictMu sync.Mutex
-
-	// Eviction-pass state, all guarded by evictMu: per-shard candidate
-	// snapshots sorted in eviction-priority order (cand[i][candPos[i]:]
-	// is shard i's remaining victims, valid while candGen[i] matches the
-	// shard's gen), and per-pass eviction tallies for the shard-tagged
-	// evict_pass spans.
-	cand                   [][]victim
-	candGen                []uint64
-	candPos                []int
-	candOK                 []bool
-	passEvicted, passFreed []int64
-
-	// Eviction-storm detection, guarded by evictMu (pass timestamps are
-	// only written by the pass holder). onStorm fires outside all locks.
+	// Eviction-storm detection, guarded by mu. onStorm fires outside it.
 	onStorm    func(reason string)
 	stormTimes []time.Time // timestamps of recent evicting passes (ring)
 	stormIdx   int
@@ -203,7 +161,7 @@ type Store struct {
 	storms     atomic.Int64
 
 	tr    *obs.Tracer
-	above atomic.Bool // watermark crossing state, maintained tracer-on or -off
+	above bool // watermark crossing state, maintained tracer-on or -off; guarded by mu
 }
 
 type diskEntry struct {
@@ -220,9 +178,6 @@ type Options struct {
 	DiskBudget int64
 	// Dir is the disk tier directory; empty disables persistence.
 	Dir string
-	// Shards is the sub-store count; it is rounded up to a power of two
-	// and capped at 256. 0 picks a power of two near GOMAXPROCS.
-	Shards int
 	// Obs receives store gauges, counters and trace events. Nil means
 	// no registration (tracing calls are nil-safe no-ops).
 	Obs *obs.Registry
@@ -236,52 +191,25 @@ type Options struct {
 	OnEvictStorm func(reason string)
 }
 
-// shardCount resolves Options.Shards to a power of two in [1, maxShards].
-func shardCount(req int) int {
-	n := req
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // Open creates a store, recovering any objects already persisted in
 // Options.Dir (the crash-recovery path of §5.5: step 2, scanning disk for
-// previously persisted objects). The on-disk layout is shard-independent,
-// so a directory written with one shard count recovers under any other.
+// previously persisted objects).
 func Open(opts Options) (*Store, error) {
 	if opts.MemBudget <= 0 {
 		return nil, fmt.Errorf("storage: memory budget must be positive")
 	}
-	n := shardCount(opts.Shards)
 	s := &Store{
 		memBudget:    opts.MemBudget,
 		diskBudget:   opts.DiskBudget,
 		dir:          opts.Dir,
 		coldCompress: opts.ColdCompress,
-		shards:       make([]shard, n),
-		mask:         uint32(n - 1),
+		mem:          map[string]*Object{},
+		disk:         map[string]diskEntry{},
+		promos:       map[string]*promotion{},
 		tr:           opts.Obs.Trace(),
 		onStorm:      opts.OnEvictStorm,
 		stormTimes:   make([]time.Time, stormPasses),
 	}
-	for i := range s.shards {
-		s.shards[i].mem = map[string]*Object{}
-		s.shards[i].disk = map[string]diskEntry{}
-	}
-	s.cand = make([][]victim, n)
-	s.candGen = make([]uint64, n)
-	s.candPos = make([]int, n)
-	s.candOK = make([]bool, n)
-	s.passEvicted = make([]int64, n)
-	s.passFreed = make([]int64, n)
 	if r := opts.Obs; r != nil {
 		r.Gauge("storage.mem_bytes", func() float64 { return float64(s.MemBytes()) })
 		r.Gauge("storage.pinned_bytes", func() float64 { return float64(s.PinnedBytes()) })
@@ -313,19 +241,6 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Shards returns the store's shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// shardFor hashes key (FNV-1a) to its shard.
-func (s *Store) shardFor(key string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &s.shards[h&s.mask]
-}
-
 // recover scans the disk tier and re-registers persisted objects.
 func (s *Store) recover() error {
 	return filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
@@ -351,7 +266,7 @@ func (s *Store) recover() error {
 			return err
 		}
 		key := "/" + strings.TrimSuffix(filepath.ToSlash(rel), suffix)
-		s.shardFor(key).disk[key] = diskEntry{path: path, size: info.Size()}
+		s.disk[key] = diskEntry{path: path, size: info.Size()}
 		s.diskBytes.Add(info.Size())
 		return nil
 	})
@@ -367,21 +282,19 @@ func (s *Store) watermark() int64 {
 	return int64(float64(s.memBudget) * EvictionThreshold)
 }
 
-// noteWatermark maintains the above-75% crossing state after every byte
-// movement — tracer enabled or not, so enabling tracing mid-run neither
-// misses nor duplicates the next crossing event. The CAS makes racing
-// callers emit each crossing exactly once.
-func (s *Store) noteWatermark(total int64) {
-	above := total > s.watermark()
-	if s.above.Load() == above {
+// noteWatermarkLocked maintains the above-75% crossing state after every
+// byte movement — tracer enabled or not, so enabling tracing mid-run
+// neither misses nor duplicates the next crossing event. Caller holds mu.
+func (s *Store) noteWatermarkLocked() {
+	above := s.memBytes.Load() > s.watermark()
+	if s.above == above {
 		return
 	}
-	if s.above.CompareAndSwap(!above, above) {
-		if above {
-			s.tr.Instant("storage", "watermark", 0, "above 75%")
-		} else {
-			s.tr.Instant("storage", "watermark", 0, "below 75%")
-		}
+	s.above = above
+	if above {
+		s.tr.Instant("storage", "watermark", 0, "above 75%")
+	} else {
+		s.tr.Instant("storage", "watermark", 0, "below 75%")
 	}
 }
 
@@ -398,27 +311,34 @@ func (s *Store) Put(obj *Object) error {
 	if size > s.memBudget {
 		return fmt.Errorf("storage: object %s (%d bytes) exceeds memory budget %d", obj.Key, size, s.memBudget)
 	}
-	sh := s.shardFor(obj.Key)
-	sh.mu.Lock()
-	if old, ok := sh.mem[obj.Key]; ok {
-		d := int64(len(old.Data))
-		sh.memBytes.Add(-d)
-		s.memBytes.Add(-d)
-		if old.pins > 0 {
-			// The displaced object leaves residency while pinned: settle
-			// its pinned-byte accounting now. Pin holders keep the old
-			// bytes alive and immutable through their own references.
-			sh.pinnedBytes.Add(-d)
-			s.pinnedBytes.Add(-d)
-		}
+	s.mu.Lock()
+	if old, ok := s.mem[obj.Key]; ok {
+		// A displaced pinned object leaves residency: settle its pinned
+		// bytes now. Pin holders keep the old bytes alive and immutable
+		// through their own references.
+		s.dropLocked(old)
 	}
-	sh.mem[obj.Key] = obj
-	sh.memBytes.Add(size)
-	sh.gen++
-	total := s.memBytes.Add(size)
-	sh.mu.Unlock()
-	s.noteWatermark(total)
-	return s.maybeEvict()
+	s.mem[obj.Key] = obj
+	s.memBytes.Add(size)
+	s.noteWatermarkLocked()
+	storm, err := s.evictLocked()
+	s.mu.Unlock()
+	// The storm hook may dump traces or take foreign locks: never under mu.
+	if storm != "" && s.onStorm != nil {
+		s.onStorm(storm)
+	}
+	return err
+}
+
+// dropLocked removes obj's bytes from the memory-tier accounting (and
+// from the pinned bytes, if it is pinned). The caller removes or replaces
+// its map entry and holds mu.
+func (s *Store) dropLocked(obj *Object) {
+	d := int64(len(obj.Data))
+	s.memBytes.Add(-d)
+	if obj.pins > 0 {
+		s.pinnedBytes.Add(-d)
+	}
 }
 
 // Get returns the object for key, promoting a disk-tier object into
@@ -426,23 +346,22 @@ func (s *Store) Put(obj *Object) error {
 // Concurrent Gets of the same spilled key are collapsed into a single
 // disk read (singleflight): one reader promotes, the rest wait for it.
 func (s *Store) Get(key string) (*Object, error) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if obj, ok := sh.mem[key]; ok {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	if obj, ok := s.mem[key]; ok {
+		s.mu.Unlock()
 		s.hits.Add(1)
 		return obj, nil
 	}
-	ent, onDisk := sh.disk[key]
+	ent, onDisk := s.disk[key]
 	if !onDisk {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		s.misses.Add(1)
 		// Bare sentinel: misses are the common case on the probe-heavy
 		// materialization path and must not allocate a formatted error.
 		return nil, ErrNotFound
 	}
-	if p, inflight := sh.promos[key]; inflight {
-		sh.mu.Unlock()
+	if p, inflight := s.promos[key]; inflight {
+		s.mu.Unlock()
 		<-p.done
 		if p.err != nil {
 			return nil, p.err
@@ -451,16 +370,10 @@ func (s *Store) Get(key string) (*Object, error) {
 		return p.obj, nil
 	}
 	p := &promotion{done: make(chan struct{})}
-	if sh.promos == nil {
-		sh.promos = map[string]*promotion{}
-	}
-	sh.promos[key] = p
-	sh.mu.Unlock()
+	s.promos[key] = p
+	s.mu.Unlock()
 
-	data, err := readFile(ent.path)
-	if err == nil && strings.HasSuffix(ent.path, ".objz") {
-		data, err = inflateAll(data)
-	}
+	data, err := s.readSpill(ent.path)
 	if errors.Is(err, os.ErrNotExist) {
 		// The entry was deleted between the lookup and the read; report
 		// a plain miss, as if the Get had lost the race to the Delete.
@@ -476,15 +389,31 @@ func (s *Store) Get(key string) (*Object, error) {
 		// is served from the read copy.
 		_ = s.Put(p.obj)
 	}
-	sh.mu.Lock()
-	delete(sh.promos, key)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	delete(s.promos, key)
+	s.mu.Unlock()
 	close(p.done)
 	if p.err != nil {
 		return nil, p.err
 	}
 	s.hits.Add(1)
 	return p.obj, nil
+}
+
+// readSpill reads a disk-tier file back into an object payload, inflating
+// a compressed (.objz) spill. Files are outside input — a crash or
+// another writer may have left anything in the directory — so a payload
+// over the memory budget fails the read, and inflation stops one byte
+// past the budget instead of allocating whatever the stream claims.
+func (s *Store) readSpill(path string) ([]byte, error) {
+	data, err := readFile(path)
+	if err == nil && strings.HasSuffix(path, ".objz") {
+		data, err = inflateAll(data, s.memBudget)
+	}
+	if err == nil && int64(len(data)) > s.memBudget {
+		err = fmt.Errorf("payload exceeds memory budget %d", s.memBudget)
+	}
+	return data, err
 }
 
 // Pin is a reference-counted lease on a memory-resident object: while
@@ -495,23 +424,16 @@ func (s *Store) Get(key string) (*Object, error) {
 // idempotent and safe to call on a nil pin.
 type Pin struct {
 	s   *Store
-	sh  *shard
 	obj *Object
 }
 
-// pinLocked acquires a pin on a resident object. Caller holds sh.mu.
-// The 0->1 transition bumps the shard generation so a cached eviction
-// snapshot that still lists the object is invalidated before it can be
-// chosen as a victim.
-func (s *Store) pinLocked(sh *shard, obj *Object) *Pin {
+// pinLocked acquires a pin on a resident object. Caller holds mu.
+func (s *Store) pinLocked(obj *Object) *Pin {
 	if obj.pins == 0 {
-		d := int64(len(obj.Data))
-		sh.pinnedBytes.Add(d)
-		s.pinnedBytes.Add(d)
-		sh.gen++
+		s.pinnedBytes.Add(int64(len(obj.Data)))
 	}
 	obj.pins++
-	return &Pin{s: s, sh: sh, obj: obj}
+	return &Pin{s: s, obj: obj}
 }
 
 // Release drops the lease. On the last release of a still-resident
@@ -522,17 +444,14 @@ func (p *Pin) Release() {
 	if p == nil || p.obj == nil {
 		return
 	}
-	sh, obj := p.sh, p.obj
+	s, obj := p.s, p.obj
 	p.obj = nil // idempotent: a second Release is a no-op
-	sh.mu.Lock()
+	s.mu.Lock()
 	obj.pins--
-	if obj.pins == 0 && sh.mem[obj.Key] == obj {
-		d := int64(len(obj.Data))
-		sh.pinnedBytes.Add(-d)
-		p.s.pinnedBytes.Add(-d)
-		sh.gen++ // the object is evictable again: invalidate snapshots
+	if obj.pins == 0 && s.mem[obj.Key] == obj {
+		s.pinnedBytes.Add(-int64(len(obj.Data)))
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // GetPinned returns the object for key together with a pin that keeps
@@ -543,26 +462,23 @@ func (p *Pin) Release() {
 // but not cache-resident, so zero-copy servers should count it as a
 // copy fallback.
 func (s *Store) GetPinned(key string) (*Object, *Pin, error) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if obj, ok := sh.mem[key]; ok {
-		p := s.pinLocked(sh, obj)
-		sh.mu.Unlock()
+	s.mu.Lock()
+	if obj, ok := s.mem[key]; ok {
+		p := s.pinLocked(obj)
+		s.mu.Unlock()
 		s.hits.Add(1)
 		return obj, p, nil
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	obj, err := s.Get(key) // promote through the singleflight path
 	if err != nil {
 		return nil, nil, err
 	}
-	sh.mu.Lock()
-	if cur, ok := sh.mem[key]; ok && cur == obj {
-		p := s.pinLocked(sh, cur)
-		sh.mu.Unlock()
-		return cur, p, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.mem[key] == obj {
+		return obj, s.pinLocked(obj), nil
 	}
-	sh.mu.Unlock()
 	return obj, nil, nil
 }
 
@@ -571,119 +487,164 @@ var readFile = os.ReadFile
 
 // Contains reports which tier (if any) holds the key.
 func (s *Store) Contains(key string) (inMem, onDisk bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, inMem = sh.mem[key]
-	_, onDisk = sh.disk[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, inMem = s.mem[key]
+	_, onDisk = s.disk[key]
 	return
 }
 
 // MarkUsed flags an object as consumed (eligible for first-priority
 // eviction when ephemeral).
 func (s *Store) MarkUsed(key string) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if obj, ok := sh.mem[key]; ok && !obj.Used {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if obj, ok := s.mem[key]; ok {
 		obj.Used = true
-		sh.gen++ // the flag changes the object's eviction priority
 	}
 }
 
 // Delete removes the object from both tiers.
 func (s *Store) Delete(key string) error {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if obj, ok := sh.mem[key]; ok {
-		d := int64(len(obj.Data))
-		delete(sh.mem, key)
-		sh.memBytes.Add(-d)
-		sh.gen++
-		s.memBytes.Add(-d)
-		if obj.pins > 0 {
-			sh.pinnedBytes.Add(-d)
-			s.pinnedBytes.Add(-d)
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if obj, ok := s.mem[key]; ok {
+		delete(s.mem, key)
+		s.dropLocked(obj)
+		s.noteWatermarkLocked()
 	}
-	var rmErr error
-	if ent, ok := sh.disk[key]; ok {
+	if ent, ok := s.disk[key]; ok {
 		s.diskBytes.Add(-ent.size)
-		delete(sh.disk, key)
+		delete(s.disk, key)
 		if err := os.Remove(ent.path); err != nil && !os.IsNotExist(err) {
-			rmErr = fmt.Errorf("storage: %w", err)
+			return fmt.Errorf("storage: %w", err)
 		}
 	}
-	sh.mu.Unlock()
-	s.noteWatermark(s.memBytes.Load())
-	return rmErr
+	return nil
 }
 
 // Persist writes an object to the disk tier (fault tolerance for
-// unpruned objects) without removing it from memory.
+// unpruned objects) without removing it from memory. The file is written
+// outside the store lock; if the key is deleted, replaced or evicted
+// meanwhile, the write is discarded and Persist reports ErrNotFound.
 func (s *Store) Persist(key string) error {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	obj, ok := sh.mem[key]
+	s.mu.Lock()
+	obj, ok := s.mem[key]
+	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return s.writeDiskLocked(sh, obj)
+	sp, err := s.writeTemp(obj)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.commitLocked(obj, sp)
 }
 
-// writeDiskLocked persists obj into the disk tier. The caller holds
-// sh.mu (obj's shard). The disk budget is reserved with a single atomic
-// add before any I/O and rolled back on failure, so two concurrent
-// spills can never both pass the check and overshoot the budget. A
-// replace is conservatively double-counted (old + new) until the old
-// entry is released after the write lands — a spill that only fits by
-// reusing its predecessor's bytes is rejected, exactly as the unsharded
-// store rejected it.
-func (s *Store) writeDiskLocked(sh *shard, obj *Object) error {
+// spillFile is a spill written to a temporary file but not yet
+// registered in the disk tier. Its size is already reserved against the
+// disk budget.
+type spillFile struct {
+	tmp, path string // the temporary file, and the key's path it is renamed to
+	size      int64
+	saved     int64 // bytes compression shaved off; > 0 exactly when compressed
+}
+
+// writeTemp writes obj's on-disk form to a fresh temporary file in the
+// key's directory. It needs no lock: Key and Data are immutable. The disk
+// budget is reserved with a single atomic add before any I/O and rolled
+// back on failure, so two concurrent spills can never both pass the check
+// and overshoot the budget. A replace is conservatively double-counted
+// (old + new) until commitLocked releases the old entry — a spill that
+// only fits by reusing its predecessor's bytes is rejected.
+func (s *Store) writeTemp(obj *Object) (spillFile, error) {
 	if s.dir == "" {
-		return fmt.Errorf("storage: no disk tier configured")
+		return spillFile{}, fmt.Errorf("storage: no disk tier configured")
 	}
 	// Objects go to disk flate-compressed when that actually shrinks them;
 	// already-compressed payloads are kept verbatim. The compressed form
 	// carries an ".objz" suffix so recovery and promotion know to inflate.
 	data := obj.Data
-	path := s.diskPath(obj.Key)
-	compressed := false
+	sp := spillFile{path: s.diskPath(obj.Key)}
 	if s.coldCompress {
 		if z, ok := deflateSmaller(obj.Data); ok {
-			data, path, compressed = z, path+"z", true
+			data, sp.path, sp.saved = z, sp.path+"z", int64(len(obj.Data)-len(z))
 		}
 	}
-	size := int64(len(data))
-	if newTotal := s.diskBytes.Add(size); s.diskBudget > 0 && newTotal > s.diskBudget {
-		s.diskBytes.Add(-size)
-		return fmt.Errorf("%w (%d + %d > %d)", ErrDiskBudget, newTotal-size, size, s.diskBudget)
+	sp.size = int64(len(data))
+	if newTotal := s.diskBytes.Add(sp.size); s.diskBudget > 0 && newTotal > s.diskBudget {
+		s.diskBytes.Add(-sp.size)
+		return spillFile{}, fmt.Errorf("%w (%d + %d > %d)", ErrDiskBudget, newTotal-sp.size, sp.size, s.diskBudget)
 	}
+	tmp, err := writeTempFile(sp.path, data)
+	if err != nil {
+		s.diskBytes.Add(-sp.size)
+		return spillFile{}, fmt.Errorf("storage: %w", err)
+	}
+	sp.tmp = tmp
+	return sp, nil
+}
+
+// writeTempFile writes data to a fresh file beside path and returns its
+// name. The name ends in ".tmp", which recovery skips.
+func writeTempFile(path string, data []byte) (string, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.diskBytes.Add(-size)
+		return "", err
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644) // the mode spill files have always had
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
+}
+
+// discard removes an unregistered spill's temporary file and releases its
+// disk reservation.
+func (s *Store) discard(sp spillFile) {
+	os.Remove(sp.tmp)
+	s.diskBytes.Add(-sp.size)
+}
+
+// commitLocked registers a spill of obj written by writeTemp, if obj is
+// still the key's resident object (an eviction pass commits before it
+// removes its victim): the temporary file is renamed onto the key's path
+// and any older entry is settled. Otherwise the key was deleted, replaced
+// or evicted since the write, and the spill is discarded. The rename
+// happens under mu, so a stale writer can never overwrite or orphan a
+// file another writer registered. Caller holds mu.
+func (s *Store) commitLocked(obj *Object, sp spillFile) error {
+	if s.mem[obj.Key] != obj {
+		s.discard(sp)
+		return fmt.Errorf("%w: %s", ErrNotFound, obj.Key)
+	}
+	if err := os.Rename(sp.tmp, sp.path); err != nil {
+		s.discard(sp)
 		return fmt.Errorf("storage: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		s.diskBytes.Add(-size)
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		s.diskBytes.Add(-size)
-		return fmt.Errorf("storage: %w", err)
-	}
-	if old, ok := sh.disk[obj.Key]; ok {
+	if old, ok := s.disk[obj.Key]; ok {
 		s.diskBytes.Add(-old.size)
-		if old.path != path {
+		if old.path != sp.path {
 			os.Remove(old.path) // suffix changed: drop the stale twin
 		}
 	}
-	sh.disk[obj.Key] = diskEntry{path: path, size: size}
+	s.disk[obj.Key] = diskEntry{path: sp.path, size: sp.size}
 	s.spills.Add(1)
-	if compressed {
+	if sp.saved > 0 {
 		s.compressedSpills.Add(1)
-		s.spillSaved.Add(int64(len(obj.Data)) - size)
+		s.spillSaved.Add(sp.saved)
 	}
 	return nil
 }
@@ -709,181 +670,94 @@ func deflateSmaller(data []byte) ([]byte, bool) {
 	return buf.Bytes(), true
 }
 
-// inflateAll reverses deflateSmaller.
-func inflateAll(data []byte) ([]byte, error) {
+// inflateAll reverses deflateSmaller, failing once the output passes
+// limit bytes.
+func inflateAll(data []byte, limit int64) ([]byte, error) {
 	zr := flate.NewReader(bytes.NewReader(data))
-	out, err := io.ReadAll(zr)
+	out, err := io.ReadAll(io.LimitReader(zr, limit+1))
 	if cerr := zr.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil && int64(len(out)) > limit {
+		err = fmt.Errorf("inflates past %d bytes", limit)
 	}
 	return out, err
 }
 
-// victim is one eviction candidate: the priority-relevant fields of an
-// object, snapshotted so passes can sort and merge without shard locks.
-type victim struct {
-	key      string
-	deadline int64
-	ueph     bool // Used && Ephemeral: the first-priority class
-}
-
-// victimBefore is the §6 eviction priority: used-and-unneeded ephemeral
-// objects first, then longest-deadline objects, keys breaking ties.
-func victimBefore(a, b victim) bool {
-	if a.ueph != b.ueph {
-		return a.ueph
-	}
-	if a.deadline != b.deadline {
-		return a.deadline > b.deadline // longest deadline first
-	}
-	return a.key < b.key
-}
-
-// refreshCand ensures shard i's candidate snapshot is current: a brief
-// lock and a gen comparison when nothing changed, a rescan and one
-// priority sort of the shard's own population (N× smaller than a global
-// sort) when it did. The sort runs outside the shard lock; evictVictim
-// re-validates gen before acting, so a snapshot gone stale mid-sort is
-// detected rather than trusted. Caller holds evictMu.
-func (s *Store) refreshCand(i int) {
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	if s.candOK[i] && s.candGen[i] == sh.gen {
-		sh.mu.Unlock()
-		return
-	}
-	vs := s.cand[i][:0]
-	for _, o := range sh.mem {
-		if o.pins > 0 {
-			// Pinned objects are mid-flight on zero-copy responses (or
-			// otherwise leased): never candidates. A pin acquired after
-			// this snapshot bumps sh.gen, so evictVictim re-validates
-			// before acting on a stale listing.
-			continue
+// victimOrder is the §6 eviction priority as a slices.SortFunc
+// comparison: used-and-unneeded ephemeral objects first, then
+// longest-deadline objects, keys breaking ties.
+func victimOrder(a, b *Object) int {
+	if ua, ub := a.Used && a.Ephemeral, b.Used && b.Ephemeral; ua != ub {
+		if ua {
+			return -1
 		}
-		vs = append(vs, victim{key: o.Key, deadline: o.Deadline, ueph: o.Used && o.Ephemeral})
+		return 1
 	}
-	gen := sh.gen
-	sh.mu.Unlock()
-	sort.Slice(vs, func(a, b int) bool { return victimBefore(vs[a], vs[b]) })
-	s.cand[i], s.candGen[i], s.candPos[i], s.candOK[i] = vs, gen, 0, true
+	if c := cmp.Compare(b.Deadline, a.Deadline); c != 0 {
+		return c // longest deadline first
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
-// nextVictim returns shard i's best remaining candidate, if any. Caller
-// holds evictMu.
-func (s *Store) nextVictim(i int) (victim, bool) {
-	s.refreshCand(i)
-	if s.candPos[i] >= len(s.cand[i]) {
-		return victim{}, false
-	}
-	return s.cand[i][s.candPos[i]], true
-}
-
-// evictVictim evicts shard i's current head candidate, spilling
-// non-ephemeral objects through to the disk tier first (the spill is
-// atomic — reserve → write → account — with no unlock/relock). Returns
-// false without evicting when a concurrent mutation invalidated the
-// snapshot; the caller's next nextVictim rebuilds it. Caller holds
-// evictMu.
-func (s *Store) evictVictim(i int) (bool, error) {
-	v := s.cand[i][s.candPos[i]]
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	if sh.gen != s.candGen[i] {
-		sh.mu.Unlock()
-		s.candOK[i] = false
-		return false, nil
-	}
-	o := sh.mem[v.key] // gen matched, so the snapshot is live
-	if !o.Ephemeral && s.dir != "" {
-		if _, onDisk := sh.disk[o.Key]; !onDisk {
-			if err := s.writeDiskLocked(sh, o); err != nil && s.memBytes.Load() > s.memBudget {
-				sh.mu.Unlock()
-				return false, fmt.Errorf("storage: cannot spill %s and memory over budget: %w", o.Key, err)
-			}
-		}
-	}
-	d := int64(len(o.Data))
-	delete(sh.mem, v.key)
-	sh.memBytes.Add(-d)
-	s.memBytes.Add(-d)
-	s.evictions.Add(1)
-	sh.gen++
-	s.candGen[i] = sh.gen // our own mutation keeps the snapshot valid
-	s.candPos[i]++
-	sh.mu.Unlock()
-	s.passEvicted[i]++
-	s.passFreed[i] += d
-	return true, nil
-}
-
-// maybeEvict enforces the 75% policy across shards. When the atomic
-// total crosses the watermark, one caller at a time (evictMu) merges the
-// per-shard candidate snapshots: each victim is taken from whichever
-// shard holds the globally best candidate in victimBefore order, until
-// the total is back under the watermark. The evicted set is therefore
-// exactly the unsharded store's at every shard count. Callers below the
-// watermark pay one atomic load.
-func (s *Store) maybeEvict() error {
+// evictLocked enforces the 75% policy. Over the watermark, it sorts the
+// unpinned objects once by victimOrder and evicts from the head —
+// spilling non-ephemeral objects to the disk tier first — until the store
+// is back under the watermark. Pinned objects are mid-flight on zero-copy
+// responses (or otherwise leased) and are never victims. It returns a
+// non-empty storm reason for the caller to report once mu is released.
+// Caller holds mu.
+func (s *Store) evictLocked() (storm string, err error) {
 	thr := s.watermark()
 	if s.memBytes.Load() <= thr {
-		return nil
-	}
-	// The storm hook must run outside evictMu (it may dump traces or take
-	// foreign locks); deferred before the lock so it fires after Unlock.
-	var storm string
-	defer func() {
-		if storm != "" && s.onStorm != nil {
-			s.onStorm(storm)
-		}
-	}()
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
-	if s.memBytes.Load() <= thr {
-		return nil
+		return "", nil
 	}
 	passStart := s.tr.Now()
-	for i := range s.shards {
-		s.passEvicted[i], s.passFreed[i] = 0, 0
+	vs := make([]*Object, 0, len(s.mem))
+	for _, o := range s.mem {
+		if o.pins == 0 {
+			vs = append(vs, o)
+		}
 	}
-	for s.memBytes.Load() > thr {
-		best, bestV := -1, victim{}
-		for i := range s.shards {
-			if v, ok := s.nextVictim(i); ok && (best < 0 || victimBefore(v, bestV)) {
-				best, bestV = i, v
+	slices.SortFunc(vs, victimOrder)
+	var evicted, freed int64
+	for _, o := range vs {
+		if s.memBytes.Load() <= thr {
+			break
+		}
+		if !o.Ephemeral && s.dir != "" {
+			if _, onDisk := s.disk[o.Key]; !onDisk {
+				sp, err := s.writeTemp(o)
+				if err == nil {
+					err = s.commitLocked(o, sp)
+				}
+				if err != nil && s.memBytes.Load() > s.memBudget {
+					return "", fmt.Errorf("storage: cannot spill %s and memory over budget: %w", o.Key, err)
+				}
 			}
 		}
-		if best < 0 {
-			break // everything evictable is gone
-		}
-		if _, err := s.evictVictim(best); err != nil {
-			return err
-		}
+		delete(s.mem, o.Key)
+		s.dropLocked(o)
+		s.evictions.Add(1)
+		evicted++
+		freed += int64(len(o.Data))
 	}
 
-	if s.tr.Enabled() {
-		for i := range s.shards {
-			if s.passEvicted[i] > 0 {
-				s.tr.Span("storage", "evict_pass", 0, passStart, fmt.Sprintf(
-					"shard %d: evicted %d objects, freed %d bytes", i, s.passEvicted[i], s.passFreed[i]))
-			}
+	if evicted > 0 {
+		if s.tr.Enabled() {
+			s.tr.Span("storage", "evict_pass", 0, passStart,
+				fmt.Sprintf("evicted %d objects, freed %d bytes", evicted, freed))
 		}
-	}
-	var passTotal int64
-	for i := range s.shards {
-		passTotal += s.passEvicted[i]
-	}
-	if passTotal > 0 {
 		storm = s.noteEvictPassLocked()
 	}
-	s.noteWatermark(s.memBytes.Load())
-	return nil
+	s.noteWatermarkLocked()
+	return storm, nil
 }
 
 // noteEvictPassLocked records one evicting pass and returns a non-empty
 // storm reason when the pass completed a storm (stormPasses evicting
-// passes inside stormWindow, outside the cooldown). Caller holds
-// evictMu; the returned reason is acted on after the lock is dropped.
+// passes inside stormWindow, outside the cooldown). Caller holds mu; the
+// returned reason is acted on after the lock is dropped.
 func (s *Store) noteEvictPassLocked() string {
 	now := time.Now()
 	oldest := s.stormTimes[s.stormIdx] // about to be overwritten: the Nth-last pass
@@ -905,21 +779,18 @@ func (s *Store) noteEvictPassLocked() string {
 // Keys returns all keys with the given prefix, across both tiers, sorted.
 func (s *Store) Keys(prefix string) []string {
 	set := map[string]bool{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.mem {
-			if strings.HasPrefix(k, prefix) {
-				set[k] = true
-			}
+	s.mu.Lock()
+	for k := range s.mem {
+		if strings.HasPrefix(k, prefix) {
+			set[k] = true
 		}
-		for k := range sh.disk {
-			if strings.HasPrefix(k, prefix) {
-				set[k] = true
-			}
-		}
-		sh.mu.Unlock()
 	}
+	for k := range s.disk {
+		if strings.HasPrefix(k, prefix) {
+			set[k] = true
+		}
+	}
+	s.mu.Unlock()
 	out := make([]string, 0, len(set))
 	for k := range set {
 		out = append(out, k)
@@ -929,7 +800,7 @@ func (s *Store) Keys(prefix string) []string {
 }
 
 // Stats returns a snapshot of the store counters. Byte totals and event
-// counters are atomic loads; object counts take each shard lock briefly.
+// counters are atomic loads; object counts take the lock briefly.
 func (s *Store) Stats() Stats {
 	st := Stats{
 		MemBytes:         s.memBytes.Load(),
@@ -944,13 +815,10 @@ func (s *Store) Stats() Stats {
 		CompressedSpills: s.compressedSpills.Load(),
 		SpillBytesSaved:  s.spillSaved.Load(),
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		st.MemObjects += len(sh.mem)
-		st.DiskObjects += len(sh.disk)
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	st.MemObjects = len(s.mem)
+	st.DiskObjects = len(s.disk)
+	s.mu.Unlock()
 	return st
 }
 

@@ -11,7 +11,6 @@ func TestEvictStormFiresHook(t *testing.T) {
 	var reasons []string
 	s, err := Open(Options{
 		MemBudget: 1000, // watermark 750
-		Shards:    1,
 		OnEvictStorm: func(reason string) {
 			mu.Lock()
 			reasons = append(reasons, reason)
@@ -49,7 +48,6 @@ func TestNoStormBelowThreshold(t *testing.T) {
 	fired := false
 	s, err := Open(Options{
 		MemBudget:    1000,
-		Shards:       1,
 		OnEvictStorm: func(string) { fired = true },
 	})
 	if err != nil {

@@ -323,7 +323,7 @@ func TestReadAheadZeroDisables(t *testing.T) {
 // every prefetch and descriptor pin drains when the server closes.
 func TestReadaheadStalledClientBounded(t *testing.T) {
 	const depth = 2
-	srv, pp, addr := startPinnedServer(t, 64<<20, 4, Options{ReadAhead: depth})
+	srv, pp, addr := startPinnedServer(t, 64<<20, Options{ReadAhead: depth})
 	cli := dialT(t, addr)
 	defer cli.Shutdown()
 

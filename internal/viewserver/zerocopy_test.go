@@ -23,9 +23,9 @@ type pinnedProvider struct {
 	store *storage.Store
 }
 
-func newPinnedProvider(t testing.TB, budget int64, shards int) *pinnedProvider {
+func newPinnedProvider(t testing.TB, budget int64) *pinnedProvider {
 	t.Helper()
-	st, err := storage.Open(storage.Options{MemBudget: budget, Shards: shards})
+	st, err := storage.Open(storage.Options{MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func (pp *pinnedProvider) MaterializePinned(vp vfs.Path) (*vfs.View, error) {
 }
 
 // startPinnedServer launches a server whose mount pins batch payloads
-// out of a store with the given budget/shards.
-func startPinnedServer(t *testing.T, budget int64, shards int, opts Options) (*Server, *pinnedProvider, string) {
+// out of a store with the given budget.
+func startPinnedServer(t *testing.T, budget int64, opts Options) (*Server, *pinnedProvider, string) {
 	t.Helper()
-	pp := newPinnedProvider(t, budget, shards)
+	pp := newPinnedProvider(t, budget)
 	srv := New(vfs.New(pp), opts)
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -81,7 +81,7 @@ func startPinnedServer(t *testing.T, budget int64, shards int, opts Options) (*S
 // every pin drains once descriptors close and the server shuts down.
 func TestZeroCopyServesPinned(t *testing.T) {
 	reg := obs.New()
-	srv, pp, addr := startPinnedServer(t, 64<<20, 4, Options{ReadAhead: 2, Obs: reg})
+	srv, pp, addr := startPinnedServer(t, 64<<20, Options{ReadAhead: 2, Obs: reg})
 	c := dialT(t, addr)
 	defer c.Shutdown()
 
@@ -155,7 +155,7 @@ func TestUnpinnedIsFallback(t *testing.T) {
 // byte-for-byte (no pinned payload mutated or freed mid-response), and
 // all pins must reconcile to zero afterwards. Run with -race.
 func TestZeroCopyEvictionStress(t *testing.T) {
-	srv, pp, addr := startPinnedServer(t, 96<<10, 4, Options{ReadAhead: 2})
+	srv, pp, addr := startPinnedServer(t, 96<<10, Options{ReadAhead: 2})
 
 	const clients = 4
 	const iters = 40

@@ -45,6 +45,9 @@ go test -run=xxx -fuzz=FuzzInflate -fuzztime=10s ./internal/inflate/
 echo "== TVC container parse + decode fuzz (10s)"
 go test -run=xxx -fuzz=FuzzParseVideo -fuzztime=10s ./internal/codec/
 
+echo "== disk-tier recovery fuzz over garbled .obj/.objz spills (10s)"
+go test -run=xxx -fuzz=FuzzRecover -fuzztime=10s ./internal/storage/
+
 echo "== overlap-aware reuse smoke (superset hits)"
 # The four-view overlapping-crop quickstart must take the superset path
 # (nonzero superset hits) — see DESIGN.md §9. Byte identity to a naive
