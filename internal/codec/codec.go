@@ -15,10 +15,11 @@
 // I-frames use left-neighbour spatial prediction; P-frames use temporal
 // prediction against the previous reconstructed frame. Residuals are
 // entropy-coded with DEFLATE: compress/flate writes them, and
-// internal/inflate decodes each payload in one call into the decoder's
-// residual buffer, whose size the container header fixes. Encoding is
-// lossless: the decoder reconstructs bit-exact pixels, which the test
-// suite verifies.
+// internal/inflate decodes each payload in one call straight into the
+// destination frame, whose size the container header fixes; the decoder
+// then undoes the prediction in place. Encoding is lossless: the decoder
+// reconstructs bit-exact pixels, which the test suite verifies against a
+// compress/flate reference.
 package codec
 
 import (

@@ -443,15 +443,28 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecodeSequential(b *testing.B) {
-	rng := rand.New(rand.NewSource(18))
-	clip := syntheticClip(rng, 30, 128, 96, 3)
-	v, _ := Encode(clip, EncodeParams{GOP: 10, FPS: 30})
-	b.SetBytes(int64(clip.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewDecoder(v, nil).DecodeAll(); err != nil {
-			b.Fatal(err)
-		}
+	// 192x108x3-gop30 is the geometry of the bench/ corpus that
+	// cold_decode decodes.
+	for _, bc := range []struct {
+		name         string
+		frames, w, h int
+		gop          int
+	}{
+		{"128x96x3-gop10", 30, 128, 96, 10},
+		{"192x108x3-gop30", 30, 192, 108, 30},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(18))
+			clip := syntheticClip(rng, bc.frames, bc.w, bc.h, 3)
+			v, _ := Encode(clip, EncodeParams{GOP: bc.gop, FPS: 30})
+			b.SetBytes(int64(clip.Bytes()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewDecoder(v, nil).DecodeAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -41,37 +42,41 @@ func (s *Stats) Reset() {
 }
 
 // Decoder reconstructs frames from a TVC container. A Decoder keeps the
-// last reconstructed frame so sequential access is O(1) per frame; random
-// access seeks to the preceding keyframe and rolls forward (decode
-// amplification). A Decoder is not safe for concurrent use; create one per
-// goroutine and share the immutable *Video.
+// last reconstructed frame as its reference, so sequential access is O(1)
+// per frame; random access seeks to the preceding keyframe and rolls
+// forward (decode amplification). A Decoder is not safe for concurrent
+// use; create one per goroutine and share the immutable *Video.
 //
-// Reconstruction ping-pongs between two internal pooled buffers, so a
-// roll-forward of N frames performs zero per-frame allocations; only the
-// frames the caller actually requests are copied out (Frame returns a
-// clone). Call Close when done to return the buffers to the frame pool.
+// Every frame is reconstructed in place in its destination: the payload
+// inflates straight into the frame's pixels, which then become the
+// I-frame row prefix sums or the P-frame sum with the reference. The
+// decoder never writes its reference. Frame rolls forward through two
+// internal pooled buffers and copies out only the frame the caller asked
+// for; DecodeNext decodes into a frame the caller owns, which then serves
+// as the reference with no copy at all. Call Close when done to return the
+// pooled buffers to the frame pool.
 type Decoder struct {
 	v     *Video
 	stats *Stats
-	// last is the most recently reconstructed frame, lastIdx its number.
-	// last always aliases bufA or bufB.
+	// last is the reference (the most recently reconstructed or primed
+	// frame), lastIdx its number. It aliases bufA, bufB or a caller's
+	// frame, and is only ever read.
 	last       *frame.Frame
 	lastIdx    int
-	scratch    []byte
 	bufA, bufB *frame.Frame
 }
 
 // NewDecoder creates a decoder over v. stats may be nil.
 func NewDecoder(v *Video, stats *Stats) *Decoder {
-	return &Decoder{v: v, stats: stats, lastIdx: -1, scratch: make([]byte, v.W*v.H*v.C)}
+	return &Decoder{v: v, stats: stats, lastIdx: -1}
 }
 
 // Video returns the container being decoded.
 func (d *Decoder) Video() *Video { return d.v }
 
 // target returns the internal reconstruction buffer that does not hold
-// d.last, allocating lazily. Its contents are fully overwritten by the
-// reconstruction kernels before anyone reads them.
+// d.last, allocating lazily. Its contents are fully overwritten by
+// reconstruct before anyone reads them.
 func (d *Decoder) target() *frame.Frame {
 	if d.bufA == nil {
 		d.bufA = frame.NewPooled(d.v.W, d.v.H, d.v.C)
@@ -85,23 +90,51 @@ func (d *Decoder) target() *frame.Frame {
 	return d.bufA
 }
 
-// Prime seeds the decoder's reference state with an already-reconstructed
-// frame (which must be the bit-exact pixels of frame idx), so decoding
-// can continue from idx+1 without rolling forward from the keyframe. The
-// decoded-GOP cache uses this to extend a partially decoded GOP.
+// checkGeometry refuses a frame whose shape differs from the video's.
+func (d *Decoder) checkGeometry(f *frame.Frame) error {
+	if f == nil || f.W != d.v.W || f.H != d.v.H || f.C != d.v.C || len(f.Pix) != d.v.W*d.v.H*d.v.C {
+		return fmt.Errorf("codec: frame geometry does not match the video's %dx%dx%d", d.v.W, d.v.H, d.v.C)
+	}
+	return nil
+}
+
+// Prime seeds the decoder's reference with an already-reconstructed frame
+// (which must be the bit-exact pixels of frame idx), so decoding can
+// continue from idx+1 without rolling forward from the keyframe. The
+// decoder holds ref by alias and never writes it; the caller must not
+// change it while it is the reference. The decoded-GOP cache uses this to
+// extend a partially decoded GOP.
 func (d *Decoder) Prime(ref *frame.Frame, idx int) error {
 	if idx < 0 || idx >= d.v.FrameCount {
 		return fmt.Errorf("codec: prime index %d out of range [0,%d)", idx, d.v.FrameCount)
 	}
-	if ref == nil || ref.W != d.v.W || ref.H != d.v.H || ref.C != d.v.C {
-		return fmt.Errorf("codec: prime frame geometry mismatch")
+	if err := d.checkGeometry(ref); err != nil {
+		return err
 	}
-	t := d.target()
-	copy(t.Pix, ref.Pix)
-	t.Index = idx
-	t.PTS = int64(idx) * 1000 / int64(d.v.FPS)
-	d.last, d.lastIdx = t, idx
+	d.last, d.lastIdx = ref, idx
 	return nil
+}
+
+// DecodeNext decodes frame i into dst, which the caller owns and which
+// becomes the decoder's reference: the caller must not change it while
+// it is. Frame i must be an I-frame or the successor of the reference.
+// DecodeNext refuses a dst of the wrong geometry or one that shares its
+// pixels with the reference. On error dst's pixels are unspecified and
+// the reference is unchanged.
+func (d *Decoder) DecodeNext(i int, dst *frame.Frame) error {
+	if i < 0 || i >= d.v.FrameCount {
+		return fmt.Errorf("codec: frame %d out of range [0,%d)", i, d.v.FrameCount)
+	}
+	if err := d.checkGeometry(dst); err != nil {
+		return err
+	}
+	if d.last != nil && &dst.Pix[0] == &d.last.Pix[0] {
+		return fmt.Errorf("codec: frame %d destination aliases the reference frame %d", i, d.lastIdx)
+	}
+	if d.stats != nil {
+		d.stats.FramesRequested.Add(1)
+	}
+	return d.reconstruct(i, dst)
 }
 
 // Close returns the decoder's internal buffers to the frame pool. The
@@ -119,61 +152,91 @@ func (d *Decoder) Close() {
 	}
 }
 
-// decodeOne reconstructs frame i assuming its reference (i-1, for P-frames)
-// is already in d.last.
-func (d *Decoder) decodeOne(i int) (*frame.Frame, error) {
+// reconstruct decodes frame i into dst, which must have the video's
+// geometry and must not be the reference, and makes dst the reference.
+// It is the one reconstruction routine: the payload inflates straight
+// into dst.Pix, and the prediction is undone there in place.
+func (d *Decoder) reconstruct(i int, dst *frame.Frame) error {
 	e := d.v.index[i]
+	if e.ftype == PFrame && (d.last == nil || d.lastIdx != i-1) {
+		return fmt.Errorf("codec: P-frame %d decoded without reference %d", i, i-1)
+	}
 	data := d.v.Data
 	if e.offset+4 > uint64(len(data)) {
-		return nil, fmt.Errorf("codec: frame %d offset corrupt", i)
+		return fmt.Errorf("codec: frame %d offset corrupt", i)
 	}
-	sz := int(uint32(data[e.offset]) | uint32(data[e.offset+1])<<8 | uint32(data[e.offset+2])<<16 | uint32(data[e.offset+3])<<24)
+	sz := int(binary.LittleEndian.Uint32(data[e.offset:]))
 	start := int(e.offset) + 4
-	if start+sz > len(data) {
-		return nil, fmt.Errorf("codec: frame %d payload truncated", i)
+	if sz > len(data)-start {
+		return fmt.Errorf("codec: frame %d payload truncated", i)
 	}
-	if err := inflate.Raw(d.scratch, data[start:start+sz]); err != nil {
-		return nil, fmt.Errorf("codec: frame %d: %w", i, err)
+	if err := inflate.Raw(dst.Pix, data[start:start+sz]); err != nil {
+		return fmt.Errorf("codec: frame %d: %w", i, err)
 	}
-	// Reconstruct into the ping-pong buffer not holding the reference;
-	// both kernels below overwrite every sample.
-	f := d.target()
-	f.Index = i
-	f.PTS = int64(i) * 1000 / int64(d.v.FPS)
-	switch e.ftype {
-	case IFrame:
-		reconstructIntra(f, d.scratch)
-	case PFrame:
-		if d.last == nil || d.lastIdx != i-1 {
-			return nil, fmt.Errorf("codec: P-frame %d decoded without reference %d", i, i-1)
-		}
-		for j := range f.Pix {
-			f.Pix[j] = d.scratch[j] + d.last.Pix[j]
-		}
+	if e.ftype == IFrame {
+		prefixRows(dst.Pix, d.v.W)
+	} else {
+		addReference(dst.Pix, d.last.Pix)
 	}
+	dst.Index = i
+	dst.PTS = int64(i) * 1000 / int64(d.v.FPS)
 	if d.stats != nil {
 		d.stats.FramesDecoded.Add(1)
 		d.stats.BytesInflated.Add(int64(sz))
 	}
-	d.last, d.lastIdx = f, i
-	return f, nil
+	d.last, d.lastIdx = dst, i
+	return nil
 }
 
-func reconstructIntra(f *frame.Frame, residual []byte) {
-	w := f.W
-	for c := 0; c < f.C; c++ {
-		plane := f.Plane(c)
-		res := residual[c*f.W*f.H : (c+1)*f.W*f.H]
-		for y := 0; y < f.H; y++ {
-			row := plane[y*w : (y+1)*w]
-			rrow := res[y*w : (y+1)*w]
-			prev := byte(0)
-			for x := range row {
-				row[x] = rrow[x] + prev
-				prev = row[x]
-			}
+// prefixRows undoes left-neighbour prediction in place: every row of w
+// samples (rows of all planes lie back to back) becomes its running sum.
+func prefixRows(pix []byte, w int) {
+	for len(pix) >= w {
+		row := pix[:w]
+		var acc byte
+		for x := range row {
+			acc += row[x]
+			row[x] = acc
 		}
+		pix = pix[w:]
 	}
+}
+
+// hiBits selects the top bit of each byte of a word.
+const hiBits = 0x8080808080808080
+
+// addReference undoes temporal prediction in place, dst[j] += ref[j]
+// modulo 256. ref must be at least as long as dst. Whole 64-byte blocks
+// take eight add8 steps, which the compiler proves in bounds; a byte loop
+// takes the tail.
+func addReference(dst, ref []byte) {
+	ref = ref[:len(dst)]
+	for len(dst) >= 64 && len(ref) >= 64 {
+		d, r := dst[:64], ref[:64]
+		add8(d[0:], r[0:])
+		add8(d[8:], r[8:])
+		add8(d[16:], r[16:])
+		add8(d[24:], r[24:])
+		add8(d[32:], r[32:])
+		add8(d[40:], r[40:])
+		add8(d[48:], r[48:])
+		add8(d[56:], r[56:])
+		dst, ref = dst[64:], ref[64:]
+	}
+	ref = ref[:len(dst)]
+	for j := range dst {
+		dst[j] += ref[j]
+	}
+}
+
+// add8 adds the first eight bytes of r to those of d as one uint64: the
+// low seven bits of every byte add without a carry crossing into the next
+// byte, and the top bits, whose carry out is discarded, are restored by
+// xor.
+func add8(d, r []byte) {
+	x := binary.LittleEndian.Uint64(d)
+	y := binary.LittleEndian.Uint64(r)
+	binary.LittleEndian.PutUint64(d, ((x&^hiBits)+(y&^hiBits))^((x^y)&hiBits))
 }
 
 // Frame returns frame i, decoding from the nearest usable reference. This
@@ -188,8 +251,10 @@ func (d *Decoder) Frame(i int) (*frame.Frame, error) {
 	}
 	if d.lastIdx == i && d.last != nil {
 		// Already decoded; return a copy so the caller cannot corrupt
-		// decoder state.
-		return d.last.Clone(), nil
+		// decoder state. A primed reference may carry another number.
+		f := d.last.Clone()
+		f.Index, f.PTS = i, int64(i)*1000/int64(d.v.FPS)
+		return f, nil
 	}
 	start := d.lastIdx + 1
 	if d.last == nil || i < start {
@@ -211,15 +276,12 @@ func (d *Decoder) Frame(i int) (*frame.Frame, error) {
 			d.stats.Seeks.Add(1)
 		}
 	}
-	var f *frame.Frame
 	for j := start; j <= i; j++ {
-		var err error
-		f, err = d.decodeOne(j)
-		if err != nil {
+		if err := d.reconstruct(j, d.target()); err != nil {
 			return nil, err
 		}
 	}
-	return f.Clone(), nil
+	return d.last.Clone(), nil
 }
 
 // Frames decodes the given frame indices (which must be ascending) with a
@@ -243,16 +305,18 @@ func (d *Decoder) Frames(indices []int) ([]*frame.Frame, error) {
 	return out, nil
 }
 
-// DecodeAll reconstructs the full video as a clip.
+// DecodeAll reconstructs the full video as a clip, each frame decoded in
+// place into its own buffer. The clip belongs to the caller: the decoder
+// keeps no reference into it.
 func (d *Decoder) DecodeAll() (*frame.Clip, error) {
-	frames := make([]*frame.Frame, 0, d.v.FrameCount)
-	for i := 0; i < d.v.FrameCount; i++ {
-		f, err := d.Frame(i)
-		if err != nil {
+	frames := make([]*frame.Frame, d.v.FrameCount)
+	for i := range frames {
+		frames[i] = frame.New(d.v.W, d.v.H, d.v.C)
+		if err := d.DecodeNext(i, frames[i]); err != nil {
 			return nil, err
 		}
-		frames = append(frames, f)
 	}
+	d.last, d.lastIdx = nil, -1
 	return frame.NewClip(frames)
 }
 

@@ -122,11 +122,10 @@ func (c *gopCache) build(ent *dataset.Entry, e *gopEntry, k, idx int) {
 	defer e.mu.Unlock()
 	defer close(e.ready)
 	dec := codec.NewDecoder(ent.Video, nil)
-	defer dec.Close()
 	frames := make([]*frame.Frame, 0, idx-k+1)
 	var bytes int64
 	for j := k; j <= idx; j++ {
-		f, err := dec.Frame(j)
+		f, err := decodeInto(dec, j)
 		if err != nil {
 			e.err = err
 			return
@@ -141,6 +140,7 @@ func (c *gopCache) build(ent *dataset.Entry, e *gopEntry, k, idx int) {
 
 // extend grows e's decoded prefix through idx, priming a decoder with the
 // deepest already-reconstructed frame so no roll-forward work repeats.
+// Frames appended before a failing decode stay cached and are charged.
 func (c *gopCache) extend(ent *dataset.Entry, e *gopEntry, idx int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -151,13 +151,13 @@ func (c *gopCache) extend(ent *dataset.Entry, e *gopEntry, idx int) error {
 		return nil
 	}
 	dec := codec.NewDecoder(ent.Video, nil)
-	defer dec.Close()
 	if err := dec.Prime(e.frames[len(e.frames)-1], e.decodedThrough); err != nil {
 		return err
 	}
 	var bytes, n int64
+	defer func() { c.account(e, bytes, n) }()
 	for j := e.decodedThrough + 1; j <= idx; j++ {
-		f, err := dec.Frame(j)
+		f, err := decodeInto(dec, j)
 		if err != nil {
 			return err
 		}
@@ -166,8 +166,20 @@ func (c *gopCache) extend(ent *dataset.Entry, e *gopEntry, idx int) error {
 		bytes += int64(f.Bytes())
 		n++
 	}
-	c.account(e, bytes, n)
 	return nil
+}
+
+// decodeInto decodes frame j, the successor of dec's reference or a
+// keyframe, into a frame of its own that the cache keeps and that serves
+// as the reference for j+1: each cached frame is written once, by the
+// decoder, and never copied.
+func decodeInto(dec *codec.Decoder, j int) (*frame.Frame, error) {
+	v := dec.Video()
+	f := frame.New(v.W, v.H, v.C)
+	if err := dec.DecodeNext(j, f); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // account records freshly decoded bytes/frames and enforces the budget.

@@ -165,6 +165,46 @@ func TestGOPCacheConcurrentAdjacentGOPs(t *testing.T) {
 	}
 }
 
+// TestGOPCacheFailedExtendChargesDecodedFrames corrupts a payload in the
+// middle of a GOP and extends past it: the frames decoded before the
+// failure stay cached, so the entry, the cache budget and the decode
+// counter must all account for them.
+func TestGOPCacheFailedExtendChargesDecodedFrames(t *testing.T) {
+	clean, ent := gopTestEntry(t, "v", 20, 20), gopTestEntry(t, "v", 20, 20) // one GOP
+	data := append([]byte(nil), ent.Video.Data...)
+	at := len(data) * 6 / 10
+	for i := at; i < at+40; i++ {
+		data[i] ^= 0xff
+	}
+	v, err := codec.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent.Video = v
+	c := newGOPCache(1<<30, nil)
+	e, err := c.acquire(ent, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.release(e)
+	if _, err := c.frameFrom(ent, e, 8); err == nil {
+		t.Fatal("frame 8 decoded through a corrupt payload")
+	}
+	const frameBytes = 32 * 24 * 3
+	if len(e.frames) != 7 || e.decodedThrough != 6 {
+		t.Fatalf("cached %d frames through %d, want 7 through 6 (frame 7 is the first corrupt one)", len(e.frames), e.decodedThrough)
+	}
+	for i, f := range e.frames {
+		if !framesEqual(f, decodeRef(t, clean, i)) {
+			t.Fatalf("cached frame %d differs from the reference decode", i)
+		}
+	}
+	if e.bytes != 7*frameBytes || c.bytes.Load() != 7*frameBytes || c.framesDecoded.Load() != 7 {
+		t.Fatalf("charged %d B to the entry and %d B to the cache, counted %d frames; holds %d B in 7 frames",
+			e.bytes, c.bytes.Load(), c.framesDecoded.Load(), 7*frameBytes)
+	}
+}
+
 // TestGOPCacheByteBudgetEviction verifies the byte accounting: filling
 // the cache past its budget evicts LRU unpinned entries and the resident
 // byte count stays within the limit once nothing is pinned.
