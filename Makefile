@@ -7,14 +7,15 @@ test:
 	go build ./...
 	go test ./...
 
-# Dataplane, frame-decoder, frame-encoder, batch-, inflate, TVC-container
-# and disk-tier recovery fuzzing (bounded; extend -fuzztime for longer
-# campaigns).
+# Dataplane, frame-decoder, frame-encoder, batch-, GOP-cache request-order,
+# inflate, TVC-container and disk-tier recovery fuzzing (bounded; extend
+# -fuzztime for longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
 	go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/frame/
 	go test -run=xxx -fuzz=FuzzEncodeFrame -fuzztime=30s -fuzzminimizetime=1s ./internal/frame/
 	go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/core/
+	go test -run=xxx -fuzz=FuzzGOPRequests -fuzztime=30s ./internal/core/
 	go test -run=xxx -fuzz=FuzzInflate -fuzztime=30s ./internal/inflate/
 	go test -run=xxx -fuzz=FuzzParseVideo -fuzztime=30s ./internal/codec/
 	go test -run=xxx -fuzz=FuzzRecover -fuzztime=30s ./internal/storage/

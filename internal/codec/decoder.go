@@ -71,9 +71,6 @@ func NewDecoder(v *Video, stats *Stats) *Decoder {
 	return &Decoder{v: v, stats: stats, lastIdx: -1}
 }
 
-// Video returns the container being decoded.
-func (d *Decoder) Video() *Video { return d.v }
-
 // target returns the internal reconstruction buffer that does not hold
 // d.last, allocating lazily. Its contents are fully overwritten by
 // reconstruct before anyone reads them.
@@ -103,7 +100,7 @@ func (d *Decoder) checkGeometry(f *frame.Frame) error {
 // continue from idx+1 without rolling forward from the keyframe. The
 // decoder holds ref by alias and never writes it; the caller must not
 // change it while it is the reference. The decoded-GOP cache uses this to
-// extend a partially decoded GOP.
+// roll forward from the nearest frame it holds.
 func (d *Decoder) Prime(ref *frame.Frame, idx int) error {
 	if idx < 0 || idx >= d.v.FrameCount {
 		return fmt.Errorf("codec: prime index %d out of range [0,%d)", idx, d.v.FrameCount)

@@ -17,8 +17,10 @@ import (
 // indices land in the same group of pictures decode it once and share the
 // reconstructed frames. This is where the paper's decode-amplification
 // argument pays off at runtime — random access to frame n costs decoding
-// the whole keyframe-to-n prefix, so the prefix is cached per GOP and
-// grown lazily ("extension") instead of being re-rolled per sample.
+// the whole keyframe-to-n prefix, so a GOP's entry keeps the frames
+// samples asked for and rolls forward from the nearest of them instead of
+// from the keyframe. Frames nobody asked for pass through one scratch
+// buffer and are not kept.
 //
 // Entries are ref-counted: a materialization pins every GOP it touches
 // through a gopLease and releases them when the sample completes, so
@@ -57,11 +59,12 @@ type gopKey struct {
 	start int // keyframe index opening the GOP
 }
 
-// gopEntry holds the decoded prefix of one GOP: frames[i] is the
-// reconstructed frame start+i, for start <= idx <= decodedThrough.
+// gopEntry holds the requested frames of one GOP: frames[i] is the
+// reconstructed frame start+i if some caller asked for it, and nil
+// otherwise. The deepest frame decoded so far is always held, because a
+// roll decodes only up to the frame it was asked for.
 type gopEntry struct {
-	key   gopKey
-	ready chan struct{} // closed when the initial build completes
+	key gopKey
 
 	// guarded by gopCache.mu
 	refs    int
@@ -75,12 +78,10 @@ type gopEntry struct {
 	// accounted into bytes and dropped with the entry.
 	derived map[string]*derivedSlot
 
-	// mu serializes build/extend; frames[:decodedThrough-start+1] are
-	// immutable once published and shared read-only across samples.
-	mu             sync.Mutex
-	frames         []*frame.Frame
-	decodedThrough int
-	err            error
+	// mu serializes rolls, so concurrent requests for one frame decode it
+	// once; a held frame is immutable and shared read-only across samples.
+	mu     sync.Mutex
+	frames []*frame.Frame
 }
 
 func newGOPCache(budget int64, pressure func() float64) *gopCache {
@@ -90,8 +91,9 @@ func newGOPCache(budget int64, pressure func() float64) *gopCache {
 	return &gopCache{budget: budget, pressure: pressure, entries: map[gopKey]*gopEntry{}}
 }
 
-// acquire pins the GOP containing idx, building (decoding) it on first
-// touch. The caller must release the returned entry exactly once.
+// acquire pins the GOP containing idx, creating its (empty) entry on
+// first touch; frames are decoded by roll. The caller must release the
+// returned entry exactly once.
 func (c *gopCache) acquire(ent *dataset.Entry, idx int) (*gopEntry, error) {
 	k, err := ent.Video.KeyframeBefore(idx)
 	if err != nil {
@@ -99,87 +101,70 @@ func (c *gopCache) acquire(ent *dataset.Entry, idx int) (*gopEntry, error) {
 	}
 	key := gopKey{video: ent.Spec.Name, start: k}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.clock++
 	if e, ok := c.entries[key]; ok {
 		e.refs++
 		e.lastUse = c.clock
 		c.hits.Add(1)
-		c.mu.Unlock()
 		return e, nil
 	}
-	e := &gopEntry{key: key, ready: make(chan struct{}), refs: 1, lastUse: c.clock}
+	e := &gopEntry{key: key, refs: 1, lastUse: c.clock}
 	c.entries[key] = e
 	c.misses.Add(1)
-	c.mu.Unlock()
-
-	c.build(ent, e, k, idx)
 	return e, nil
 }
 
-// build decodes frames k..idx into e and publishes the entry.
-func (c *gopCache) build(ent *dataset.Entry, e *gopEntry, k, idx int) {
+// roll returns the shared frame idx of e's GOP, decoding it if it is not
+// held: a decoder primed with the nearest held frame below idx (or, with
+// none, starting at the keyframe) rolls forward through one scratch
+// frame that alternates with the new target by parity, so idx lands in
+// the target and no step writes its own reference. Only idx is kept, so
+// an extension and a re-roll of an unkept frame are the same code, and a
+// re-roll costs the distance to the nearest held frame below it. A failed
+// roll keeps nothing and charges no bytes, but counts the frames it
+// decoded. Callers must hold a reference on e.
+func (c *gopCache) roll(ent *dataset.Entry, e *gopEntry, idx int) (*frame.Frame, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	defer close(e.ready)
-	dec := codec.NewDecoder(ent.Video, nil)
-	frames := make([]*frame.Frame, 0, idx-k+1)
-	var bytes int64
-	for j := k; j <= idx; j++ {
-		f, err := decodeInto(dec, j)
-		if err != nil {
-			e.err = err
-			return
+	i := idx - e.key.start
+	if i < len(e.frames) && e.frames[i] != nil {
+		return e.frames[i], nil
+	}
+	v := ent.Video
+	dec := codec.NewDecoder(v, nil)
+	from := min(i, len(e.frames)) - 1
+	for from >= 0 && e.frames[from] == nil {
+		from--
+	}
+	if from >= 0 {
+		if err := dec.Prime(e.frames[from], e.key.start+from); err != nil {
+			return nil, err
 		}
-		frames = append(frames, f)
-		bytes += int64(f.Bytes())
 	}
-	e.frames = frames
-	e.decodedThrough = idx
-	c.account(e, bytes, int64(len(frames)))
-}
-
-// extend grows e's decoded prefix through idx, priming a decoder with the
-// deepest already-reconstructed frame so no roll-forward work repeats.
-// Frames appended before a failing decode stay cached and are charged.
-func (c *gopCache) extend(ent *dataset.Entry, e *gopEntry, idx int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return e.err
+	target := frame.New(v.W, v.H, v.C)
+	var scratch *frame.Frame
+	if i-from > 1 {
+		scratch = frame.New(v.W, v.H, v.C)
 	}
-	if idx <= e.decodedThrough {
-		return nil
-	}
-	dec := codec.NewDecoder(ent.Video, nil)
-	if err := dec.Prime(e.frames[len(e.frames)-1], e.decodedThrough); err != nil {
-		return err
-	}
-	var bytes, n int64
-	defer func() { c.account(e, bytes, n) }()
-	for j := e.decodedThrough + 1; j <= idx; j++ {
-		f, err := decodeInto(dec, j)
-		if err != nil {
-			return err
+	var n int64
+	for j := from + 1; j <= i; j++ {
+		dst := target
+		if (i-j)%2 == 1 {
+			dst = scratch
 		}
-		e.frames = append(e.frames, f)
-		e.decodedThrough = j
-		bytes += int64(f.Bytes())
+		if err := dec.DecodeNext(e.key.start+j, dst); err != nil {
+			c.account(e, 0, n)
+			return nil, err
+		}
 		n++
 	}
-	return nil
-}
-
-// decodeInto decodes frame j, the successor of dec's reference or a
-// keyframe, into a frame of its own that the cache keeps and that serves
-// as the reference for j+1: each cached frame is written once, by the
-// decoder, and never copied.
-func decodeInto(dec *codec.Decoder, j int) (*frame.Frame, error) {
-	v := dec.Video()
-	f := frame.New(v.W, v.H, v.C)
-	if err := dec.DecodeNext(j, f); err != nil {
-		return nil, err
+	if i >= len(e.frames) {
+		e.frames = append(e.frames, make([]*frame.Frame, i+1-len(e.frames))...)
 	}
-	return f, nil
+	e.frames[i] = target
+	c.account(e, int64(target.Bytes()), n)
+	return target, nil
 }
 
 // account records freshly decoded bytes/frames and enforces the budget.
@@ -353,28 +338,7 @@ func (c *gopCache) frameOnce(ent *dataset.Entry, idx int) (*frame.Frame, error) 
 		return nil, err
 	}
 	defer c.release(e)
-	return c.frameFrom(ent, e, idx)
-}
-
-// frameFrom waits for e to be ready, extends it if needed, and returns
-// the shared frame idx. Callers must hold a reference on e.
-func (c *gopCache) frameFrom(ent *dataset.Entry, e *gopEntry, idx int) (*frame.Frame, error) {
-	<-e.ready
-	e.mu.Lock()
-	errBuild, through := e.err, e.decodedThrough
-	e.mu.Unlock()
-	if errBuild != nil {
-		return nil, errBuild
-	}
-	if idx > through {
-		if err := c.extend(ent, e, idx); err != nil {
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	f := e.frames[idx-e.key.start]
-	e.mu.Unlock()
-	return f, nil
+	return c.roll(ent, e, idx)
 }
 
 // gopLease tracks the GOP entries one sample materialization has pinned.
@@ -393,12 +357,12 @@ func (l *gopLease) frame(ent *dataset.Entry, idx int) (*frame.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.c.frameFrom(ent, e, idx)
+	return l.c.roll(ent, e, idx)
 }
 
 // entryFor returns the pinned entry covering frame idx of ent's video,
 // pinning its GOP on first touch (the same dedup dance as frame, without
-// forcing a decode past what is already resident).
+// decoding anything).
 func (l *gopLease) entryFor(ent *dataset.Entry, idx int) (*gopEntry, error) {
 	k, err := ent.Video.KeyframeBefore(idx)
 	if err != nil {

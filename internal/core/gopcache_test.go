@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -61,9 +62,58 @@ func framesEqual(a, b *frame.Frame) bool {
 	return true
 }
 
+// requestAll requests every frame in [from, to) through one lease, so the
+// GOPs it touches hold all of those frames, as a full prefix did before
+// entries kept only requested frames.
+func requestAll(c *gopCache, ent *dataset.Entry, from, to int) error {
+	l := c.lease()
+	defer l.release()
+	for idx := from; idx < to; idx++ {
+		if _, err := l.frame(ent, idx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// heldIndices returns the frame numbers e holds, ascending.
+func heldIndices(e *gopEntry) []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var held []int
+	for i, f := range e.frames {
+		if f != nil {
+			held = append(held, e.key.start+i)
+		}
+	}
+	return held
+}
+
+// heldBytes sums the pixels of every frame the cache's entries hold. The
+// cache must be quiescent.
+func heldBytes(c *gopCache) int64 {
+	c.mu.Lock()
+	entries := make([]*gopEntry, 0, len(c.entries))
+	for _, e := range c.entries {
+		entries = append(entries, e)
+	}
+	c.mu.Unlock()
+	var n int64
+	for _, e := range entries {
+		e.mu.Lock()
+		for _, f := range e.frames {
+			if f != nil {
+				n += int64(f.Bytes())
+			}
+		}
+		e.mu.Unlock()
+	}
+	return n
+}
+
 // TestGOPCacheConcurrentSameGOP hammers one GOP from many goroutines:
-// exactly one build must happen, and every caller must observe identical
-// correct pixels. Run under -race this doubles as the shared-read check.
+// exactly one entry must be created, and every caller must observe
+// identical correct pixels. Run under -race this doubles as the shared-read check.
 func TestGOPCacheConcurrentSameGOP(t *testing.T) {
 	ent := gopTestEntry(t, "samegop", 30, 30) // one GOP
 	c := newGOPCache(1<<30, nil)
@@ -97,7 +147,7 @@ func TestGOPCacheConcurrentSameGOP(t *testing.T) {
 	}
 
 	if n := c.misses.Load(); n != 1 {
-		t.Fatalf("misses = %d, want exactly 1 build for one GOP", n)
+		t.Fatalf("misses = %d, want exactly 1 entry for one GOP", n)
 	}
 	if n := c.hits.Load(); n < goroutines-1 {
 		t.Fatalf("hits = %d, want >= %d", n, goroutines-1)
@@ -114,9 +164,9 @@ func TestGOPCacheConcurrentSameGOP(t *testing.T) {
 	}
 }
 
-// TestGOPCacheConcurrentAdjacentGOPs exercises concurrent builds of
+// TestGOPCacheConcurrentAdjacentGOPs exercises concurrent rolls in
 // different GOPs of one video plus extension races: goroutines ask for
-// deepening indices within each GOP, so extends interleave with hits.
+// deepening indices within each GOP, so extensions interleave with hits.
 func TestGOPCacheConcurrentAdjacentGOPs(t *testing.T) {
 	ent := gopTestEntry(t, "adjacent", 90, 30) // GOPs at 0, 30, 60
 	c := newGOPCache(1<<30, nil)
@@ -151,7 +201,7 @@ func TestGOPCacheConcurrentAdjacentGOPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := c.misses.Load(); n != 3 {
-		t.Fatalf("misses = %d, want 3 (one build per GOP)", n)
+		t.Fatalf("misses = %d, want 3 (one entry per GOP)", n)
 	}
 	// Spot-check deep frames in each GOP against a reference decoder.
 	for _, idx := range []int{29, 59, 89} {
@@ -165,10 +215,133 @@ func TestGOPCacheConcurrentAdjacentGOPs(t *testing.T) {
 	}
 }
 
+// TestGOPCacheKeepsOnlyRequestedFrames pins the keep rule: an entry
+// holds the frames callers asked for and nothing else, an unkept frame
+// re-rolls from the nearest held frame below it (or from the keyframe),
+// and the bytes charged are exactly the bytes held.
+func TestGOPCacheKeepsOnlyRequestedFrames(t *testing.T) {
+	ent := gopTestEntry(t, "sparse", 20, 20) // one GOP
+	c := newGOPCache(1<<30, nil)
+	lease := c.lease()
+	defer lease.release()
+	const frameBytes = 32 * 24 * 3
+	request := func(idx int) {
+		t.Helper()
+		f, err := lease.frame(ent, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !framesEqual(f, decodeRef(t, ent, idx)) || f.Index != idx {
+			t.Fatalf("frame %d differs from the reference decode", idx)
+		}
+	}
+	for _, idx := range []int{3, 7, 11} {
+		request(idx)
+	}
+	e, err := lease.entryFor(ent, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(held []int, decoded int64) {
+		t.Helper()
+		if got := heldIndices(e); fmt.Sprint(got) != fmt.Sprint(held) {
+			t.Fatalf("holds frames %v, want %v", got, held)
+		}
+		want := int64(len(held)) * frameBytes
+		if e.bytes != want || c.bytes.Load() != want {
+			t.Fatalf("charged %d B to the entry and %d B to the cache, want %d", e.bytes, c.bytes.Load(), want)
+		}
+		if n := c.framesDecoded.Load(); n != decoded {
+			t.Fatalf("decoded %d frames, want %d", n, decoded)
+		}
+	}
+	check([]int{3, 7, 11}, 12)
+	request(5) // decodes 4 and 5 from held frame 3
+	check([]int{3, 5, 7, 11}, 14)
+	request(1) // nothing held below: decodes 0 and 1 from the keyframe
+	check([]int{1, 3, 5, 7, 11}, 16)
+	request(7) // held: no decode
+	check([]int{1, 3, 5, 7, 11}, 16)
+	// Held frames served as roll references: none may have been written.
+	for _, idx := range heldIndices(e) {
+		request(idx)
+	}
+}
+
+// TestGOPCacheOutOfOrderRequests requests frames of three GOPs from many
+// goroutines in shuffled orders, as intra-sample fan-out makes them:
+// every frame must match the reference decode, the cache must hold
+// exactly the requested frames, and its charge must equal what it holds.
+func TestGOPCacheOutOfOrderRequests(t *testing.T) {
+	ent := gopTestEntry(t, "shuffled", 60, 20) // GOPs at 0, 20, 40
+	refs := make([]*frame.Frame, 60)
+	for i := range refs {
+		refs[i] = decodeRef(t, ent, i)
+	}
+	c := newGOPCache(1<<30, nil)
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		requested = map[int]bool{}
+	)
+	errs := make(chan error, 16)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			idxs := rng.Perm(60)[:12]
+			mu.Lock()
+			for _, idx := range idxs {
+				requested[idx] = true
+			}
+			mu.Unlock()
+			lease := c.lease()
+			defer lease.release()
+			for _, idx := range idxs {
+				f, err := lease.frame(ent, idx)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if f.Index != idx || !framesEqual(f, refs[idx]) {
+					errs <- fmt.Errorf("goroutine %d: frame %d differs from the reference decode", g, idx)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var held []int
+	for _, start := range []int{0, 20, 40} {
+		c.mu.Lock()
+		e := c.entries[gopKey{video: "shuffled", start: start}]
+		c.mu.Unlock()
+		if e != nil {
+			held = append(held, heldIndices(e)...)
+		}
+	}
+	if len(held) != len(requested) {
+		t.Fatalf("holds %d frames %v, want the %d requested", len(held), held, len(requested))
+	}
+	for _, idx := range held {
+		if !requested[idx] {
+			t.Fatalf("holds frame %d, which nobody requested", idx)
+		}
+	}
+	if b, want := c.bytes.Load(), heldBytes(c); b != want {
+		t.Fatalf("charged %d B, holds %d B", b, want)
+	}
+}
+
 // TestGOPCacheFailedExtendChargesDecodedFrames corrupts a payload in the
-// middle of a GOP and extends past it: the frames decoded before the
-// failure stay cached, so the entry, the cache budget and the decode
-// counter must all account for them.
+// middle of a GOP and extends past it: the failed roll keeps nothing, so
+// the charge stays equal to the one frame held, while the decode counter
+// counts every frame both rolls decoded.
 func TestGOPCacheFailedExtendChargesDecodedFrames(t *testing.T) {
 	clean, ent := gopTestEntry(t, "v", 20, 20), gopTestEntry(t, "v", 20, 20) // one GOP
 	data := append([]byte(nil), ent.Video.Data...)
@@ -187,21 +360,23 @@ func TestGOPCacheFailedExtendChargesDecodedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.release(e)
-	if _, err := c.frameFrom(ent, e, 8); err == nil {
+	if _, err := c.roll(ent, e, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.roll(ent, e, 8); err == nil {
 		t.Fatal("frame 8 decoded through a corrupt payload")
 	}
 	const frameBytes = 32 * 24 * 3
-	if len(e.frames) != 7 || e.decodedThrough != 6 {
-		t.Fatalf("cached %d frames through %d, want 7 through 6 (frame 7 is the first corrupt one)", len(e.frames), e.decodedThrough)
+	if held := heldIndices(e); len(held) != 1 || held[0] != 2 {
+		t.Fatalf("holds frames %v after the failed roll, want [2]", held)
 	}
-	for i, f := range e.frames {
-		if !framesEqual(f, decodeRef(t, clean, i)) {
-			t.Fatalf("cached frame %d differs from the reference decode", i)
-		}
+	if !framesEqual(e.frames[2], decodeRef(t, clean, 2)) {
+		t.Fatal("held frame 2 differs from the reference decode")
 	}
-	if e.bytes != 7*frameBytes || c.bytes.Load() != 7*frameBytes || c.framesDecoded.Load() != 7 {
-		t.Fatalf("charged %d B to the entry and %d B to the cache, counted %d frames; holds %d B in 7 frames",
-			e.bytes, c.bytes.Load(), c.framesDecoded.Load(), 7*frameBytes)
+	// 0..2, then 3..6 before frame 7, the first corrupt one.
+	if e.bytes != frameBytes || c.bytes.Load() != frameBytes || c.framesDecoded.Load() != 7 {
+		t.Fatalf("charged %d B to the entry and %d B to the cache, counted %d frames; holds %d B, decoded 7",
+			e.bytes, c.bytes.Load(), c.framesDecoded.Load(), frameBytes)
 	}
 }
 
@@ -214,8 +389,8 @@ func TestGOPCacheByteBudgetEviction(t *testing.T) {
 	budget := 25 * frameBytes // fits ~2.5 GOPs of 10 frames
 	c := newGOPCache(budget, nil)
 
-	for idx := 9; idx < 100; idx += 10 { // touch the deep end of every GOP
-		if _, err := c.frameOnce(ent, idx); err != nil {
+	for start := 0; start < 100; start += 10 { // every frame of every GOP
+		if err := requestAll(c, ent, start, start+10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,6 +426,11 @@ func TestGOPCacheEvictionVsRefHolder(t *testing.T) {
 
 	// Pin GOP 0 fully decoded.
 	lease := c.lease()
+	for idx := 0; idx < 9; idx++ {
+		if _, err := lease.frame(ent, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	pinned, err := lease.frame(ent, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -266,8 +446,8 @@ func TestGOPCacheEvictionVsRefHolder(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
-				idx := ((g+round)%9+1)*10 + 9
-				if _, err := c.frameOnce(ent, idx); err != nil {
+				start := ((g+round)%9 + 1) * 10
+				if err := requestAll(c, ent, start, start+10); err != nil {
 					errs <- err
 					return
 				}
@@ -294,8 +474,8 @@ func TestGOPCacheEvictionVsRefHolder(t *testing.T) {
 	lease.release()
 
 	// After release the pinned GOP becomes evictable; budget reasserts.
-	for idx := 19; idx < 100; idx += 10 {
-		if _, err := c.frameOnce(ent, idx); err != nil {
+	for start := 10; start < 100; start += 10 {
+		if err := requestAll(c, ent, start, start+10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,7 +533,7 @@ func TestGOPCacheBudgetFloorUnderPressure(t *testing.T) {
 	})
 
 	// Decode the full GOP (10 frames) while pressure is low.
-	if _, err := c.frameOnce(ent, 9); err != nil {
+	if err := requestAll(c, ent, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -399,9 +579,9 @@ func TestGOPCacheScanResistance(t *testing.T) {
 	frameBytes := int64(32 * 24 * 3)
 	c := newGOPCache(25*frameBytes, nil) // two 10-frame GOPs fit, three do not
 
-	touch := func(idx int) {
+	touch := func(start int) { // every frame of the GOP at start
 		t.Helper()
-		if _, err := c.frameOnce(ent, idx); err != nil {
+		if err := requestAll(c, ent, start, start+10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,12 +592,12 @@ func TestGOPCacheScanResistance(t *testing.T) {
 		return ok
 	}
 	// GOP 10 is used many times, but GOP 0 is used last.
-	touch(9)
+	touch(0)
 	for i := 0; i < 8; i++ {
-		touch(19)
+		touch(10)
 	}
-	touch(9)
-	touch(29) // overflows: the least recently used entry goes
+	touch(0)
+	touch(20) // overflows: the least recently used entry goes
 	if resident(10) {
 		t.Fatal("GOP 10 survived although it was the least recently used")
 	}
@@ -495,4 +675,47 @@ func TestGOPCacheDerivedFrames(t *testing.T) {
 	if leftover != 0 {
 		t.Fatalf("bytes %d after evicting sole entry (had %d); derived frames leaked", leftover, bytesWithDerived)
 	}
+}
+
+// FuzzGOPRequests turns its input into a sequence of frame requests on a
+// two-GOP video under a budget of eight frames: each byte's low seven bits
+// pick a frame, and a set top bit releases the current lease first, so
+// requests interleave rolls, re-rolls, extensions and evictions. Every
+// returned frame must match the reference decode, and the cache's charge
+// must equal the bytes of the frames it holds.
+func FuzzGOPRequests(f *testing.F) {
+	const n, frameBytes = 24, 32 * 24 * 3
+	ent := gopTestEntry(f, "fuzz", n, 12) // GOPs at 0 and 12
+	refs := make([]*frame.Frame, n)
+	for i := range refs {
+		refs[i] = decodeRef(f, ent, i)
+	}
+	f.Add([]byte{3, 7, 11, 5, 1})
+	f.Add([]byte{23, 12, 0, 0x80 | 11, 13, 22, 21})
+	f.Add([]byte{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0x80, 12, 23})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := newGOPCache(8*frameBytes, nil)
+		lease := c.lease()
+		for _, b := range data {
+			if b&0x80 != 0 {
+				lease.release()
+				lease = c.lease()
+			}
+			idx := int(b&0x7f) % n
+			got, err := lease.frame(ent, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Index != idx || !framesEqual(got, refs[idx]) {
+				t.Fatalf("frame %d differs from the reference decode", idx)
+			}
+			if b, held := c.bytes.Load(), heldBytes(c); b != held {
+				t.Fatalf("after frame %d: charged %d B, holds %d B", idx, b, held)
+			}
+		}
+		lease.release()
+		if b, held := c.bytes.Load(), heldBytes(c); b != held || b > 8*frameBytes {
+			t.Fatalf("after release: charged %d B, holds %d B, budget %d B", b, held, 8*frameBytes)
+		}
+	})
 }

@@ -29,11 +29,19 @@ func referenceZlib(src []byte) ([]byte, error) {
 	return out, err
 }
 
-// fuzzSeeds is the FuzzInflate corpus: zlib streams of mixed data at every
-// writer level the engine uses, each whole, truncated and bit-flipped.
+// fuzzSeeds is the FuzzInflate corpus: zlib streams of mixed data and of
+// a P-frame-like residual at every writer level the engine uses, each
+// whole, truncated and bit-flipped, and the match-copy cases as raw
+// streams behind a two-byte zlib header.
 func fuzzSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(7))
 	var seeds [][]byte
+	for _, c := range matchCases() {
+		seeds = append(seeds, append([]byte{0x78, 0x9c}, c.raw...))
+	}
+	for _, level := range levels {
+		seeds = append(seeds, zlibBytes(residual(rng, 4096), level))
+	}
 	for _, n := range []int{0, 1, 40, 700} {
 		data := sample(rng, n)
 		for _, level := range levels {
@@ -57,7 +65,8 @@ func fuzzSeeds() [][]byte {
 
 // FuzzInflate holds Raw and Zlib to compress/flate and compress/zlib:
 // a stream either decoder accepts (with nothing after it and, for zlib,
-// no preset dictionary) the other accepts too, with identical bytes, and
+// no preset dictionary) the other accepts too, with identical bytes
+// written over a destination that is not zeroed, and
 // a destination one byte off either way is rejected. Each input is tried
 // as a zlib stream and, without its two header bytes, as a raw one.
 func FuzzInflate(f *testing.F) {
@@ -77,7 +86,8 @@ func FuzzInflate(f *testing.F) {
 				}
 				return
 			}
-			dst := make([]byte, len(ref))
+			// Prefilled, because the decoder must write every byte.
+			dst := bytes.Repeat([]byte{0xa5}, len(ref))
 			if err := decode(dst, src); err != nil {
 				t.Fatalf("%s: rejected a stream the reference accepts: %v", kind, err)
 			}

@@ -5,6 +5,14 @@
 // the raw size in their headers, so there is nothing for a streaming
 // reader's window, per-symbol byte reads and Read-call plumbing to buy.
 //
+// Every byte of dst is written, so dst need not be zeroed: the decoded-GOP
+// cache rolls frames through a reused scratch frame. Match copies move
+// eight bytes at a time at distances of eight or more (possibly running a
+// few bytes past the match, into output not yet written), fill runs at
+// distance one by word, and double shorter periods with copy. Only TVC
+// payloads carry matches; the frame encoders emit Huffman-only or stored
+// streams.
+//
 // Raw and Zlib accept exactly the streams compress/flate and compress/zlib
 // accept (the differential fuzz target holds them to it), except that they
 // are stricter in three ways: the output must fill dst exactly, no bytes
@@ -537,11 +545,36 @@ func (d *decoder) block(dst []byte, out int, lit, dist *huffman) (int, error) {
 		if length > len(dst)-out {
 			return 0, fmt.Errorf("%w: output overruns %d bytes", ErrSize, len(dst))
 		}
-		// An overlapping match repeats a period of back bytes: copying the
-		// growing prefix doubles the run each pass.
 		end, from := out+length, out-back
-		for out < end {
-			out += copy(dst[out:end], dst[from:out])
+		switch {
+		case back >= 8 && end <= len(dst)-8:
+			// Every word read lies wholly before the one written, so
+			// word copies see finished output. The last word may run up
+			// to 7 bytes past end; later output overwrites them.
+			for ; out < end; out, from = out+8, from+8 {
+				binary.LittleEndian.PutUint64(dst[out:], binary.LittleEndian.Uint64(dst[from:]))
+			}
+			out = end
+		case back == 1:
+			// A run of one byte, the common case of a P-frame residual.
+			if c := dst[from]; c == 0 {
+				clear(dst[out:end])
+				out = end
+			} else {
+				w := uint64(c) * 0x0101010101010101
+				for ; out+8 <= end; out += 8 {
+					binary.LittleEndian.PutUint64(dst[out:], w)
+				}
+				for ; out < end; out++ {
+					dst[out] = c
+				}
+			}
+		default:
+			// An overlapping match repeats a period of back bytes: copying
+			// the growing prefix doubles the run each pass.
+			for out < end {
+				out += copy(dst[out:end], dst[from:out])
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"compress/zlib"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -288,5 +289,108 @@ func TestDegenerateOneBitCode(t *testing.T) {
 	dst := make([]byte, 2)
 	if err := Raw(dst, src); err != nil || string(dst) != "aa" {
 		t.Fatalf("Raw: %v %q", err, dst)
+	}
+}
+
+// fixedMatch writes a length/distance pair in the fixed code.
+func (w *bitWriter) fixedMatch(length, dist int) *bitWriter {
+	ls := 0
+	for ls+1 < len(lengthBase) && int(lengthBase[ls+1]) <= length {
+		ls++
+	}
+	if sym := 257 + ls; sym < 280 {
+		w.putCode(uint64(sym-256), 7)
+	} else {
+		w.putCode(uint64(0xc0+sym-280), 8)
+	}
+	w.put(uint64(length-int(lengthBase[ls])), uint(lengthExtra[ls]))
+	ds := 0
+	for ds+1 < len(distBase) && int(distBase[ds+1]) <= dist {
+		ds++
+	}
+	w.putCode(uint64(ds), 5)
+	return w.put(uint64(dist-int(distBase[ds])), uint(distExtra[ds]))
+}
+
+// residual returns n bytes shaped like a TVC P-frame residual: long zero
+// runs, runs of one non-zero byte, and short periodic patterns (periods
+// 2–7), with a little noise between them.
+func residual(rng *rand.Rand, n int) []byte {
+	out := make([]byte, 0, n+400)
+	for len(out) < n {
+		switch rng.Intn(4) {
+		case 0:
+			out = append(out, make([]byte, 1+rng.Intn(400))...)
+		case 1:
+			out = append(out, bytes.Repeat([]byte{byte(1 + rng.Intn(255))}, 1+rng.Intn(60))...)
+		case 2:
+			period := make([]byte, 2+rng.Intn(6))
+			rng.Read(period)
+			out = append(out, bytes.Repeat(period, 3+rng.Intn(40))...)
+		default:
+			for i := rng.Intn(8); i >= 0; i-- {
+				out = append(out, byte(rng.Intn(256)))
+			}
+		}
+	}
+	return out[:n]
+}
+
+// matchCases are raw deflate streams aimed at each match-copy path of the
+// block loop: runs at distance 1 of a zero and of a non-zero byte, every
+// overlapping period from 2 to 7, a corpus-like P-frame residual, and a
+// distance-16 match ending 0 to 8 bytes before the end of the output, so
+// the word copy's margin check decides every case.
+func matchCases() []struct {
+	name string
+	raw  []byte
+} {
+	type matchCase = struct {
+		name string
+		raw  []byte
+	}
+	fixed := func() *bitWriter { return new(bitWriter).put(1, 1).put(1, 2) }
+	cases := []matchCase{
+		{"zero-run", fixed().fixedLiteral(0).fixedMatch(258, 1).fixedMatch(37, 1).fixedLiteral(9).fixedMatch(5, 1).putCode(0, 7).bytes()},
+		{"byte-run", fixed().fixedLiteral('q').fixedMatch(258, 1).fixedLiteral(0).fixedLiteral('r').fixedMatch(13, 1).putCode(0, 7).bytes()},
+	}
+	for p := 2; p <= 7; p++ {
+		w := fixed()
+		for i := 0; i < p; i++ {
+			w.fixedLiteral(byte('a' + i))
+		}
+		cases = append(cases, matchCase{fmt.Sprintf("period-%d", p), w.fixedMatch(100+p, p).fixedMatch(3, p).putCode(0, 7).bytes()})
+	}
+	cases = append(cases, matchCase{"pframe-residual", deflate(residual(rand.New(rand.NewSource(3)), 8192), flate.DefaultCompression)})
+	for margin := 0; margin <= 8; margin++ {
+		w := fixed()
+		for i := 0; i < 16; i++ {
+			w.fixedLiteral(byte('A' + i))
+		}
+		w.fixedMatch(20, 16)
+		for i := 0; i < margin; i++ {
+			w.fixedLiteral(byte('0' + i))
+		}
+		cases = append(cases, matchCase{fmt.Sprintf("far-match-margin-%d", margin), w.putCode(0, 7).bytes()})
+	}
+	return cases
+}
+
+// TestMatchCopies holds every match-copy path to compress/flate, decoding
+// into a destination prefilled with a marker byte: the decoder reuses
+// frames, so it must write every output byte itself.
+func TestMatchCopies(t *testing.T) {
+	for _, c := range matchCases() {
+		ref, err := referenceRaw(c.raw)
+		if err != nil {
+			t.Fatalf("%s: compress/flate: %v", c.name, err)
+		}
+		dst := bytes.Repeat([]byte{0xa5}, len(ref))
+		if err := Raw(dst, c.raw); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(dst, ref) {
+			t.Fatalf("%s: output differs from compress/flate", c.name)
+		}
 	}
 }

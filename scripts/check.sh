@@ -39,6 +39,9 @@ go test -run=xxx -fuzz=FuzzEncodeFrame -fuzztime=10s -fuzzminimizetime=1s ./inte
 echo "== batch decoder fuzz (10s)"
 go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/core/
 
+echo "== GOP-cache request-order fuzz against the reference decode (10s)"
+go test -run=xxx -fuzz=FuzzGOPRequests -fuzztime=10s ./internal/core/
+
 echo "== inflate differential fuzz against compress/flate and compress/zlib (10s)"
 go test -run=xxx -fuzz=FuzzInflate -fuzztime=10s ./internal/inflate/
 
