@@ -8,8 +8,8 @@ test:
 	go test ./...
 
 # Dataplane, frame-decoder, frame-encoder, batch-, GOP-cache request-order,
-# inflate, TVC-container and disk-tier recovery fuzzing (bounded; extend
-# -fuzztime for longer campaigns).
+# inflate, TVC-container, disk-tier recovery, resize-kernel and task-config
+# fuzzing (bounded; extend -fuzztime for longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
 	go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/frame/
@@ -19,6 +19,8 @@ fuzz:
 	go test -run=xxx -fuzz=FuzzInflate -fuzztime=30s ./internal/inflate/
 	go test -run=xxx -fuzz=FuzzParseVideo -fuzztime=30s ./internal/codec/
 	go test -run=xxx -fuzz=FuzzRecover -fuzztime=30s ./internal/storage/
+	go test -run=xxx -fuzz=FuzzResizeWindow -fuzztime=30s ./internal/augment/
+	go test -run=xxx -fuzz=FuzzLoadTask -fuzztime=30s ./internal/config/
 
 # The end-to-end epoch benchmark with per-layer attribution (see
 # bench/README.md).

@@ -3,6 +3,10 @@
 // rotation, color jitter, grayscale, normalization, padding, saturation
 // and temporal inversion.
 //
+// Bilinear resize has one kernel, which computes any window of the
+// resize output; ResizeCrop uses it to run a resize and the crop after
+// it as one pass over the pixels the crop keeps.
+//
 // Every operator implements Op, consumes a clip, and produces a clip,
 // leaving its input untouched — the engine relies on that immutability when
 // it shares intermediate objects between tasks. An operator that is an
@@ -20,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"sand/internal/frame"
 )
@@ -72,9 +77,9 @@ type InPlacer interface {
 }
 
 // windowed is implemented by crop-family ops whose whole effect is
-// selecting one rectangle of their input. Pipeline.Apply fuses a
-// bilinear Resize immediately followed by a windowed op into one kernel
-// that computes only the selected window of the resize output.
+// selecting one rectangle of their input. ResizeCrop fuses a bilinear
+// Resize immediately followed by a windowed op into one kernel that
+// computes only the selected window of the resize output.
 //
 // Contract: window must draw exactly the same values from rng as Apply
 // would for the same geometry, and must return ok=false — before
@@ -84,6 +89,35 @@ type InPlacer interface {
 type windowed interface {
 	Op
 	window(srcW, srcH int, rng *rand.Rand) (x, y, w, h int, ok bool)
+}
+
+// ResizeCrop runs resize followed by crop as one kernel when resize is
+// a bilinear Resize and crop a crop-family op (Crop, CenterCrop,
+// RandomCrop): it computes only the window of the resize output the crop
+// keeps, so the result is byte-identical to the two Applys and the crop
+// draws from rng exactly as its Apply would. Output frames are fresh
+// pooled frames carrying their input's Index and PTS. ok is false —
+// before any randomness is drawn — when the pair does not fuse or the
+// crop would fail; the caller then applies the two ops one by one.
+// Pipeline.Apply and the engine's materializer both fuse through it.
+func ResizeCrop(resize, crop Op, clip *frame.Clip, rng *rand.Rand) (*frame.Clip, bool) {
+	rz, isRz := resize.(*Resize)
+	win, isWin := crop.(windowed)
+	if !isRz || !isWin || !rz.isBilinear() || clip.Len() == 0 {
+		return nil, false
+	}
+	wx, wy, ww, wh, ok := win.window(rz.W, rz.H, rng)
+	if !ok {
+		return nil, false
+	}
+	srcW, srcH, _ := clip.Geometry()
+	m := bilinearTaps(srcW, srcH, rz.W, rz.H)
+	out, err := mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
+		return resizeWindow(f, m, wx, wy, ww, wh), nil
+	})
+	// Every output frame has the window's geometry, so only an empty
+	// clip could fail, and that was ruled out above.
+	return out, err == nil
 }
 
 // Pipeline applies a sequence of ops in order.
@@ -117,33 +151,15 @@ func (p Pipeline) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 	for i := 0; i < len(p); i++ {
 		op := p[i]
 		// Fusion fast path: a bilinear resize immediately followed by a
-		// crop-family stage computes only the crop window of the resize
-		// output (resizeBilinearWindow), skipping the pixels the crop
-		// would discard and the copy the crop would perform. The result
-		// is byte-identical — same tap tables, same fixed-point math, on
-		// a subset of output coordinates — and the random stream stays
-		// aligned because resize consumes no randomness and window()
-		// mirrors the crop op's draws exactly.
-		if rz, isRz := op.(*Resize); isRz && i+1 < len(p) &&
-			rz.W > 0 && rz.H > 0 &&
-			(rz.Interpolation == "" || rz.Interpolation == "bilinear") {
-			if win, isWin := p[i+1].(windowed); isWin {
-				if wx, wy, ww, wh, ok := win.window(rz.W, rz.H, rng); ok {
-					srcW, srcH, _ := cur.Geometry()
-					bm := newBilinearMap(srcW, srcH, rz.W, rz.H)
-					next, err := mapFrames(cur, func(f *frame.Frame) (*frame.Frame, error) {
-						return resizeBilinearWindow(f, bm, wx, wy, ww, wh), nil
-					})
-					if err != nil {
-						return nil, fmt.Errorf("augment: stage %d (%s): %w", i, op.Name(), err)
-					}
-					if cur != clip && cur != next {
-						recycleClip(cur, next, clip)
-					}
-					cur = next
-					i++ // the crop stage is folded into this one
-					continue
+		// crop-family stage computes only the pixels the crop keeps.
+		if i+1 < len(p) {
+			if next, ok := ResizeCrop(op, p[i+1], cur, rng); ok {
+				if cur != clip && cur != next {
+					recycleClip(cur, next, clip)
 				}
+				cur = next
+				i++ // the crop stage is folded into this one
+				continue
 			}
 		}
 		// In-place fast path: once an earlier stage has produced a fresh
@@ -241,6 +257,11 @@ func (r *Resize) Signature() string {
 // Deterministic implements Op.
 func (r *Resize) Deterministic() bool { return true }
 
+// isBilinear reports whether Apply runs the bilinear kernel.
+func (r *Resize) isBilinear() bool {
+	return r.W > 0 && r.H > 0 && (r.Interpolation == "" || r.Interpolation == "bilinear")
+}
+
 // Apply implements Op.
 func (r *Resize) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
 	if r.W <= 0 || r.H <= 0 {
@@ -256,12 +277,11 @@ func (r *Resize) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
 			return resizeNearest(f, r.W, r.H), nil
 		})
 	}
-	// Clip frames share one geometry, so the bilinear tap tables are
-	// computed once and reused across every row, channel and frame.
+	// A full resize is the window covering the whole output.
 	srcW, srcH, _ := clip.Geometry()
-	bm := newBilinearMap(srcW, srcH, r.W, r.H)
+	m := bilinearTaps(srcW, srcH, r.W, r.H)
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
-		return resizeBilinear(f, bm), nil
+		return resizeWindow(f, m, 0, 0, r.W, r.H), nil
 	})
 }
 
@@ -281,106 +301,129 @@ func resizeNearest(f *frame.Frame, w, h int) *frame.Frame {
 	return out
 }
 
-// bilinearMap holds precomputed 16.16 fixed-point bilinear taps for one
-// source->destination geometry: for each output coordinate, the two source
-// taps and the fractional weight of the second. The arithmetic matches the
-// historical per-pixel computation bit-for-bit; only the redundant
-// per-pixel coordinate math (multiply, shift, clamp) is hoisted out of the
-// inner loop.
+// bilinearTap is one output coordinate's bilinear taps: the two source
+// samples it reads and the 16.16 fixed-point weight of the second.
+type bilinearTap struct{ s0, s1, f int32 }
+
+// bilinearMap holds the taps of one resize geometry, one per output
+// column (xs) and row (ys).
 type bilinearMap struct {
-	w, h       int
-	x0, x1, xf []int32
-	y0, y1, yf []int32
+	xs, ys []bilinearTap
 }
 
-// bilinearAxis computes taps for one axis with half-pixel centers.
-func bilinearAxis(srcN, dstN int) (i0, i1, fr []int32) {
+// bilinearAxis computes taps for one axis with half-pixel centers. Taps
+// are non-decreasing in the output coordinate and s1 is s0 or s0+1.
+func bilinearAxis(srcN, dstN int) []bilinearTap {
 	const fpShift = 16
 	const fpOne = 1 << fpShift
 	step := (srcN << fpShift) / dstN
-	i0 = make([]int32, dstN)
-	i1 = make([]int32, dstN)
-	fr = make([]int32, dstN)
-	for x := 0; x < dstN; x++ {
+	taps := make([]bilinearTap, dstN)
+	for x := range taps {
 		sFP := x*step + step/2 - fpOne/2
 		if sFP < 0 {
 			sFP = 0
 		}
 		s := sFP >> fpShift
-		f := sFP & (fpOne - 1)
 		s1 := s + 1
 		if s1 >= srcN {
 			s1 = srcN - 1
 		}
-		i0[x], i1[x], fr[x] = int32(s), int32(s1), int32(f)
+		taps[x] = bilinearTap{int32(s), int32(s1), int32(sFP & (fpOne - 1))}
 	}
-	return
+	return taps
 }
 
-func newBilinearMap(srcW, srcH, w, h int) *bilinearMap {
-	m := &bilinearMap{w: w, h: h}
-	m.x0, m.x1, m.xf = bilinearAxis(srcW, w)
-	m.y0, m.y1, m.yf = bilinearAxis(srcH, h)
+// tapKey is a resize geometry: source and target sizes.
+type tapKey struct{ srcW, srcH, w, h int }
+
+// maxTapTables bounds tapTables. A process meets few resize geometries
+// (one per source shape and target); past the bound, a new geometry's
+// tables are built per call and not kept.
+const maxTapTables = 64
+
+// tapTables holds tap tables by geometry for every Resize. The engine
+// applies an op one frame at a time and resolves a fresh op per sample,
+// so tables built per call would be rebuilt for every frame, and tables
+// kept per op would grow with the plan.
+var tapTables struct {
+	sync.Mutex
+	m map[tapKey]*bilinearMap
+}
+
+// bilinearTaps returns the tap tables for a srcW x srcH -> w x h resize.
+func bilinearTaps(srcW, srcH, w, h int) *bilinearMap {
+	k := tapKey{srcW, srcH, w, h}
+	tapTables.Lock()
+	defer tapTables.Unlock()
+	if m, ok := tapTables.m[k]; ok {
+		return m
+	}
+	m := &bilinearMap{xs: bilinearAxis(srcW, w), ys: bilinearAxis(srcH, h)}
+	if tapTables.m == nil {
+		tapTables.m = make(map[tapKey]*bilinearMap)
+	}
+	if len(tapTables.m) < maxTapTables {
+		tapTables.m[k] = m
+	}
 	return m
 }
 
-// resizeBilinearWindow computes only the [wx,wx+ww) x [wy,wy+wh) window
-// of the resize described by m — the fused resize+crop kernel. The
-// per-pixel arithmetic is identical to resizeBilinear's, so the output
-// is byte-for-byte the crop of the full resize.
-func resizeBilinearWindow(f *frame.Frame, m *bilinearMap, wx, wy, ww, wh int) *frame.Frame {
+// rowScratch recycles resizeWindow's horizontally filtered rows.
+var rowScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// resizeWindow computes the [wx,wx+ww) x [wy,wy+wh) window of the
+// bilinear resize m describes; a full resize is the window covering the
+// whole output. It is separable: each source row the window reads is filtered
+// horizontally once per plane into an int32 row, p0<<16 + (p1-p0)*fx,
+// then each output row blends two of those rows in int64,
+// (top<<16 + (bot-top)*fy) >> 32. That is the per-pixel 16.16 formula
+// with the horizontal products shared between output rows, so every
+// byte matches it. Rows no output row reads (a downscale of more than
+// 2x skips some) are never filtered.
+func resizeWindow(f *frame.Frame, m *bilinearMap, wx, wy, ww, wh int) *frame.Frame {
 	const fpShift = 16
 	out := frame.NewPooled(ww, wh, f.C)
-	for c := 0; c < f.C; c++ {
-		src := f.Plane(c)
-		dst := out.Plane(c)
-		for y := 0; y < wh; y++ {
-			sy := wy + y
-			rowT := src[int(m.y0[sy])*f.W : int(m.y0[sy])*f.W+f.W]
-			rowB := src[int(m.y1[sy])*f.W : int(m.y1[sy])*f.W+f.W]
-			fy := int(m.yf[sy])
-			orow := dst[y*ww : (y+1)*ww]
-			for x := 0; x < ww; x++ {
-				sx, sx1, fx := int(m.x0[wx+x]), int(m.x1[wx+x]), int(m.xf[wx+x])
-				p00 := int(rowT[sx])
-				p01 := int(rowT[sx1])
-				p10 := int(rowB[sx])
-				p11 := int(rowB[sx1])
-				top := p00<<fpShift + (p01-p00)*fx
-				bot := p10<<fpShift + (p11-p10)*fx
-				orow[x] = byte((top<<fpShift + (bot-top)*fy) >> (2 * fpShift))
-			}
-		}
+	xs := m.xs[wx : wx+ww]
+	ys := m.ys[wy : wy+wh]
+	// Taps are non-decreasing, so the window reads source rows
+	// ylo..ys[wh-1].s1; filtered row r lives at rows[(r-ylo)*ww:].
+	ylo := int(ys[0].s0)
+	n := (int(ys[wh-1].s1) - ylo + 1) * ww
+	buf := rowScratch.Get().(*[]int32)
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
 	}
-	return out
-}
-
-func resizeBilinear(f *frame.Frame, m *bilinearMap) *frame.Frame {
-	const fpShift = 16
-	w, h := m.w, m.h
-	out := frame.NewPooled(w, h, f.C)
+	rows := (*buf)[:n]
 	for c := 0; c < f.C; c++ {
 		src := f.Plane(c)
 		dst := out.Plane(c)
-		for y := 0; y < h; y++ {
-			rowT := src[int(m.y0[y])*f.W : int(m.y0[y])*f.W+f.W]
-			rowB := src[int(m.y1[y])*f.W : int(m.y1[y])*f.W+f.W]
-			fy := int(m.yf[y])
-			orow := dst[y*w : (y+1)*w]
-			for x := 0; x < w; x++ {
-				sx, sx1, fx := int(m.x0[x]), int(m.x1[x]), int(m.xf[x])
-				p00 := int(rowT[sx])
-				p01 := int(rowT[sx1])
-				p10 := int(rowB[sx])
-				p11 := int(rowB[sx1])
-				top := p00<<fpShift + (p01-p00)*fx
-				bot := p10<<fpShift + (p11-p10)*fx
+		next := ylo // every row below next that an output row reads is filtered
+		for y, ty := range ys {
+			r0, r1 := int(ty.s0), int(ty.s1)
+			for r := max(next, r0); r <= r1; r++ {
+				srow := src[r*f.W : (r+1)*f.W]
+				hrow := rows[(r-ylo)*ww : (r-ylo+1)*ww]
+				hrow = hrow[:len(xs)]
+				for x, t := range xs {
+					p0 := int32(srow[t.s0])
+					hrow[x] = p0<<fpShift + (int32(srow[t.s1])-p0)*t.f
+				}
+			}
+			next = max(next, r1+1)
+			top := rows[(r0-ylo)*ww : (r0-ylo+1)*ww]
+			bot := rows[(r1-ylo)*ww : (r1-ylo+1)*ww]
+			orow := dst[y*ww : (y+1)*ww]
+			top, bot = top[:len(orow)], bot[:len(orow)]
+			fy := int64(ty.f)
+			for x := range orow {
+				t := int64(top[x])
 				// Convex combination of samples in [0,255] with weights in
 				// [0,1): the result cannot leave [0,255], so no clamp.
-				orow[x] = byte((top<<fpShift + (bot-top)*fy) >> (2 * fpShift))
+				orow[x] = byte((t<<fpShift + (int64(bot[x])-t)*fy) >> (2 * fpShift))
 			}
 		}
 	}
+	rowScratch.Put(buf)
 	return out
 }
 

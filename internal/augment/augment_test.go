@@ -549,15 +549,40 @@ func TestQuickDeterministicSignature(t *testing.T) {
 }
 
 func BenchmarkResizeBilinear(b *testing.B) {
-	clip := testClip(b, 8, 320, 240, 3)
-	op := &Resize{W: 224, H: 224}
-	b.SetBytes(int64(clip.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := op.Apply(clip, nil); err != nil {
-			b.Fatal(err)
+	b.Run("320x240-to-224", func(b *testing.B) {
+		clip := testClip(b, 8, 320, 240, 3)
+		op := &Resize{W: 224, H: 224}
+		b.SetBytes(int64(clip.Bytes()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := op.Apply(clip, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	// The bench corpus geometry, one frame per op as the engine applies
+	// it: the full resize, and the 112x112 window a crop keeps of it.
+	corpus := testClip(b, 1, 192, 108, 3)
+	rz := &Resize{W: 128, H: 128}
+	b.Run("192x108-to-128", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out, err := rz.Apply(corpus, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frame.Recycle(out.Frames[0])
+		}
+	})
+	b.Run("192x108-to-128-win112", func(b *testing.B) {
+		crop := &Crop{X: 8, Y: 8, W: 112, H: 112}
+		for i := 0; i < b.N; i++ {
+			out, ok := ResizeCrop(rz, crop, corpus, nil)
+			if !ok {
+				b.Fatal("resize+crop did not fuse")
+			}
+			frame.Recycle(out.Frames[0])
+		}
+	})
 }
 
 func BenchmarkRandomCrop(b *testing.B) {

@@ -28,43 +28,62 @@ func applyUnfused(t *testing.T, p Pipeline, clip *frame.Clip, rng *rand.Rand) *f
 // fused window kernel, and the random stream must end at the same
 // position (the fused path draws the crop origin itself).
 func TestFusedResizeCropMatchesUnfused(t *testing.T) {
-	pipelines := map[string]Pipeline{
-		"resize+crop": {
+	type fixture struct {
+		srcW, srcH int // source geometry; 96x80 when zero
+		p          Pipeline
+	}
+	pipelines := map[string]fixture{
+		"resize+crop": {p: Pipeline{
 			&Resize{W: 64, H: 64},
 			&Crop{X: 5, Y: 9, W: 48, H: 40},
-		},
-		"resize+center_crop": {
+		}},
+		"resize+center_crop": {p: Pipeline{
 			&Resize{W: 64, H: 64},
 			&CenterCrop{W: 56, H: 48},
-		},
-		"resize+random_crop": {
+		}},
+		"resize+random_crop": {p: Pipeline{
 			&Resize{W: 64, H: 64},
 			&RandomCrop{W: 56, H: 56},
-		},
+		}},
 		// The benchmark pipeline: fusion must keep every later stochastic
 		// stage aligned with the unfused draw order.
-		"resize+random_crop+hflip+normalize": {
+		"resize+random_crop+hflip+normalize": {p: Pipeline{
 			&Resize{W: 64, H: 64},
 			&RandomCrop{W: 56, H: 56},
 			&HFlip{Prob: 0.5},
 			&Normalize{Mean: 128},
-		},
+		}},
 		// Upscale exercises tap rows/columns beyond the source edge clamp.
-		"upscale+crop": {
+		"upscale+crop": {p: Pipeline{
 			&Resize{W: 160, H: 120},
 			&Crop{X: 37, Y: 1, W: 100, H: 119},
-		},
+		}},
+		// The bench corpus: 192x108 frames, downscaled across and
+		// upscaled down, then a 112x112 crop.
+		"corpus-192x108": {srcW: 192, srcH: 108, p: Pipeline{
+			&Resize{W: 128, H: 128},
+			&RandomCrop{W: 112, H: 112},
+		}},
+		// Every column tap of a one-pixel-wide source is column 0.
+		"one-pixel-wide": {srcW: 1, srcH: 80, p: Pipeline{
+			&Resize{W: 64, H: 64},
+			&Crop{X: 3, Y: 7, W: 48, H: 50},
+		}},
 	}
-	for name, p := range pipelines {
+	for name, fx := range pipelines {
 		t.Run(name, func(t *testing.T) {
-			src := randomClip(t, rand.New(rand.NewSource(21)), 4, 96, 80, 3)
+			w, h := fx.srcW, fx.srcH
+			if w == 0 {
+				w, h = 96, 80
+			}
+			src := randomClip(t, rand.New(rand.NewSource(21)), 4, w, h, 3)
 			rngF := rand.New(rand.NewSource(9))
-			got, err := p.Apply(src.Clone(), rngF)
+			got, err := fx.p.Apply(src.Clone(), rngF)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rngU := rand.New(rand.NewSource(9))
-			want := applyUnfused(t, p, src.Clone(), rngU)
+			want := applyUnfused(t, fx.p, src.Clone(), rngU)
 			if got.Len() != want.Len() {
 				t.Fatalf("length %d != %d", got.Len(), want.Len())
 			}

@@ -155,11 +155,8 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 				return err
 			}
 			fromDepth = grp.depth + 1
-			if node := nodeAtDepth(findLeaf(sm, ci, idx), total, fromDepth); node != nil && node.Cached {
-				key := augKey(sm.Video, idx, cumulativeSig(chain.Ops, fromDepth))
-				if err := s.storeFrame(key, f, deadline); err != nil {
-					return err
-				}
+			if err := s.storeIfCached(sm, chain, findLeaf(sm, ci, idx), total, fromDepth, idx, f, deadline); err != nil {
+				return err
 			}
 		default:
 			// Raw decode through the shared GOP cache: the frame is
@@ -171,7 +168,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 			owned = false
 			fromDepth = 0
 			// Cache the decoded frame if the plan says so.
-			if fn := nodeAtDepth(sm.Leaves[ci][pos], total, 0); fn != nil && fn.Cached {
+			if cachedAt(sm.Leaves[ci][pos], total, 0) {
 				if err := s.storeFrame(frameKey(sm.Video, idx), f, deadline); err != nil {
 					return err
 				}
@@ -304,6 +301,7 @@ func (s *Service) applyOps(sm *graph.Sample, ci int, chain *graph.ResolvedChain,
 func (s *Service) applyOpsRange(sm *graph.Sample, ci int, chain *graph.ResolvedChain,
 	f *frame.Frame, owned bool, fromDepth, until, idx int, deadline int64) (*frame.Frame, error) {
 	total := len(chain.Ops)
+	leaf := findLeaf(sm, ci, idx)
 	cur := f
 	// One reusable single-frame wrapper: ops treat the clip as read-only
 	// input, so rebinding Frames[0] each depth is safe and allocation-free.
@@ -311,11 +309,21 @@ func (s *Service) applyOpsRange(sm *graph.Sample, ci int, chain *graph.ResolvedC
 	for d := fromDepth; d < until; d++ {
 		op := chain.Ops[d].Op
 		wrapper.Frames[0] = cur
+		// A bilinear resize whose output the plan does not cache, followed
+		// by a crop, runs as one kernel over only the pixels the crop
+		// keeps (DESIGN.md §9). Resolved crops draw no randomness.
+		var res *frame.Clip
+		fused := false
+		if d+1 < until && !cachedAt(leaf, total, d+1) {
+			res, fused = augment.ResizeCrop(op, chain.Ops[d+1].Op, wrapper, nil)
+		}
 		// Owned frames take the in-place path when the op offers one:
 		// resolved ops draw no randomness, so rng parity is trivial and
 		// the output is byte-identical to Apply.
 		mutated := false
-		if owned {
+		if fused {
+			d++ // the crop is folded into the resize
+		} else if owned {
 			if ip, ok := op.(augment.InPlacer); ok {
 				done, err := ip.ApplyInPlace(wrapper, nil)
 				if err != nil {
@@ -325,9 +333,12 @@ func (s *Service) applyOpsRange(sm *graph.Sample, ci int, chain *graph.ResolvedC
 			}
 		}
 		if !mutated {
-			res, err := op.Apply(wrapper, nil)
-			if err != nil {
-				return nil, fmt.Errorf("core: op %s on %s frame %d: %w", op.Name(), sm.Video, idx, err)
+			if !fused {
+				var err error
+				res, err = op.Apply(wrapper, nil)
+				if err != nil {
+					return nil, fmt.Errorf("core: op %s on %s frame %d: %w", op.Name(), sm.Video, idx, err)
+				}
 			}
 			nxt := res.Frames[0]
 			if nxt != cur {
@@ -344,14 +355,28 @@ func (s *Service) applyOpsRange(sm *graph.Sample, ci int, chain *graph.ResolvedC
 		if cur.Index != idx {
 			cur.Index = idx
 		}
-		if node := nodeAtDepth(findLeaf(sm, ci, idx), total, d+1); node != nil && node.Cached {
-			key := augKey(sm.Video, idx, cumulativeSig(chain.Ops, d+1))
-			if err := s.storeFrame(key, cur, deadline); err != nil {
-				return nil, err
-			}
+		if err := s.storeIfCached(sm, chain, leaf, total, d+1, idx, cur, deadline); err != nil {
+			return nil, err
 		}
 	}
 	return cur, nil
+}
+
+// cachedAt reports whether the plan caches the chain's output at op
+// depth d for the frame whose leaf node is leaf.
+func cachedAt(leaf *graph.Node, total, d int) bool {
+	n := nodeAtDepth(leaf, total, d)
+	return n != nil && n.Cached
+}
+
+// storeIfCached stores f as the chain's depth-d object for frame idx
+// when the plan caches that node.
+func (s *Service) storeIfCached(sm *graph.Sample, chain *graph.ResolvedChain, leaf *graph.Node,
+	total, d, idx int, f *frame.Frame, deadline int64) error {
+	if !cachedAt(leaf, total, d) {
+		return nil
+	}
+	return s.storeFrame(augKey(sm.Video, idx, cumulativeSig(chain.Ops, d)), f, deadline)
 }
 
 // findLeaf returns the sample's leaf node of chain ci for the given

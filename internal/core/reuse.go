@@ -263,8 +263,10 @@ func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.Resolv
 }
 
 // computeSuperset runs the group's shared op prefix on the decoded
-// source frame and slices the bounding superset region. The result is a
-// fresh pooled frame owned by the caller.
+// source frame and slices the bounding superset region. When the prefix
+// ends in a bilinear resize whose output the plan does not cache, only
+// the superset window of that resize is computed (augment.ResizeCrop).
+// The result is a fresh pooled frame owned by the caller.
 func (s *Service) computeSuperset(sm *graph.Sample, ci int, chain *graph.ResolvedChain,
 	grp *reuseGroup, ent *dataset.Entry, lease *gopLease, idx int, deadline int64) (*frame.Frame, error) {
 
@@ -272,10 +274,33 @@ func (s *Service) computeSuperset(sm *graph.Sample, ci int, chain *graph.Resolve
 	if err != nil {
 		return nil, fmt.Errorf("core: decode %s: %w", sm.Video, err)
 	}
+	// The op feeding the crop stage; a cached output must be computed
+	// (and stored) whole.
+	last := grp.depth - 1
+	fuse := last >= 0 && !cachedAt(findLeaf(sm, ci, idx), len(chain.Ops), grp.depth)
+	until := grp.depth
+	if fuse {
+		until = last
+	}
 	// owned=false: the decoded source is shared read-only.
-	cur, err := s.applyOpsRange(sm, ci, chain, src, false, 0, grp.depth, idx, deadline)
+	cur, err := s.applyOpsRange(sm, ci, chain, src, false, 0, until, idx, deadline)
 	if err != nil {
 		return nil, err
+	}
+	if fuse {
+		sup := &augment.Crop{X: grp.sup.x, Y: grp.sup.y, W: grp.sup.w, H: grp.sup.h}
+		res, ok := augment.ResizeCrop(chain.Ops[last].Op, sup, &frame.Clip{Frames: []*frame.Frame{cur}}, nil)
+		if ok {
+			if cur != src {
+				frame.Recycle(cur)
+			}
+			return res.Frames[0], nil
+		}
+		// Not a bilinear resize, or the window does not fit: run the last
+		// prefix op whole, as below.
+		if cur, err = s.applyOpsRange(sm, ci, chain, cur, cur != src, last, grp.depth, idx, deadline); err != nil {
+			return nil, err
+		}
 	}
 	fresh, err := cur.SubRect(grp.sup.x, grp.sup.y, grp.sup.w, grp.sup.h)
 	if cur != src {

@@ -51,6 +51,12 @@ go test -run=xxx -fuzz=FuzzParseVideo -fuzztime=10s ./internal/codec/
 echo "== disk-tier recovery fuzz over garbled .obj/.objz spills (10s)"
 go test -run=xxx -fuzz=FuzzRecover -fuzztime=10s ./internal/storage/
 
+echo "== separable bilinear resize kernel fuzz against the per-pixel reference (10s)"
+go test -run=xxx -fuzz=FuzzResizeWindow -fuzztime=10s ./internal/augment/
+
+echo "== task config parser fuzz (10s)"
+go test -run=xxx -fuzz=FuzzLoadTask -fuzztime=10s ./internal/config/
+
 echo "== overlap-aware reuse smoke (superset hits)"
 # The four-view overlapping-crop quickstart must take the superset path
 # (nonzero superset hits) — see DESIGN.md §9. Byte identity to a naive
