@@ -12,9 +12,8 @@
 // it shares intermediate objects between tasks. An operator that is an
 // identity for its sampled parameters (a flip that did not trigger, a
 // zero-turn rotation) may return its input clip unchanged, so callers must
-// not mutate returned clips either. Output frames are drawn from the
-// frame buffer pool (frame.NewPooled): every kernel fully overwrites its
-// destination, and the engine recycles dead intermediates. Operators
+// not mutate returned clips either. Output frames are fresh allocations
+// owned by the returned clip; the GC frees dead intermediates. Operators
 // carry a stable Signature() so the planner can detect when two tasks
 // request identical work (the precondition for merging nodes in the
 // concrete object dependency graph).
@@ -96,7 +95,7 @@ type windowed interface {
 // RandomCrop): it computes only the window of the resize output the crop
 // keeps, so the result is byte-identical to the two Applys and the crop
 // draws from rng exactly as its Apply would. Output frames are fresh
-// pooled frames carrying their input's Index and PTS. ok is false —
+// frames carrying their input's Index and PTS. ok is false —
 // before any randomness is drawn — when the pair does not fuse or the
 // crop would fail; the caller then applies the two ops one by one.
 // Pipeline.Apply and the engine's materializer both fuse through it.
@@ -142,10 +141,9 @@ func (p Pipeline) Deterministic() bool {
 	return true
 }
 
-// Apply runs the pipeline, recycling intermediate clips: once stage i+1
-// has produced its output, stage i's frames are dead and their buffers
-// return to the frame pool (unless they alias the original input or the
-// new output, as identity stages do).
+// Apply runs the pipeline stage by stage. A bilinear resize fuses with
+// the crop after it, and InPlacer stages mutate a clip in place once an
+// earlier stage of this pipeline produced it.
 func (p Pipeline) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 	cur := clip
 	for i := 0; i < len(p); i++ {
@@ -154,9 +152,6 @@ func (p Pipeline) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 		// crop-family stage computes only the pixels the crop keeps.
 		if i+1 < len(p) {
 			if next, ok := ResizeCrop(op, p[i+1], cur, rng); ok {
-				if cur != clip && cur != next {
-					recycleClip(cur, next, clip)
-				}
 				cur = next
 				i++ // the crop stage is folded into this one
 				continue
@@ -179,9 +174,6 @@ func (p Pipeline) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 		if err != nil {
 			return nil, fmt.Errorf("augment: stage %d (%s): %w", i, op.Name(), err)
 		}
-		if cur != clip && cur != next {
-			recycleClip(cur, next, clip)
-		}
 		cur = next
 	}
 	return cur, nil
@@ -197,28 +189,6 @@ func sharesFrames(a, b *frame.Clip) bool {
 		}
 	}
 	return false
-}
-
-// recycleClip returns dead's frame buffers to the pool, skipping any frame
-// still referenced by the live clips.
-func recycleClip(dead *frame.Clip, live ...*frame.Clip) {
-	for _, f := range dead.Frames {
-		alias := false
-		for _, l := range live {
-			for _, g := range l.Frames {
-				if g == f {
-					alias = true
-					break
-				}
-			}
-			if alias {
-				break
-			}
-		}
-		if !alias {
-			frame.Recycle(f)
-		}
-	}
 }
 
 // mapFrames applies fn to every frame, building a new clip.
@@ -286,7 +256,7 @@ func (r *Resize) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
 }
 
 func resizeNearest(f *frame.Frame, w, h int) *frame.Frame {
-	out := frame.NewPooled(w, h, f.C)
+	out := frame.New(w, h, f.C)
 	for c := 0; c < f.C; c++ {
 		src := f.Plane(c)
 		dst := out.Plane(c)
@@ -382,7 +352,7 @@ var rowScratch = sync.Pool{New: func() any { return new([]int32) }}
 // 2x skips some) are never filtered.
 func resizeWindow(f *frame.Frame, m *bilinearMap, wx, wy, ww, wh int) *frame.Frame {
 	const fpShift = 16
-	out := frame.NewPooled(ww, wh, f.C)
+	out := frame.New(ww, wh, f.C)
 	xs := m.xs[wx : wx+ww]
 	ys := m.ys[wy : wy+wh]
 	// Taps are non-decreasing, so the window reads source rows
@@ -614,7 +584,7 @@ func (h *HFlip) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 		return clip, nil // identity: callers must not mutate returned clips
 	}
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
-		g := frame.NewPooled(f.W, f.H, f.C)
+		g := frame.New(f.W, f.H, f.C)
 		for c := 0; c < f.C; c++ {
 			src := f.Plane(c)
 			dst := g.Plane(c)
@@ -682,7 +652,7 @@ func (v *VFlip) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 		return clip, nil // identity: callers must not mutate returned clips
 	}
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
-		g := frame.NewPooled(f.W, f.H, f.C)
+		g := frame.New(f.W, f.H, f.C)
 		for c := 0; c < f.C; c++ {
 			src := f.Plane(c)
 			dst := g.Plane(c)
@@ -750,18 +720,14 @@ func (r *Rotate90) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
 		g := f
 		for t := 0; t < turns; t++ {
-			h := rotateCW(g)
-			if g != f {
-				frame.Recycle(g) // intermediate quarter-turn is dead
-			}
-			g = h
+			g = rotateCW(g)
 		}
 		return g, nil
 	})
 }
 
 func rotateCW(f *frame.Frame) *frame.Frame {
-	g := frame.NewPooled(f.H, f.W, f.C)
+	g := frame.New(f.H, f.W, f.C)
 	for c := 0; c < f.C; c++ {
 		src := f.Plane(c)
 		dst := g.Plane(c)
@@ -806,7 +772,7 @@ func (j *ColorJitter) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, erro
 	contrast := 1 + (rng.Float64()*2-1)*j.Contrast
 	lut := jitterLUT(bright, contrast)
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
-		g := frame.NewPooled(f.W, f.H, f.C)
+		g := frame.New(f.W, f.H, f.C)
 		for i, v := range f.Pix {
 			g.Pix[i] = lut[v]
 		}
@@ -866,7 +832,7 @@ func (g *Grayscale) Deterministic() bool { return true }
 // Apply implements Op.
 func (g *Grayscale) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
-		out := frame.NewPooled(f.W, f.H, 1)
+		out := frame.New(f.W, f.H, 1)
 		n := f.W * f.H
 		for i := 0; i < n; i++ {
 			sum := 0
@@ -897,7 +863,7 @@ func (n *Normalize) Deterministic() bool { return true }
 // Apply implements Op.
 func (n *Normalize) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
-		g := frame.NewPooled(f.W, f.H, f.C)
+		g := frame.New(f.W, f.H, f.C)
 		for c := 0; c < f.C; c++ {
 			normalizePlane(g.Plane(c), f.Plane(c), n.Mean)
 		}
@@ -959,8 +925,8 @@ func (s *InvSample) Deterministic() bool { return true }
 
 // Apply implements Op.
 func (s *InvSample) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
-	// The reversed clip shares the input's frames: recycling guards treat
-	// aliased frames as live, and no caller mutates clip contents.
+	// The reversed clip shares the input's frames: in-place paths check
+	// for aliased frames, and no caller mutates clip contents.
 	out := make([]*frame.Frame, clip.Len())
 	for i, f := range clip.Frames {
 		out[clip.Len()-1-i] = f
@@ -996,8 +962,7 @@ func (p *Pad) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
 		w := f.W + p.Left + p.Right
 		h := f.H + p.Top + p.Bottom
-		g := frame.NewPooled(w, h, f.C)
-		// Pooled buffers hold stale pixels: always fill the border value.
+		g := frame.New(w, h, f.C)
 		for i := range g.Pix {
 			g.Pix[i] = p.Value
 		}
@@ -1037,7 +1002,7 @@ func (s *Saturation) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) 
 		if f.C != 3 {
 			return nil, fmt.Errorf("saturation: need 3 channels, got %d", f.C)
 		}
-		g := frame.NewPooled(f.W, f.H, 3)
+		g := frame.New(f.W, f.H, 3)
 		n := f.W * f.H
 		r, gr, b := f.Plane(0), f.Plane(1), f.Plane(2)
 		or, og, ob := g.Plane(0), g.Plane(1), g.Plane(2)

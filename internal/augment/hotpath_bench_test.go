@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkAugmentPipeline measures a typical training pipeline
-// (resize, random crop, flip, normalize) over an 8-frame clip — the
-// per-sample augmentation hot path whose one-allocation-per-frame-per-op
-// pattern the pooled destination buffers eliminate.
+// (resize, random crop, flip, normalize) over an 8-frame clip through
+// Pipeline.Apply: the resize and crop fuse into one fresh frame each,
+// and the flip and normalize run in place on it.
 func BenchmarkAugmentPipeline(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	frames := make([]*frame.Frame, 8)

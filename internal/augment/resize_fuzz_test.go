@@ -52,7 +52,7 @@ func newRefBilinearMap(srcW, srcH, w, h int) *refBilinearMap {
 func refResizeBilinear(f *frame.Frame, m *refBilinearMap) *frame.Frame {
 	const fpShift = 16
 	w, h := m.w, m.h
-	out := frame.NewPooled(w, h, f.C)
+	out := frame.New(w, h, f.C)
 	for c := 0; c < f.C; c++ {
 		src := f.Plane(c)
 		dst := out.Plane(c)

@@ -51,10 +51,9 @@ func (s *Stats) Reset() {
 // inflates straight into the frame's pixels, which then become the
 // I-frame row prefix sums or the P-frame sum with the reference. The
 // decoder never writes its reference. Frame rolls forward through two
-// internal pooled buffers and copies out only the frame the caller asked
-// for; DecodeNext decodes into a frame the caller owns, which then serves
-// as the reference with no copy at all. Call Close when done to return the
-// pooled buffers to the frame pool.
+// internal buffers and copies out only the frame the caller asked for;
+// DecodeNext decodes into a frame the caller owns, which then serves as
+// the reference with no copy at all.
 type Decoder struct {
 	v     *Video
 	stats *Stats
@@ -76,11 +75,11 @@ func NewDecoder(v *Video, stats *Stats) *Decoder {
 // reconstruct before anyone reads them.
 func (d *Decoder) target() *frame.Frame {
 	if d.bufA == nil {
-		d.bufA = frame.NewPooled(d.v.W, d.v.H, d.v.C)
+		d.bufA = frame.New(d.v.W, d.v.H, d.v.C)
 	}
 	if d.last == d.bufA {
 		if d.bufB == nil {
-			d.bufB = frame.NewPooled(d.v.W, d.v.H, d.v.C)
+			d.bufB = frame.New(d.v.W, d.v.H, d.v.C)
 		}
 		return d.bufB
 	}
@@ -132,21 +131,6 @@ func (d *Decoder) DecodeNext(i int, dst *frame.Frame) error {
 		d.stats.FramesRequested.Add(1)
 	}
 	return d.reconstruct(i, dst)
-}
-
-// Close returns the decoder's internal buffers to the frame pool. The
-// decoder must not be used afterwards.
-func (d *Decoder) Close() {
-	d.last = nil
-	d.lastIdx = -1
-	if d.bufA != nil {
-		frame.Recycle(d.bufA)
-		d.bufA = nil
-	}
-	if d.bufB != nil {
-		frame.Recycle(d.bufB)
-		d.bufB = nil
-	}
 }
 
 // reconstruct decodes frame i into dst, which must have the video's

@@ -147,7 +147,6 @@ func TestDecodeMatchesFlateReferenceAtEveryLevel(t *testing.T) {
 				}
 				check("Frame", i, f)
 			}
-			d.Close()
 		}
 	}
 }
@@ -258,7 +257,6 @@ func FuzzParseVideo(f *testing.F) {
 			return
 		}
 		d := NewDecoder(v, nil)
-		defer d.Close()
 		next := NewDecoder(v, nil)
 		bufs := [2]*frame.Frame{frame.New(v.W, v.H, v.C), frame.New(v.W, v.H, v.C)}
 		var ref *frame.Frame

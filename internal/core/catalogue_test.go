@@ -23,6 +23,8 @@ var benchReads = regexp.MustCompile(`(?:\.get|histMS|histSum)\("([a-z]+\.[a-z0-9
 var benchStale = map[string]bool{
 	"core.reuse.gop_readmissions": true, // the GOP cache has no ghost list
 	"viewserver.readahead.brake":  true, // read-ahead has a fixed depth
+	"frame.pool.gets":             true, // frame buffers are not pooled
+	"frame.pool.reuses":           true,
 }
 
 // TestMetricCatalogue boots one engine and one view server on a single

@@ -78,7 +78,6 @@ func TestFusionKeepsCachedResizeOutputs(t *testing.T) {
 								}
 								dec := codec.NewDecoder(ent.Video, nil)
 								src, err := dec.Frame(idx)
-								dec.Close()
 								if err != nil {
 									t.Fatal(err)
 								}

@@ -25,7 +25,7 @@ import (
 // Entries are ref-counted: a materialization pins every GOP it touches
 // through a gopLease and releases them when the sample completes, so
 // eviction can never drop a GOP out from under a running sample. Cached
-// frames are shared read-only and never recycled into the frame pool.
+// frames are shared read-only.
 //
 // The cache is bounded by a byte budget and integrated with the storage
 // tier's memory-pressure signal: above the store's 75% eviction threshold
@@ -249,7 +249,7 @@ func (c *gopCache) evictLocked() {
 		freed += victim.bytes
 		c.evictions.Add(1)
 		// Frames are shared read-only and may still be referenced by
-		// batches in flight; the GC reclaims them. Never recycle here.
+		// batches in flight; the GC reclaims them.
 	}
 	if dropped > 0 && c.tr.Enabled() {
 		c.tr.Instant("core", "gop_evict", 0, fmt.Sprintf("%d gops, %d bytes", dropped, freed))
@@ -272,7 +272,7 @@ type derivedSlot struct {
 
 // claimDerived resolves descriptor dk in e with single-flight semantics:
 //
-//   - (f, nil): the frame is published — use it, never recycle it.
+//   - (f, nil): the frame is published — use it, never mutate it.
 //   - (nil, slot): the caller is the leader and MUST finish the flight
 //     with publishDerived or abandonDerived, or peers block forever.
 //   - (nil, nil): a previous leader abandoned while the caller waited —
@@ -300,7 +300,7 @@ func (c *gopCache) claimDerived(e *gopEntry, dk string) (*frame.Frame, *derivedS
 // publishDerived completes a flight opened by claimDerived, accounting
 // the frame into the entry and the cache budget — heavy superset reuse
 // competes with raw decoded frames for the same memory. The published
-// frame is shared read-only; the caller must not recycle it.
+// frame is shared read-only; the caller must not mutate it.
 func (c *gopCache) publishDerived(e *gopEntry, slot *derivedSlot, f *frame.Frame) {
 	c.mu.Lock()
 	slot.f = f
@@ -331,7 +331,7 @@ func (c *gopCache) lease() *gopLease {
 
 // frameOnce serves a single decoded frame with no lasting pin — the
 // one-shot path for frame views. The returned frame stays valid after
-// release because cached frames are never recycled.
+// release: eviction only drops the cache's reference to it.
 func (c *gopCache) frameOnce(ent *dataset.Entry, idx int) (*frame.Frame, error) {
 	e, err := c.acquire(ent, idx)
 	if err != nil {
@@ -351,7 +351,7 @@ type gopLease struct {
 
 // frame returns the shared decoded frame idx of ent's video, pinning its
 // GOP for the lifetime of the lease. The frame is shared read-only: the
-// caller must not mutate or recycle it.
+// caller must not mutate it.
 func (l *gopLease) frame(ent *dataset.Entry, idx int) (*frame.Frame, error) {
 	e, err := l.entryFor(ent, idx)
 	if err != nil {

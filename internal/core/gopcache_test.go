@@ -42,7 +42,6 @@ func gopTestEntry(t testing.TB, name string, frames, gop int) *dataset.Entry {
 func decodeRef(t testing.TB, ent *dataset.Entry, idx int) *frame.Frame {
 	t.Helper()
 	dec := codec.NewDecoder(ent.Video, nil)
-	defer dec.Close()
 	f, err := dec.Frame(idx)
 	if err != nil {
 		t.Fatalf("reference decode %d: %v", idx, err)

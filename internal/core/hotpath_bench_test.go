@@ -10,7 +10,7 @@ import (
 // decode (with amplification), augmentation chain, and clip assembly.
 // StorageBudget 1 disables store-tier caching of intermediates, so every
 // iteration pays the decode+augment cost — the path the decoded-GOP
-// cache, buffer pools, and intra-sample fan-out attack.
+// cache, the fused resize-crop and intra-sample fan-out attack.
 func BenchmarkMaterializeSample(b *testing.B) {
 	task := miniTask(b, "bench")
 	s, err := New(Options{

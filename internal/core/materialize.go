@@ -160,7 +160,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 			}
 		default:
 			// Raw decode through the shared GOP cache: the frame is
-			// shared read-only with other samples, never recycled.
+			// shared read-only with other samples.
 			f, err = lease.frame(ent, idx)
 			if err != nil {
 				return fmt.Errorf("core: decode %s: %w", sm.Video, err)
@@ -285,11 +285,10 @@ func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, i
 }
 
 // applyOps runs chain.Ops[fromDepth:] on f, storing intermediate objects
-// whose plan nodes are cached. owned reports whether f is exclusively
-// ours: owned intermediates mutate in place when the op supports it (or
-// are recycled into the frame pool as soon as the next op replaces
-// them), while shared frames (GOP-cache hits, which identity ops pass
-// through untouched) are left alone.
+// whose plan nodes are cached. owned reports whether an op may mutate f
+// in place: frames an op produced here are ours, while shared frames
+// (GOP-cache hits, which identity ops pass through untouched) are only
+// read.
 func (s *Service) applyOps(sm *graph.Sample, ci int, chain *graph.ResolvedChain,
 	f *frame.Frame, owned bool, fromDepth, idx int, deadline int64) (*frame.Frame, error) {
 	return s.applyOpsRange(sm, ci, chain, f, owned, fromDepth, len(chain.Ops), idx, deadline)
@@ -340,14 +339,10 @@ func (s *Service) applyOpsRange(sm *graph.Sample, ci int, chain *graph.ResolvedC
 					return nil, fmt.Errorf("core: op %s on %s frame %d: %w", op.Name(), sm.Video, idx, err)
 				}
 			}
-			nxt := res.Frames[0]
-			if nxt != cur {
-				if owned {
-					frame.Recycle(cur)
-				}
+			if res.Frames[0] != cur {
 				owned = true // freshly produced by the op: exclusively ours
 			}
-			cur = nxt
+			cur = res.Frames[0]
 		}
 		// Shared frames already carry the right index (they were decoded
 		// as frame idx); skipping the redundant write keeps them strictly

@@ -17,8 +17,7 @@ import (
 // oracleBatch materializes one iteration the slow, obviously correct way:
 // every frame of every sample is decoded by a fresh decoder (so it rolls
 // forward from its keyframe) and run through each chain's resolved ops
-// with Apply — no in-place ops, frame pooling, GOP cache, object store or
-// reuse plan. It shares only the engine's schedule, so it checks
+// with Apply — no in-place ops, GOP cache, object store or reuse plan. It shares only the engine's schedule, so it checks
 // materialization, not planning.
 func oracleBatch(s *Service, key iterationKey) ([]byte, error) {
 	samples, err := s.scheduleFor(key)
@@ -36,7 +35,6 @@ func oracleBatch(s *Service, key iterationKey) ([]byte, error) {
 		for pos, idx := range sm.FrameIndices {
 			dec := codec.NewDecoder(ent.Video, nil)
 			src[pos], err = dec.Frame(idx)
-			dec.Close()
 			if err != nil {
 				return nil, err
 			}

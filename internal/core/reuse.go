@@ -210,9 +210,9 @@ func (s *Service) buildBatchReusePlan(samples []*graph.Sample) *reusePlan {
 // (frame, group) pair computes the prefix once, slices the bounding
 // region, and publishes it in the decoded-GOP cache's derived store;
 // everyone else — including sibling samples of the batch — slices their
-// window out of the published frame. The returned frame is a pooled
-// copy exclusively owned by the caller, already advanced past the crop
-// stage (depth group.depth+1).
+// window out of the published frame. The returned frame is a fresh copy
+// exclusively owned by the caller, already advanced past the crop stage
+// (depth group.depth+1).
 func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.ResolvedChain,
 	grp *reuseGroup, ent *dataset.Entry, lease *gopLease, idx int, deadline int64) (*frame.Frame, error) {
 
@@ -225,7 +225,6 @@ func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.Resolv
 	// computes the prefix once; sibling views block briefly on the slot
 	// instead of redoing the same resize/decode work in parallel.
 	sup, claim := s.gops.claimDerived(e, dk)
-	var private *frame.Frame // set when computed without publishing
 	if sup != nil {
 		s.supersetHits.Add(1)
 		if grp.xsample {
@@ -240,22 +239,16 @@ func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.Resolv
 			}
 			return nil, err
 		}
+		// The canonical frame lives in the cache and is shared read-only.
+		// Without a claim (a previous leader abandoned while we waited)
+		// fresh stays private to this view.
 		if claim != nil {
-			// The canonical frame lives in the cache and is shared
-			// read-only — never recycled.
 			s.gops.publishDerived(e, claim, fresh)
-		} else {
-			// A previous leader abandoned while we waited: use the
-			// private copy and return it to the pool below.
-			private = fresh
 		}
 		sup = fresh
 	}
 	rect := grp.members[memberKey{si, ci}]
 	view, err := sup.SubRect(rect.x-grp.sup.x, rect.y-grp.sup.y, rect.w, rect.h)
-	if private != nil {
-		frame.Recycle(private)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("core: view window %v in superset %v: %w", rect, grp.sup, err)
 	}
@@ -266,7 +259,7 @@ func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.Resolv
 // source frame and slices the bounding superset region. When the prefix
 // ends in a bilinear resize whose output the plan does not cache, only
 // the superset window of that resize is computed (augment.ResizeCrop).
-// The result is a fresh pooled frame owned by the caller.
+// The result is a fresh frame owned by the caller.
 func (s *Service) computeSuperset(sm *graph.Sample, ci int, chain *graph.ResolvedChain,
 	grp *reuseGroup, ent *dataset.Entry, lease *gopLease, idx int, deadline int64) (*frame.Frame, error) {
 
@@ -291,9 +284,6 @@ func (s *Service) computeSuperset(sm *graph.Sample, ci int, chain *graph.Resolve
 		sup := &augment.Crop{X: grp.sup.x, Y: grp.sup.y, W: grp.sup.w, H: grp.sup.h}
 		res, ok := augment.ResizeCrop(chain.Ops[last].Op, sup, &frame.Clip{Frames: []*frame.Frame{cur}}, nil)
 		if ok {
-			if cur != src {
-				frame.Recycle(cur)
-			}
 			return res.Frames[0], nil
 		}
 		// Not a bilinear resize, or the window does not fit: run the last
@@ -303,9 +293,6 @@ func (s *Service) computeSuperset(sm *graph.Sample, ci int, chain *graph.Resolve
 		}
 	}
 	fresh, err := cur.SubRect(grp.sup.x, grp.sup.y, grp.sup.w, grp.sup.h)
-	if cur != src {
-		frame.Recycle(cur)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("core: superset window %v on %s frame %d: %w", grp.sup, sm.Video, idx, err)
 	}

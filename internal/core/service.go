@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sand/internal/config"
 	"sand/internal/dataset"
-	"sand/internal/frame"
 	"sand/internal/graph"
 	"sand/internal/obs"
 	"sand/internal/sched"
@@ -272,14 +270,6 @@ func New(opts Options) (*Service, error) {
 			"xsample_hits":    s.xsampleHits.Load(),
 			"xsample_groups":  s.xsampleGroups.Load(),
 		}
-	})
-	// frame.PoolStats keys are full names; the registry adds the prefix back.
-	reg.SnapshotFunc("frame", func() map[string]int64 {
-		out := map[string]int64{}
-		for k, v := range frame.PoolStats() {
-			out[strings.TrimPrefix(k, "frame.")] = v
-		}
-		return out
 	})
 	s.fs = vfs.New(s)
 	if err := s.planChunk(0); err != nil {

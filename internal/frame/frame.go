@@ -22,10 +22,6 @@ type Frame struct {
 	Index int
 	// PTS is the presentation timestamp in milliseconds.
 	PTS int64
-	// pooled is the boxed slice header that travels with a pool-managed
-	// Pix buffer, letting Recycle return it without re-boxing. nil for
-	// buffers that never came from the pool (Recycle boxes them once).
-	pooled *[]byte
 }
 
 // New allocates a zeroed frame of the given geometry.
@@ -96,8 +92,7 @@ func (f *Frame) SubRect(x0, y0, w, h int) (*Frame, error) {
 	if x0 < 0 || y0 < 0 || w <= 0 || h <= 0 || x0+w > f.W || y0+h > f.H {
 		return nil, fmt.Errorf("frame: rect (%d,%d,%d,%d) outside %dx%d", x0, y0, w, h, f.W, f.H)
 	}
-	// NewPooled: every output row is fully overwritten below.
-	out := NewPooled(w, h, f.C)
+	out := New(w, h, f.C)
 	out.Index, out.PTS = f.Index, f.PTS
 	for c := 0; c < f.C; c++ {
 		src := f.Plane(c)
@@ -112,8 +107,7 @@ func (f *Frame) SubRect(x0, y0, w, h int) (*Frame, error) {
 // CropInPlace shrinks f to the rectangle [x0,x0+w) x [y0,y0+h) by
 // compacting the surviving rows forward inside f's own pixel buffer, so
 // cropping an exclusively owned frame costs zero allocations. The frame's
-// geometry and Pix length shrink to the crop; a later Recycle re-buckets
-// the buffer by its shrunk length.
+// geometry and Pix length shrink to the crop.
 //
 // The forward copy order is overlap-safe: for every plane and row the
 // source offset is >= the destination offset (w <= W, h <= H), destination
@@ -221,3 +215,9 @@ func (b *Batch) Bytes() int {
 
 // Len returns the number of clips (samples) in the batch.
 func (b *Batch) Len() int { return len(b.Clips) }
+
+// PoolStats reports zero frame-buffer pool traffic. Frame buffers are
+// plain allocations; the stub stays until bench/ stops reading it.
+func PoolStats() map[string]int64 {
+	return map[string]int64{"frame.pool.gets": 0, "frame.pool.reuses": 0}
+}

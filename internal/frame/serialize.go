@@ -143,12 +143,11 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	// NewPooled: the inflate fills every sample, and the stream must
-	// fill Pix exactly, end cleanly and match its adler32 trailer.
-	f := NewPooled(h.W, h.H, h.C)
+	// The stream must fill Pix exactly, end cleanly and match its adler32
+	// trailer.
+	f := New(h.W, h.H, h.C)
 	f.Index, f.PTS = h.Index, h.PTS
 	if err := inflate.Zlib(f.Pix, data[frameHeaderLen:]); err != nil {
-		Recycle(f)
 		return nil, fmt.Errorf("frame: decompress payload: %w", err)
 	}
 	// Undo the Sub filter.

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Doc gate: every package must carry a package comment ("// Package x
-# ...") and the tree must be gofmt-clean. Cheap, grep-based, no deps.
+# ..."), the tree must be gofmt-clean, and every exported identifier the
+# top-level docs name as `pkg.Name` must still exist. Cheap, grep-based,
+# no deps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +21,19 @@ for dir in internal/* cmd/* examples/*; do
         fail=1
     fi
 done
+
+# Stale identifiers: each backticked `pkg.Name` in the docs, where pkg is
+# a directory under internal/ and Name is exported, must match a func,
+# method, type, var, const, field or interface method declared in pkg.
+while IFS=: read -r file line ref; do
+    ref="${ref#\`}"
+    pkg="${ref%%.*}" name="${ref#*.}"
+    [ -d "internal/$pkg" ] || continue
+    if ! grep -qE "^(func (\([^)]*\) )?|(type|var|const) |[[:space:]]+([A-Za-z0-9_]+, )*)${name}([^A-Za-z0-9_]|$)" "internal/$pkg"/*.go; then
+        echo "doccheck: $file:$line names \`$ref\`, which internal/$pkg does not declare" >&2
+        fail=1
+    fi
+done < <(grep -onE '`[a-z]+\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md OBSERVABILITY.md)
 
 unformatted="$(gofmt -l cmd examples internal)"
 if [ -n "$unformatted" ]; then
