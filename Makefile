@@ -7,11 +7,12 @@ test:
 	go build ./...
 	go test ./...
 
-# Dataplane, frame-decoder, frame-encoder, batch-, GOP-cache request-order,
-# inflate, TVC-container, disk-tier recovery, resize-kernel and task-config
-# fuzzing (bounded; extend -fuzztime for longer campaigns).
+# Dataplane, premat-heap, frame-decoder, frame-encoder, batch-, GOP-cache
+# request-order, inflate, TVC-container, disk-tier recovery, resize-kernel
+# and task-config fuzzing (bounded; extend -fuzztime for longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
+	go test -run=xxx -fuzz=FuzzPrematOrder -fuzztime=30s ./internal/sched/
 	go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/frame/
 	go test -run=xxx -fuzz=FuzzEncodeFrame -fuzztime=30s -fuzzminimizetime=1s ./internal/frame/
 	go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/core/

@@ -1,9 +1,11 @@
 // Package core implements the SAND service: it compiles task configs into
 // materialization plans (internal/graph), executes them with a
 // priority-scheduled worker pool (internal/sched) over the real codec and
-// augmentation library, manages training objects in the storage tier
-// (internal/storage), and exposes every intermediate as a view through the
-// POSIX-shaped filesystem (internal/vfs). Every service reports into an
+// augmentation library (a batch is one pool task whose samples and frames
+// materialize in order on that worker; parallelism is across batches),
+// manages training objects in the storage tier (internal/storage), and
+// exposes every intermediate as a view through the POSIX-shaped
+// filesystem (internal/vfs). Every service reports into an
 // observability registry (internal/obs) — its own via Options.Obs, or
 // the process-wide default — covering batch/sample/frame trace spans,
 // view-read latency histograms and GOP-cache/engine counters.

@@ -359,14 +359,26 @@ func TestReadPastEpochEndFailsBeforeWork(t *testing.T) {
 }
 
 // waitPoolIdle waits until the service's pool has nothing queued and
-// nothing running.
+// every task it dequeued has completed.
 func waitPoolIdle(t testing.TB, s *Service) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.pool.QueueDepth() != 0 || s.pool.Idle() != s.pool.Workers() {
+	for {
+		snap := s.Obs().Snapshot()
+		get := func(name string) int64 {
+			v, ok := snap.Get(name)
+			if !ok {
+				t.Fatalf("no metric %q", name)
+			}
+			return int64(v)
+		}
+		running := get("sched.demand_runs") + get("sched.premat_runs") - get("sched.completed")
+		queued := s.pool.QueueDepth()
+		if queued == 0 && running == 0 {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pool did not drain: %d queued, %d of %d workers idle",
-				s.pool.QueueDepth(), s.pool.Idle(), s.pool.Workers())
+			t.Fatalf("pool did not drain: %d queued, %d running", queued, running)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

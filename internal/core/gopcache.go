@@ -9,8 +9,6 @@ import (
 	"sand/internal/dataset"
 	"sand/internal/frame"
 	"sand/internal/obs"
-	"sand/internal/sched"
-	"sand/internal/storage"
 )
 
 // gopCache is the cross-sample decoded-GOP cache: samples whose frame
@@ -27,18 +25,13 @@ import (
 // eviction can never drop a GOP out from under a running sample. Cached
 // frames are shared read-only.
 //
-// The cache is bounded by a byte budget and integrated with the storage
-// tier's memory-pressure signal: above the store's 75% eviction threshold
-// the effective budget halves, and above the scheduler's 80% SJF pressure
-// threshold it quarters, so the GOP cache yields memory to the object
-// store exactly when the rest of the engine is shedding load. The shrunk
-// budget is floored at the largest resident entry so sustained pressure
-// degrades to "keep one GOP" instead of evict-rebuild thrash. Eviction is
-// least-recently-used.
+// The cache is bounded by a fixed byte budget; eviction is
+// least-recently-used among unpinned entries. Its footprint feeds the
+// scheduler's memory-pressure signal (Service.memPressure), but the
+// budget does not move with it.
 type gopCache struct {
-	budget   int64
-	pressure func() float64 // store fill fraction in [0,1]; may be nil
-	tr       *obs.Tracer    // may be nil (tracing calls are nil-safe)
+	budget int64
+	tr     *obs.Tracer // may be nil (tracing calls are nil-safe)
 
 	mu      sync.Mutex
 	entries map[gopKey]*gopEntry
@@ -84,11 +77,11 @@ type gopEntry struct {
 	frames []*frame.Frame
 }
 
-func newGOPCache(budget int64, pressure func() float64) *gopCache {
+func newGOPCache(budget int64) *gopCache {
 	if budget <= 0 {
 		budget = 64 << 20
 	}
-	return &gopCache{budget: budget, pressure: pressure, entries: map[gopKey]*gopEntry{}}
+	return &gopCache{budget: budget, entries: map[gopKey]*gopEntry{}}
 }
 
 // acquire pins the GOP containing idx, creating its (empty) entry on
@@ -189,51 +182,12 @@ func (c *gopCache) release(e *gopEntry) {
 	c.mu.Unlock()
 }
 
-// effectiveBudgetLocked shrinks the budget under memory pressure: half
-// beyond the store's 75% eviction threshold, a quarter beyond the
-// scheduler's 80% SJF switch. The shrunk value is floored at the largest
-// resident entry's footprint — with a small budget or deep pressure the
-// integer division would otherwise round below a single GOP and force an
-// evict-redecode cycle on every release (thrash); keeping one GOP
-// resident is strictly cheaper. With no residents the shrunk
-// value stands as-is, so pressure still gates fresh admissions.
-func (c *gopCache) effectiveBudgetLocked() int64 {
-	b := c.budget
-	if c.pressure == nil {
-		return b
-	}
-	shrunk := b
-	switch p := c.pressure(); {
-	case p >= sched.MemoryPressureThreshold:
-		shrunk = b / 4
-	case p >= storage.EvictionThreshold:
-		shrunk = b / 2
-	}
-	if shrunk == b {
-		return b
-	}
-	var maxEnt int64
-	for _, e := range c.entries {
-		if e.bytes > maxEnt {
-			maxEnt = e.bytes
-		}
-	}
-	if shrunk < maxEnt {
-		shrunk = maxEnt
-	}
-	if shrunk > b {
-		shrunk = b
-	}
-	return shrunk
-}
-
-// evictLocked drops unpinned GOPs until the cache fits its
-// (pressure-adjusted) budget, least recently used first. Pinned entries
-// are never dropped; their frames stay valid for every lease holder.
+// evictLocked drops unpinned GOPs until the cache fits its budget, least
+// recently used first. Pinned entries are never dropped; their frames
+// stay valid for every lease holder.
 func (c *gopCache) evictLocked() {
-	limit := c.effectiveBudgetLocked()
 	var dropped, freed int64
-	for c.bytes.Load() > limit {
+	for c.bytes.Load() > c.budget {
 		var victim *gopEntry
 		for _, e := range c.entries {
 			if e.refs == 0 && (victim == nil || e.lastUse < victim.lastUse) {
@@ -342,10 +296,9 @@ func (c *gopCache) frameOnce(ent *dataset.Entry, idx int) (*frame.Frame, error) 
 }
 
 // gopLease tracks the GOP entries one sample materialization has pinned.
-// It is safe for concurrent use by the intra-sample worker group.
+// It belongs to the goroutine materializing the sample.
 type gopLease struct {
 	c    *gopCache
-	mu   sync.Mutex
 	held map[gopKey]*gopEntry
 }
 
@@ -361,42 +314,28 @@ func (l *gopLease) frame(ent *dataset.Entry, idx int) (*frame.Frame, error) {
 }
 
 // entryFor returns the pinned entry covering frame idx of ent's video,
-// pinning its GOP on first touch (the same dedup dance as frame, without
-// decoding anything).
+// pinning its GOP on first touch, without decoding anything.
 func (l *gopLease) entryFor(ent *dataset.Entry, idx int) (*gopEntry, error) {
 	k, err := ent.Video.KeyframeBefore(idx)
 	if err != nil {
 		return nil, err
 	}
 	key := gopKey{video: ent.Spec.Name, start: k}
-	l.mu.Lock()
-	e, ok := l.held[key]
-	l.mu.Unlock()
-	if ok {
+	if e, ok := l.held[key]; ok {
 		return e, nil
 	}
-	fresh, err := l.c.acquire(ent, idx)
+	e, err := l.c.acquire(ent, idx)
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	if prev, dup := l.held[key]; dup {
-		l.mu.Unlock()
-		l.c.release(fresh)
-		return prev, nil
-	}
-	l.held[key] = fresh
-	l.mu.Unlock()
-	return fresh, nil
+	l.held[key] = e
+	return e, nil
 }
 
 // release unpins every GOP the lease holds. The lease is unusable after.
 func (l *gopLease) release() {
-	l.mu.Lock()
-	held := l.held
-	l.held = nil
-	l.mu.Unlock()
-	for _, e := range held {
+	for _, e := range l.held {
 		l.c.release(e)
 	}
+	l.held = nil
 }

@@ -115,7 +115,7 @@ func heldBytes(c *gopCache) int64 {
 // identical correct pixels. Run under -race this doubles as the shared-read check.
 func TestGOPCacheConcurrentSameGOP(t *testing.T) {
 	ent := gopTestEntry(t, "samegop", 30, 30) // one GOP
-	c := newGOPCache(1<<30, nil)
+	c := newGOPCache(1 << 30)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -168,7 +168,7 @@ func TestGOPCacheConcurrentSameGOP(t *testing.T) {
 // deepening indices within each GOP, so extensions interleave with hits.
 func TestGOPCacheConcurrentAdjacentGOPs(t *testing.T) {
 	ent := gopTestEntry(t, "adjacent", 90, 30) // GOPs at 0, 30, 60
-	c := newGOPCache(1<<30, nil)
+	c := newGOPCache(1 << 30)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -220,7 +220,7 @@ func TestGOPCacheConcurrentAdjacentGOPs(t *testing.T) {
 // and the bytes charged are exactly the bytes held.
 func TestGOPCacheKeepsOnlyRequestedFrames(t *testing.T) {
 	ent := gopTestEntry(t, "sparse", 20, 20) // one GOP
-	c := newGOPCache(1<<30, nil)
+	c := newGOPCache(1 << 30)
 	lease := c.lease()
 	defer lease.release()
 	const frameBytes = 32 * 24 * 3
@@ -268,7 +268,8 @@ func TestGOPCacheKeepsOnlyRequestedFrames(t *testing.T) {
 }
 
 // TestGOPCacheOutOfOrderRequests requests frames of three GOPs from many
-// goroutines in shuffled orders, as intra-sample fan-out makes them:
+// goroutines in shuffled orders, as concurrent samples, and a sample's
+// later chains revisiting its GOPs, make them:
 // every frame must match the reference decode, the cache must hold
 // exactly the requested frames, and its charge must equal what it holds.
 func TestGOPCacheOutOfOrderRequests(t *testing.T) {
@@ -277,7 +278,7 @@ func TestGOPCacheOutOfOrderRequests(t *testing.T) {
 	for i := range refs {
 		refs[i] = decodeRef(t, ent, i)
 	}
-	c := newGOPCache(1<<30, nil)
+	c := newGOPCache(1 << 30)
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
@@ -353,7 +354,7 @@ func TestGOPCacheFailedExtendChargesDecodedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	ent.Video = v
-	c := newGOPCache(1<<30, nil)
+	c := newGOPCache(1 << 30)
 	e, err := c.acquire(ent, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +387,7 @@ func TestGOPCacheByteBudgetEviction(t *testing.T) {
 	ent := gopTestEntry(t, "evict", 100, 10) // 10 GOPs of 10 frames
 	frameBytes := int64(32 * 24 * 3)
 	budget := 25 * frameBytes // fits ~2.5 GOPs of 10 frames
-	c := newGOPCache(budget, nil)
+	c := newGOPCache(budget)
 
 	for start := 0; start < 100; start += 10 { // every frame of every GOP
 		if err := requestAll(c, ent, start, start+10); err != nil {
@@ -421,7 +422,7 @@ func TestGOPCacheByteBudgetEviction(t *testing.T) {
 func TestGOPCacheEvictionVsRefHolder(t *testing.T) {
 	ent := gopTestEntry(t, "pinned", 100, 10)
 	frameBytes := int64(32 * 24 * 3)
-	c := newGOPCache(15*frameBytes, nil) // ~1.5 GOPs
+	c := newGOPCache(15 * frameBytes) // ~1.5 GOPs
 
 	// Pin GOP 0 fully decoded.
 	lease := c.lease()
@@ -483,100 +484,13 @@ func TestGOPCacheEvictionVsRefHolder(t *testing.T) {
 	}
 }
 
-// TestGOPCachePressureShrinksBudget drives the pressure signal through
-// the storage and scheduler thresholds and checks the effective budget.
-func TestGOPCachePressureShrinksBudget(t *testing.T) {
-	var pressure float64
-	var mu sync.Mutex
-	c := newGOPCache(1000, func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return pressure
-	})
-	set := func(p float64) {
-		mu.Lock()
-		pressure = p
-		mu.Unlock()
-	}
-	get := func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.effectiveBudgetLocked()
-	}
-	if b := get(); b != 1000 {
-		t.Fatalf("no pressure: budget %d, want 1000", b)
-	}
-	set(0.76) // above storage.EvictionThreshold
-	if b := get(); b != 500 {
-		t.Fatalf("eviction pressure: budget %d, want 500", b)
-	}
-	set(0.85) // above sched.MemoryPressureThreshold
-	if b := get(); b != 250 {
-		t.Fatalf("SJF pressure: budget %d, want 250", b)
-	}
-}
-
-// TestGOPCacheBudgetFloorUnderPressure pins the anti-thrash floor: when
-// pressure shrinks the budget below the largest resident GOP, the
-// effective budget clamps to that entry instead of rounding down and
-// evict-rebuilding it on every release.
-func TestGOPCacheBudgetFloorUnderPressure(t *testing.T) {
-	ent := gopTestEntry(t, "floor", 10, 10) // one 10-frame GOP
-	frameBytes := int64(32 * 24 * 3)
-	var pressure float64
-	var mu sync.Mutex
-	c := newGOPCache(12*frameBytes, func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return pressure
-	})
-
-	// Decode the full GOP (10 frames) while pressure is low.
-	if err := requestAll(c, ent, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	pressure = 0.85 // budget/4 = 3 frames < 10-frame resident entry
-	mu.Unlock()
-
-	c.mu.Lock()
-	eff := c.effectiveBudgetLocked()
-	c.mu.Unlock()
-	if eff != 10*frameBytes {
-		t.Fatalf("effective budget %d under pressure, want floor at resident entry %d", eff, 10*frameBytes)
-	}
-	// Repeated accesses under sustained pressure must be hits, not
-	// evict-rebuild cycles.
-	for i := 0; i < 5; i++ {
-		if _, err := c.frameOnce(ent, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := c.misses.Load(); n != 1 {
-		t.Fatalf("misses = %d under pressure floor, want 1 (no thrash)", n)
-	}
-	if n := c.evictions.Load(); n != 0 {
-		t.Fatalf("evictions = %d under pressure floor, want 0", n)
-	}
-	// With nothing resident the shrink applies unfloored, so pressure
-	// still gates fresh admissions (and the legacy 1000/500/250 behavior
-	// in TestGOPCachePressureShrinksBudget holds).
-	empty := newGOPCache(1000, func() float64 { return 0.85 })
-	empty.mu.Lock()
-	eff = empty.effectiveBudgetLocked()
-	empty.mu.Unlock()
-	if eff != 250 {
-		t.Fatalf("empty-cache effective budget %d, want 250", eff)
-	}
-}
-
 // TestGOPCacheScanResistance pins the LRU victim order: when a new GOP
 // overflows the budget, the least recently used GOP goes and the most
 // recently used one survives, however often either was touched before.
 func TestGOPCacheScanResistance(t *testing.T) {
 	ent := gopTestEntry(t, "scan", 100, 10) // 10 GOPs of 10 frames
 	frameBytes := int64(32 * 24 * 3)
-	c := newGOPCache(25*frameBytes, nil) // two 10-frame GOPs fit, three do not
+	c := newGOPCache(25 * frameBytes) // two 10-frame GOPs fit, three do not
 
 	touch := func(start int) { // every frame of the GOP at start
 		t.Helper()
@@ -617,7 +531,7 @@ func TestGOPCacheScanResistance(t *testing.T) {
 // released with the entry.
 func TestGOPCacheDerivedFrames(t *testing.T) {
 	ent := gopTestEntry(t, "derived", 10, 10)
-	c := newGOPCache(1<<30, nil)
+	c := newGOPCache(1 << 30)
 	lease := c.lease()
 	if _, err := lease.frame(ent, 5); err != nil {
 		t.Fatal(err)
@@ -693,7 +607,7 @@ func FuzzGOPRequests(f *testing.F) {
 	f.Add([]byte{23, 12, 0, 0x80 | 11, 13, 22, 21})
 	f.Add([]byte{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0x80, 12, 23})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := newGOPCache(8*frameBytes, nil)
+		c := newGOPCache(8 * frameBytes)
 		lease := c.lease()
 		for _, b := range data {
 			if b&0x80 != 0 {

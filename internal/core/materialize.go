@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sand/internal/augment"
@@ -110,12 +108,9 @@ func (s *Service) materializeSampleAt(sm *graph.Sample, si int, plan *reusePlan,
 	return frame.NewClip(out)
 }
 
-// materializeChain produces one chain's frames for a sample. Each frame
-// position is independent (ops are resolved at plan time, so there is no
-// cross-frame randomness), which lets the chain fan positions out across
-// a bounded worker group when the scheduling pool has idle capacity.
-// Output order is deterministic regardless of worker count: workers write
-// only their own out[pos] slot.
+// materializeChain produces one chain's frames for a sample, walking its
+// frame positions in order on the calling goroutine, so the GOP cache
+// rolls each GOP forward once per sample.
 func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.ResolvedChain,
 	ent *dataset.Entry, lease *gopLease, plan *reusePlan, deadline int64, tid obs.TraceID) ([]*frame.Frame, error) {
 
@@ -182,69 +177,12 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 		return nil
 	}
 
-	workers := s.intraSampleWorkers(len(sm.FrameIndices))
-	if workers <= 1 {
-		for pos, idx := range sm.FrameIndices {
-			if err := work(pos, idx); err != nil {
-				return nil, err
-			}
+	for pos, idx := range sm.FrameIndices {
+		if err := work(pos, idx); err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-
-	var (
-		wg      sync.WaitGroup
-		nextPos int64
-		errMu   sync.Mutex
-		firstAt = -1 // position of the earliest-position error
-		fanErr  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pos := int(atomic.AddInt64(&nextPos, 1)) - 1
-				if pos >= len(sm.FrameIndices) {
-					return
-				}
-				errMu.Lock()
-				bail := fanErr != nil
-				errMu.Unlock()
-				if bail {
-					return
-				}
-				if err := work(pos, sm.FrameIndices[pos]); err != nil {
-					errMu.Lock()
-					if fanErr == nil || pos < firstAt {
-						fanErr, firstAt = err, pos
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if fanErr != nil {
-		return nil, fanErr
 	}
 	return out, nil
-}
-
-// intraSampleWorkers sizes the worker group for one chain: the calling
-// goroutine plus however many pool workers are idle, capped at the number
-// of frame positions. Queued pool tasks always win the idle workers — the
-// fan-out only borrows capacity nobody else wants.
-func (s *Service) intraSampleWorkers(n int) int {
-	if n <= 1 || s.pool == nil {
-		return 1
-	}
-	w := s.pool.Idle() + 1
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // loadBestCached searches the store for the deepest cached prefix of one

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"sand/internal/augment"
+	"sand/internal/config"
 	"sand/internal/frame"
 	"sand/internal/graph"
+	"sand/internal/obs"
 )
 
 // TestApplyOpsRangeOwned runs applyOpsRange directly on one frame. With
@@ -57,5 +59,60 @@ func TestApplyOpsRangeOwned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestColdSampleDecodesEachGOPPrefixOnce reads one sample on a cold
+// engine whose other workers are idle: the sample's frames reach the GOP
+// cache in order, so each GOP rolls forward once, from its keyframe to
+// the sample's last frame in it, and decodes nothing twice.
+func TestColdSampleDecodesEachGOPPrefixOnce(t *testing.T) {
+	task := miniTask(t, "train")
+	task.Sampling = config.Sampling{VideosPerBatch: 1, FramesPerVideo: 8, FrameStride: 2, SamplesPerVideo: 1}
+	if err := task.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{
+		Tasks:         []*config.Task{task},
+		Dataset:       miniDataset(t, 2),
+		ChunkEpochs:   1,
+		TotalEpochs:   1,
+		StorageBudget: 1, // nothing cached in the store: every frame decodes
+		MemBudget:     64 << 20,
+		Workers:       8,
+		Seed:          5,
+		Obs:           obs.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	samples, err := s.scheduleFor(iterationKey{"train", 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := samples[0]
+	ent, ok := s.snapshot().Find(sm.Video)
+	if !ok {
+		t.Fatalf("video %q not in dataset", sm.Video)
+	}
+	deepest := map[int]int{} // keyframe -> highest requested index
+	for _, idx := range sm.FrameIndices {
+		k, err := ent.Video.KeyframeBefore(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deepest[k] = max(deepest[k], idx)
+	}
+	var want int64
+	for k, idx := range deepest {
+		want += int64(idx - k + 1)
+	}
+	if _, err := s.materializeSampleClip(sm, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := metric(t, s, "core.gop_frames_decoded"); got != want {
+		t.Fatalf("decoded %d frames for frames %v, want the roll-forward minimum %d (GOPs %v)",
+			got, sm.FrameIndices, want, deepest)
 	}
 }

@@ -114,9 +114,9 @@ type oracleEnv struct {
 	cacheDir      bool
 }
 
-// oracleEnvs crosses the worker counts that take the serial (one worker:
-// never an idle one to fan out to) and the fan-out chain paths with three
-// stores: a roomy memory tier with store-tier caching pruned away or
+// oracleEnvs crosses one worker (batches build one at a time) and eight
+// (batches build concurrently, sharing GOP-cache entries and derived
+// frames) with three stores: a roomy memory tier with store-tier caching pruned away or
 // planned in full, and one so tight that fresh batches are evicted
 // before they are read and objects spill to a disk tier.
 var oracleEnvs = []oracleEnv{

@@ -141,8 +141,8 @@ func TestSupersetByteIdentical(t *testing.T) {
 // output bytes when the superset path races on derived-frame publication
 // (first-in wins, all candidates identical). Four mutually overlapping
 // views at uneven offsets run under the one-worker (serial) and
-// eight-worker (fan-out) oracleEnvs; every batch of each must equal the
-// oracle's.
+// eight-worker (concurrent batches) oracleEnvs; every batch of each must
+// equal the oracle's.
 func TestSupersetSerialParallelIdentical(t *testing.T) {
 	task := overlapTask(t, "serpar", resize64, []config.OpSpec{
 		crop(48, 48, 0, 0), crop(48, 48, 16, 16), crop(48, 48, 8, 4), crop(48, 48, 2, 12),
@@ -276,9 +276,8 @@ func TestBatchScopeByteIdentical(t *testing.T) {
 }
 
 // TestMiniTaskMatchesOracle: the plain single-chain resize -> random_crop
-// task, with no superset groups to form, matches the oracle — at one
-// worker the pool has no idle capacity and every chain runs serially, at
-// eight chains fan out across frame positions.
+// task, with no superset groups to form, matches the oracle at one
+// worker and at eight.
 func TestMiniTaskMatchesOracle(t *testing.T) {
 	task := miniTask(t, "mini")
 	for _, d := range oracleDatasets(t) {

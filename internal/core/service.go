@@ -50,7 +50,7 @@ type Options struct {
 	Seed int64
 	// GOPCacheBudget caps the decoded-GOP cache (bytes of reconstructed
 	// frames shared across samples). 0 defaults to MemBudget/4. The
-	// effective budget shrinks automatically under memory pressure.
+	// budget is fixed: memory pressure does not shrink it.
 	GOPCacheBudget int64
 	// DemandSLO is the demand-path queue-wait p99 SLO handed to the
 	// scheduler's admission control: past it, pre-materialization stops
@@ -225,11 +225,9 @@ func New(opts Options) (*Service, error) {
 	if err := s.validateManifest(); err != nil {
 		return nil, err
 	}
-	// The GOP cache keeps the store-only fill signal for its own budget
-	// shrink: feeding it the combined pressure (which includes its own
-	// bytes) would be a feedback loop. It must exist before the pool:
-	// workers sample memPressure, which reads it.
-	s.gops = newGOPCache(opts.GOPCacheBudget, st.MemPressure)
+	// The GOP cache must exist before the pool: workers sample
+	// memPressure, which reads it.
+	s.gops = newGOPCache(opts.GOPCacheBudget)
 	s.gops.tr = s.tr
 	// The scheduler sees the engine's combined footprint (object store +
 	// decoded-GOP cache against the same budget), so the SJF switch

@@ -93,12 +93,6 @@ func TestSJFHeapOrdersByPredictedCost(t *testing.T) {
 		c.Observe("slow", 1, 1000)
 		c.Observe("fast", 1, 10)
 	}
-	p, err := NewPool(Options{Workers: 1, Cost: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Abort()
-
 	// A few edges of slow work must sort after many edges of fast work:
 	// 5 slow edges ≈ 5000ns vs 50 fast edges ≈ 500ns. Edge-count SJF
 	// would order these the other way around.
@@ -111,10 +105,10 @@ func TestSJFHeapOrdersByPredictedCost(t *testing.T) {
 		t.costNS = cost
 		return t
 	}
-	h := taskHeap{less: p.sjfHeap.less, set: func(t *Task, i int) { t.sjf = i }}
+	h := taskHeap{sjf: true}
 	heap.Push(&h, mk("slow-few-edges", "slow", 5))
 	heap.Push(&h, mk("fast-many-edges", "fast", 50))
-	first := heap.Pop(&h).(*Task)
+	first := h.pop()
 	if first.Key != "fast-many-edges" {
 		t.Fatalf("SJF popped %q first, want the cheaper-by-time task", first.Key)
 	}

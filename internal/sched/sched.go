@@ -35,8 +35,8 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sand/internal/obs"
@@ -85,9 +85,6 @@ type Task struct {
 	// bookkeeping
 	seq      uint64
 	enqueued time.Time
-	done     atomic.Bool
-	edf      int   // index in EDF heap, -1 when popped
-	sjf      int   // index in SJF heap
 	costNS   int64 // predicted run time at submit (primary SJF key)
 }
 
@@ -108,12 +105,11 @@ type counters struct {
 // Pool is the worker pool. Create with NewPool, submit with Submit, stop
 // with Close (which drains the queue) or Abort (which discards it).
 type Pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	demand  []*Task // FIFO
-	edfHeap taskHeap
-	sjfHeap taskHeap
-	seq     uint64
+	mu     sync.Mutex
+	cond   *sync.Cond
+	demand []*Task // FIFO
+	premat taskHeap
+	seq    uint64
 
 	pressure func() float64
 	onError  func(*Task, error)
@@ -125,7 +121,6 @@ type Pool struct {
 	histWait   *obs.Histogram // sched.queue_wait_ns: submit -> dequeue
 	histDemand *obs.Histogram // sched.demand_wait_ns: demand tasks only
 	histRun    *obs.Histogram // sched.task_run_ns: task execution
-	sjfMode    bool           // last dequeue sampled SJF pressure (guarded by mu)
 
 	// Premat admission control, all guarded by mu. admWindow is a ring
 	// of the most recent demand queue-wait samples; the gate engages
@@ -166,7 +161,7 @@ type Options struct {
 	// and without running the task, for every queued premat task that
 	// admission control sheds, so the submitter can plan it again later.
 	OnError func(*Task, error)
-	// Cost is the run-time model ordering the SJF heap (predicted
+	// Cost is the run-time model behind the SJF order (predicted
 	// nanoseconds instead of raw edge counts). nil creates a private
 	// model; pass a shared one to pool estimates across pools.
 	Cost *CostModel
@@ -251,25 +246,6 @@ func NewPool(opts Options) (*Pool, error) {
 			"admission_shed":     c.admissionShed,
 		}
 	})
-	p.edfHeap = taskHeap{less: func(a, b *Task) bool {
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-		return a.seq < b.seq
-	}, set: func(t *Task, i int) { t.edf = i }}
-	// SJF orders by predicted nanoseconds (CostModel estimate × edges).
-	// Cold tasks carry their raw edge count as costNS, which preserves
-	// the pre-closed-loop ordering among themselves and self-corrects as
-	// soon as any observation seeds the global per-edge estimate.
-	p.sjfHeap = taskHeap{less: func(a, b *Task) bool {
-		if a.costNS != b.costNS {
-			return a.costNS < b.costNS
-		}
-		if a.Remaining != b.Remaining {
-			return a.Remaining < b.Remaining
-		}
-		return a.seq < b.seq
-	}, set: func(t *Task, i int) { t.sjf = i }}
 	for i := 0; i < opts.Workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -289,6 +265,9 @@ var ErrAdmission = errors.New("sched: premat admission closed")
 func (p *Pool) Submit(t *Task) error {
 	if t == nil || t.Run == nil {
 		return fmt.Errorf("sched: task needs a Run function")
+	}
+	if t.Kind != Demand && t.Kind != Premat {
+		return fmt.Errorf("sched: unknown task kind %d", t.Kind)
 	}
 	// Estimate before taking the lock: the cost model has its own lock
 	// and is never acquired under p.mu (and vice versa).
@@ -310,14 +289,10 @@ func (p *Pool) Submit(t *Task) error {
 	p.seq++
 	t.enqueued = time.Now()
 	p.tr.Instant("sched", "enqueue", t.Trace, t.Key)
-	switch t.Kind {
-	case Demand:
+	if t.Kind == Demand {
 		p.demand = append(p.demand, t)
-	case Premat:
-		heap.Push(&p.edfHeap, t)
-		heap.Push(&p.sjfHeap, t)
-	default:
-		return fmt.Errorf("sched: unknown task kind %d", t.Kind)
+	} else {
+		heap.Push(&p.premat, t)
 	}
 	p.queued++
 	p.cond.Signal()
@@ -325,40 +300,31 @@ func (p *Pool) Submit(t *Task) error {
 }
 
 // Promote moves the queued premat task with the given key into the
-// demand class: the trainer now waits for its output. The premat entry
-// becomes a tombstone in both heaps and a demand copy joins the back of
-// the demand FIFO, so the queue depth is unchanged. The copy's demand
-// wait starts at promotion: admission control judges the demand path by
-// how long demand work waits, and premat queue time is not that.
-// Promote returns false when no queued premat task has the key (it is
-// running, finished, was shed, or was never submitted); the caller then
-// submits demand work of its own.
+// demand class: the trainer now waits for its output. The task leaves
+// the premat heap and joins the back of the demand FIFO as a demand
+// task, so the queue depth is unchanged. Its demand wait starts at
+// promotion: admission control judges the demand path by how long
+// demand work waits, and premat queue time is not that. Promote returns
+// false when no queued premat task has the key (it is running, finished,
+// was shed, or was never submitted); the caller then submits demand work
+// of its own.
 func (p *Pool) Promote(key string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return false
 	}
-	for _, t := range p.edfHeap.items {
-		if t.Key != key || t.done.Load() {
-			continue
-		}
-		t.done.Store(true)
-		p.demand = append(p.demand, &Task{
-			Key: t.Key, Kind: Demand, Deadline: t.Deadline, Remaining: t.Remaining,
-			Sig: t.Sig, Run: t.Run, Trace: t.Trace,
-			seq: t.seq, enqueued: time.Now(), costNS: t.costNS,
-		})
-		p.stats.promotions++
-		p.tr.Instant("sched", "promote", t.Trace, t.Key)
-		p.cond.Signal()
-		return true
+	t := p.premat.remove(key)
+	if t == nil {
+		return false
 	}
-	return false
-}
-
-func (p *Pool) queueDepthLocked() int {
-	return p.queued
+	t.Kind = Demand
+	t.enqueued = time.Now()
+	p.demand = append(p.demand, t)
+	p.stats.promotions++
+	p.tr.Instant("sched", "promote", t.Trace, t.Key)
+	p.cond.Signal()
+	return true
 }
 
 // next pops the highest-priority runnable task; blocks until one exists
@@ -374,14 +340,17 @@ func (p *Pool) next() *Task {
 		// invert lock order against the storage tier.
 		useSJF := p.pressure != nil && p.pressure() > MemoryPressureThreshold
 		p.mu.Lock()
-		if useSJF != p.sjfMode && p.queued > 0 {
+		// The premat heap's key follows the policy only while something
+		// is queued; an empty queue has no order to change, and a task
+		// pushed under the stale key is re-heapified here before any pop.
+		if useSJF != p.premat.sjf && p.queued > 0 {
 			from, to := "edf", "sjf"
 			if !useSJF {
 				from, to = "sjf", "edf"
 			}
 			p.stats.modeSwitches++
 			p.tr.Instant("sched", "mode_switch", 0, from+"->"+to)
-			p.sjfMode = useSJF
+			p.premat.setSJF(useSJF)
 		}
 		// Demand first, FIFO.
 		if len(p.demand) > 0 {
@@ -407,31 +376,13 @@ func (p *Pool) next() *Task {
 			}
 			return t
 		}
-		// Then pre-materialization under the current policy. A task
-		// lives in both heaps; whichever heap it is claimed from first
-		// wins (done flag), and the twin's copy becomes a tombstone that
-		// later pops skip.
-		pop := func(h *taskHeap) *Task {
-			for h.Len() > 0 {
-				t := heap.Pop(h).(*Task)
-				if !t.done.Swap(true) {
-					return t
-				}
-			}
-			return nil
-		}
-		primary, secondary := &p.edfHeap, &p.sjfHeap
-		if useSJF {
-			primary, secondary = &p.sjfHeap, &p.edfHeap
-		}
-		// Premat never takes the last free worker while a demand task
-		// runs: that worker stays free for the next demand task. With no
-		// demand running, premat fills every worker.
+		// Then pre-materialization under the current policy. Premat
+		// never takes the last free worker while a demand task runs: that
+		// worker stays free for the next demand task. With no demand
+		// running, premat fills every worker.
 		var t *Task
 		if p.runningDemand == 0 || p.running+1 < p.workers {
-			if t = pop(primary); t == nil {
-				t = pop(secondary) // drain stragglers regardless of policy
-			}
+			t = p.premat.pop()
 		}
 		if t != nil {
 			p.queued--
@@ -509,7 +460,7 @@ func (p *Pool) Close() {
 		return
 	}
 	p.draining = true
-	for p.queueDepthLocked() > 0 {
+	for p.queued > 0 {
 		p.cond.Wait() // workers broadcast after each completion
 	}
 	p.closed = true
@@ -523,8 +474,7 @@ func (p *Pool) Abort() {
 	p.mu.Lock()
 	p.closed = true
 	p.demand = nil
-	p.edfHeap.items = nil
-	p.sjfHeap.items = nil
+	p.premat.items = nil
 	p.queued = 0
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -605,26 +555,10 @@ func (p *Pool) windowP99Locked() int64 {
 
 // shedPrematLocked drops the queued premat tail when admission engages:
 // the earliest-deadline tasks up to the worker count survive (they are
-// the ones most likely to still matter), everything else is tombstoned
-// so later pops skip it in both heaps. Returns the tasks shed.
+// the ones most likely to still matter). Returns the tasks shed.
 func (p *Pool) shedPrematLocked() []*Task {
-	var keep, shed []*Task
-	for p.edfHeap.Len() > 0 {
-		t := heap.Pop(&p.edfHeap).(*Task)
-		if t.done.Load() {
-			continue // already claimed by a worker or a prior shed
-		}
-		if len(keep) < p.workers {
-			keep = append(keep, t)
-			continue
-		}
-		t.done.Store(true) // tombstone; the SJF twin is skipped on pop
-		p.queued--
-		shed = append(shed, t)
-	}
-	for _, t := range keep {
-		heap.Push(&p.edfHeap, t)
-	}
+	shed := p.premat.shed(p.workers)
+	p.queued -= len(shed)
 	return shed
 }
 
@@ -636,52 +570,99 @@ func (p *Pool) Cost() *CostModel { return p.cost }
 func (p *Pool) QueueDepth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.queueDepthLocked()
+	return p.queued
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Idle estimates how many workers have nothing to do right now: workers
-// not executing a task, minus queued tasks about to claim one. A running
-// task may use this to fan its own work out across otherwise-idle
-// workers (intra-sample parallel materialization) without starving
-// queued tasks.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	idle := p.workers - p.running - p.queued
-	if idle < 0 {
-		return 0
-	}
-	return idle
-}
-
-// taskHeap is a heap of *Task with a configurable comparison and an index
-// callback (so tasks can live in two heaps at once).
+// taskHeap is the premat queue: one heap whose order follows the pool's
+// policy, earliest deadline first or, while sjf is set, shortest
+// predicted job first. Both orders are total (seq breaks every tie), so
+// the pop sequence does not depend on the heap's shape, and a policy
+// change is a re-heapify under the other key (setSJF).
 type taskHeap struct {
 	items []*Task
-	less  func(a, b *Task) bool
-	set   func(t *Task, i int)
+	sjf   bool
 }
 
-func (h *taskHeap) Len() int           { return len(h.items) }
-func (h *taskHeap) Less(i, j int) bool { return h.less(h.items[i], h.items[j]) }
-func (h *taskHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.set(h.items[i], i)
-	h.set(h.items[j], j)
+// edfLess orders by deadline (iterations until the output is needed).
+func edfLess(a, b *Task) bool {
+	if a.Deadline != b.Deadline {
+		return a.Deadline < b.Deadline
+	}
+	return a.seq < b.seq
 }
-func (h *taskHeap) Push(x any) {
-	t := x.(*Task)
-	h.set(t, len(h.items))
-	h.items = append(h.items, t)
+
+// sjfLess orders by predicted nanoseconds (CostModel estimate × edges).
+// Cold tasks carry their raw edge count as costNS, which preserves the
+// edge-count ordering among themselves and self-corrects as soon as any
+// observation seeds the global per-edge estimate.
+func sjfLess(a, b *Task) bool {
+	if a.costNS != b.costNS {
+		return a.costNS < b.costNS
+	}
+	if a.Remaining != b.Remaining {
+		return a.Remaining < b.Remaining
+	}
+	return a.seq < b.seq
 }
+
+func (h *taskHeap) Len() int { return len(h.items) }
+func (h *taskHeap) Less(i, j int) bool {
+	if h.sjf {
+		return sjfLess(h.items[i], h.items[j])
+	}
+	return edfLess(h.items[i], h.items[j])
+}
+func (h *taskHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *taskHeap) Push(x any)    { h.items = append(h.items, x.(*Task)) }
 func (h *taskHeap) Pop() any {
 	n := len(h.items)
 	t := h.items[n-1]
 	h.items[n-1] = nil
 	h.items = h.items[:n-1]
-	h.set(t, -1)
 	return t
+}
+
+// pop removes the first task under the current key, or returns nil.
+func (h *taskHeap) pop() *Task {
+	if len(h.items) == 0 {
+		return nil
+	}
+	return heap.Pop(h).(*Task)
+}
+
+// remove takes the earliest-submitted task with the given key out of the
+// heap, or returns nil when none is queued.
+func (h *taskHeap) remove(key string) *Task {
+	at := -1
+	for i, t := range h.items {
+		if t.Key == key && (at < 0 || t.seq < h.items[at].seq) {
+			at = i
+		}
+	}
+	if at < 0 {
+		return nil
+	}
+	return heap.Remove(h, at).(*Task)
+}
+
+// shed keeps the n earliest-deadline tasks and returns the rest in
+// earliest-deadline order.
+func (h *taskHeap) shed(n int) []*Task {
+	if len(h.items) <= n {
+		return nil
+	}
+	sort.Slice(h.items, func(i, j int) bool { return edfLess(h.items[i], h.items[j]) })
+	shed := append([]*Task(nil), h.items[n:]...)
+	clear(h.items[n:])
+	h.items = h.items[:n]
+	heap.Init(h)
+	return shed
+}
+
+// setSJF switches the key and re-heapifies when it changes.
+func (h *taskHeap) setSJF(sjf bool) {
+	if h.sjf != sjf {
+		h.sjf = sjf
+		heap.Init(h)
+	}
 }

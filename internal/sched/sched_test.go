@@ -23,20 +23,37 @@ func TestNewPoolValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitValidation checks that a rejected Submit leaves no trace: no
+// enqueue event and nothing queued.
 func TestSubmitValidation(t *testing.T) {
-	p, err := NewPool(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Abort()
-	if err := p.Submit(nil); err == nil {
-		t.Fatal("accepted nil task")
-	}
-	if err := p.Submit(&Task{Key: "x"}); err == nil {
-		t.Fatal("accepted task without Run")
-	}
-	if err := p.Submit(&Task{Key: "x", Kind: Kind(42), Run: func() error { return nil }}); err == nil {
-		t.Fatal("accepted unknown kind")
+	for _, tc := range []struct {
+		name string
+		task *Task
+	}{
+		{"nil task", nil},
+		{"no Run", &Task{Key: "x"}},
+		{"unknown kind", &Task{Key: "x", Kind: Kind(42), Run: func() error { return nil }}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			reg.Trace().Enable()
+			p, err := NewPool(Options{Workers: 1, Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Abort()
+			if err := p.Submit(tc.task); err == nil {
+				t.Fatal("Submit accepted the task")
+			}
+			for _, e := range reg.Trace().Events() {
+				if e.Kind() == "sched.enqueue" {
+					t.Fatalf("rejected Submit recorded an enqueue event: %v", e)
+				}
+			}
+			if d := p.QueueDepth(); d != 0 {
+				t.Fatalf("queue depth %d after a rejected Submit, want 0", d)
+			}
+		})
 	}
 }
 

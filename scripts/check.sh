@@ -24,8 +24,11 @@ go test ./bench
 echo "== storage race soak (promotion singleflight, 20 runs)"
 go test -race -count=20 ./internal/storage
 
-echo "== batch-flight race soak (promotion, one build per batch, dispatch rule, shared GOP-cache frames as decoder references; 20 runs)"
-go test -race -count=20 -run 'Promote|Flight|Dispatch|GOPCache' ./internal/sched ./internal/core
+echo "== batch-flight race soak (promotion, premat heap order, one build per batch, dispatch rule, shared GOP-cache frames as decoder references; 20 runs)"
+go test -race -count=20 -run 'Promote|PrematOrder|Flight|Dispatch|GOPCache' ./internal/sched ./internal/core
+
+echo "== premat heap fuzz against a slow reference queue (10s)"
+go test -run=xxx -fuzz=FuzzPrematOrder -fuzztime=10s ./internal/sched/
 
 echo "== frame decoder fuzz (10s)"
 go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/frame/
