@@ -19,7 +19,10 @@ import (
 	"sand/internal/frame"
 )
 
-const batchMagic = 0x53424131 // "SBA1"
+// batchMagic is "SBA" under encoding tag '1', the original layout, in
+// the one tag scheme of frame, clip and batch headers (see
+// internal/frame's serialization): a new batch encoding adds a tag.
+const batchMagic = 0x53424100 | '1' // "SBA1"
 
 // batchBufs pools EncodeBatch's scratch buffer: a batch is encoded into
 // one and copied out once at its exact size.

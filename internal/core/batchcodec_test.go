@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/hex"
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -159,7 +161,50 @@ func batchSeeds() [][]byte {
 			}
 		}
 	}
-	return seeds
+	v1, err := hex.DecodeString(v1Batch)
+	if err != nil {
+		panic(err)
+	}
+	return append(seeds, v1, v1[:len(v1)-3])
+}
+
+// v1Batch is an SBA1 batch as the v1 writers produced it: epoch 1,
+// iteration 3, and one clip labelled "run" of two 2x2x1 frames whose
+// sample i is seed + 37i (seeds 1 and 9, indices 0 and 2, PTS 0 and 80).
+const v1Batch = "314142530100000001000000030000007000000003000000314c43530200000030000000314d46530200000002000000010000000000000000000000000000007801000400fbff01254b25010000ffff0132009730000000314d46530200000002000000010000000200000050000000000000007801000400fbff09255325010000ffff016200a772756e"
+
+// TestDecodeV1Batch decodes the checked-in v1 batch, and reads the same
+// attributes from its headers.
+func TestDecodeV1Batch(t *testing.T) {
+	data, err := hex.DecodeString(v1Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeBatch(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Epoch != 1 || b.Iteration != 3 || b.Len() != 1 || b.Clips[0].Len() != 2 || !slices.Equal(b.Labels, []string{"run"}) {
+		t.Fatalf("decoded epoch %d iteration %d, %d clips, labels %v", b.Epoch, b.Iteration, b.Len(), b.Labels)
+	}
+	for i, seed := range []byte{1, 9} {
+		f := b.Clips[0].Frames[i]
+		want := frame.New(2, 2, 1)
+		for j := range want.Pix {
+			want.Pix[j] = seed + byte(37*j)
+		}
+		if !f.Equal(want) || f.Index != 2*i || f.PTS != int64(80*i) {
+			t.Fatalf("frame %d: %+v, want pixels %v, index %d, PTS %d", i, f, want.Pix, 2*i, 80*i)
+		}
+	}
+	p := vfs.Path{Kind: vfs.KindBatchView, Task: "t", Epoch: 1, Iteration: 3}
+	got, err := batchXattrs(p, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := decodedXattrs(p, data); !maps.Equal(got, want) {
+		t.Fatalf("header walk gives %v, decoding gives %v", got, want)
+	}
 }
 
 // FuzzDecodeBatch: neither DecodeBatch nor the header walk behind

@@ -364,6 +364,11 @@ func waitPoolIdle(t testing.TB, s *Service) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
+		// The queue depth is read first: a task dequeued after this read
+		// is counted running (dequeue bumps its run counter under the
+		// same lock), while read after the snapshot a task dequeued in
+		// between would be in neither figure.
+		queued := s.pool.QueueDepth()
 		snap := s.Obs().Snapshot()
 		get := func(name string) int64 {
 			v, ok := snap.Get(name)
@@ -373,7 +378,6 @@ func waitPoolIdle(t testing.TB, s *Service) {
 			return int64(v)
 		}
 		running := get("sched.demand_runs") + get("sched.premat_runs") - get("sched.completed")
-		queued := s.pool.QueueDepth()
 		if queued == 0 && running == 0 {
 			return
 		}
@@ -658,7 +662,9 @@ func TestCrashRecovery(t *testing.T) {
 // object between the crash and the restart — each .objz still inflates
 // but one payload byte is flipped, and each .obj has a flipped byte — and
 // checks that the restarted engine drops the bad objects and recomputes
-// the first engine's batch instead of failing the read.
+// the first engine's batch instead of failing the read. One raw frame
+// object is rewritten as an uncompressed .obj with a flipped pixel: its
+// header still parses, so only its CRC-32C can catch it.
 func TestCrashRecoveryRecomputesGarbledObjects(t *testing.T) {
 	dir := t.TempDir()
 	ds := miniDataset(t, 3)
@@ -674,7 +680,7 @@ func TestCrashRecoveryRecomputesGarbledObjects(t *testing.T) {
 	}
 	s1.Close() // "crash"
 
-	garbled := 0
+	garbled, rawPixel := 0, 0
 	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -692,6 +698,24 @@ func TestCrashRecoveryRecomputesGarbledObjects(t *testing.T) {
 				return err
 			}
 		}
+		if rawPixel == 0 && bytes.HasPrefix(data, []byte("RMFS")) { // "SFMR", little-endian
+			data[len(data)-1] ^= 0xFF
+			if _, err := frame.ParseFrameHeader(data); err != nil {
+				return fmt.Errorf("%s: a flipped pixel broke the header: %w", path, err)
+			}
+			if _, _, err := frame.ViewFrame(data); err == nil {
+				return fmt.Errorf("%s: a flipped pixel passed the CRC-32C", path)
+			}
+			if compressed {
+				if err := os.Remove(path); err != nil {
+					return err
+				}
+				path = strings.TrimSuffix(path, "z")
+			}
+			rawPixel++
+			garbled++
+			return os.WriteFile(path, data, 0o644)
+		}
 		data[len(data)/2] ^= 0xFF
 		if compressed {
 			var buf bytes.Buffer
@@ -708,6 +732,9 @@ func TestCrashRecoveryRecomputesGarbledObjects(t *testing.T) {
 	}
 	if garbled == 0 {
 		t.Fatal("no persisted objects to garble")
+	}
+	if rawPixel == 0 {
+		t.Fatal("no persisted raw frame object to garble in its pixels")
 	}
 
 	s2 := crashService(t, dir, ds)

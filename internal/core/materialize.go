@@ -134,10 +134,8 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 				s.tr.Span("core", "frame", tid, frameStart, fmt.Sprintf("%s f%d", sm.Video, idx))
 			}()
 		}
-		// Deepest cached augmentation prefix in the object store wins;
-		// DecodeFrame hands us an exclusively owned frame.
-		f, fromDepth := s.loadBestCached(sm, chain, idx, total, stopDepth)
-		owned := true
+		// Deepest cached augmentation prefix in the object store wins.
+		f, fromDepth, owned := s.loadBestCached(sm, chain, idx, total, stopDepth)
 		var err error
 		switch {
 		case f != nil:
@@ -149,7 +147,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 			if err != nil {
 				return err
 			}
-			fromDepth = grp.depth + 1
+			fromDepth, owned = grp.depth+1, true
 			if err := s.storeIfCached(sm, chain, findLeaf(sm, ci, idx), total, fromDepth, idx, f, deadline); err != nil {
 				return err
 			}
@@ -187,12 +185,15 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 
 // loadBestCached searches the store for the deepest cached prefix of one
 // chain for one frame: the leaf first, then shallower aug objects, then
-// the decoded frame. Returns the loaded frame and the depth it
-// corresponds to, or (nil, 0) when nothing usable is cached. Depths at or
-// below stopDepth are not consulted (-1 searches all the way down to the
-// decoded frame); superset-grouped chains stop at the crop depth, where
-// the shared region is the cheaper source.
-func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, idx, total, stopDepth int) (*frame.Frame, int) {
+// the decoded frame. Returns the loaded frame, the depth it corresponds
+// to and whether the caller owns its pixels, or (nil, 0, false) when
+// nothing usable is cached. A raw object comes back as a view of the
+// stored bytes (frame.ViewFrame), unowned: the store's objects are never
+// written after Put, so the first op that would write it in place copies
+// it instead. Depths at or below stopDepth are not consulted (-1 searches
+// all the way down to the decoded frame); superset-grouped chains stop at
+// the crop depth, where the shared region is the cheaper source.
+func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, idx, total, stopDepth int) (*frame.Frame, int, bool) {
 	for d := total; d > stopDepth; d-- {
 		var key string
 		if d == 0 {
@@ -205,21 +206,23 @@ func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, i
 			continue
 		}
 		var f *frame.Frame
+		var owned bool
 		if err == nil {
-			f, err = frame.DecodeFrame(obj.Data)
+			f, owned, err = frame.ViewFrame(obj.Data)
 		}
 		if err != nil {
-			// An unreadable or garbled object (a damaged spill file) is
-			// dropped, so this frame is recomputed from a shallower depth
-			// instead of failing every later read of it. A file Delete
-			// cannot remove is already out of the store's index.
+			// An unreadable or garbled object (a damaged spill file, or
+			// raw pixels failing their CRC) is dropped, so this frame is
+			// recomputed from a shallower depth instead of failing every
+			// later read of it. A file Delete cannot remove is already out
+			// of the store's index.
 			_ = s.store.Delete(key)
 			continue
 		}
 		s.store.MarkUsed(key)
-		return f, d
+		return f, d, owned
 	}
-	return nil, 0
+	return nil, 0, false
 }
 
 // applyOps runs chain.Ops[fromDepth:] on f, storing intermediate objects
@@ -323,16 +326,23 @@ func findLeaf(sm *graph.Sample, ci int, idx int) *graph.Node {
 	return nil
 }
 
-// storeFrame serializes and stores a frame object, persisting it when a
-// disk tier exists (fault tolerance for unpruned objects). Frame objects
-// are read back on every reuse, so they are encoded decode-cheap; the
-// store compresses them only when they spill to disk.
+// storeFrame stores a frame object, persisting it when a disk tier
+// exists (fault tolerance for unpruned objects). Frame objects are read
+// back on every reuse, so they are raw pixels behind a CRC
+// (frame.EncodeFrameFast: one copy to write, none to read); the store
+// compresses them only when they spill to disk. An object larger than
+// the whole memory tier is not stored, and its next use recomputes it.
 func (s *Service) storeFrame(key string, f *frame.Frame, deadline int64) error {
 	data, err := frame.EncodeFrameFast(f)
 	if err != nil {
 		return err
 	}
-	if err := s.store.Put(&storage.Object{Key: key, Data: data, Deadline: deadline}); err != nil {
+	err = s.store.Put(&storage.Object{Key: key, Data: data, Deadline: deadline})
+	if errors.Is(err, storage.ErrTooLarge) {
+		s.unstored.Add(1)
+		return nil
+	}
+	if err != nil {
 		return err
 	}
 	if s.opts.CacheDir != "" {
@@ -348,7 +358,9 @@ func (s *Service) storeFrame(key string, f *frame.Frame, deadline int64) error {
 
 // materializeBatch builds the full batch payload for one iteration,
 // stores it under the batch key and returns it, so a caller can serve
-// the bytes even if the store evicts the object right away.
+// the bytes even if the store evicts the object right away, or cannot
+// hold it at all: a batch larger than the memory tier is served from the
+// flight, unstored.
 func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.TraceID) ([]byte, error) {
 	if traced := s.tr.Enabled(); traced {
 		spanStart := s.tr.Now()
@@ -396,7 +408,12 @@ func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.Tra
 		Deadline:  deadline,
 		Ephemeral: true, // a batch is consumed once, then evictable
 	}
-	return data, s.store.Put(obj)
+	err = s.store.Put(obj)
+	if errors.Is(err, storage.ErrTooLarge) {
+		s.unstored.Add(1)
+		return data, nil
+	}
+	return data, err
 }
 
 // ensureBatch returns the serialized batch for an iteration, producing it

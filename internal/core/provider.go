@@ -133,14 +133,19 @@ func (s *Service) materializeFrameView(p vfs.Path) ([]byte, map[string]string, e
 	if p.Frame >= ent.Video.FrameCount {
 		return nil, nil, fmt.Errorf("%w: frame %d of %d", vfs.ErrNotExist, p.Frame, ent.Video.FrameCount)
 	}
-	// Serve from the object cache when the planner materialized it.
-	if obj, err := s.store.Get(frameKey(p.Video, p.Frame)); err == nil {
-		s.store.MarkUsed(frameKey(p.Video, p.Frame))
-		return obj.Data, frameXattrs(p, ent.Video), nil
+	// Serve from the object cache when the planner materialized it: a
+	// raw object whose CRC holds is the view's bytes as they are.
+	key := frameKey(p.Video, p.Frame)
+	if obj, err := s.store.Get(key); err == nil {
+		if _, owned, err := frame.ViewFrame(obj.Data); err == nil && !owned {
+			s.store.MarkUsed(key)
+			return obj.Data, frameXattrs(p, ent.Video), nil
+		}
 	}
 	// Decode through the shared GOP cache: repeated frame views of one
 	// GOP reuse the same reconstruction. The encoding is the stored
-	// object's, so a view's bytes do not depend on whether it was cached.
+	// object's (raw), so a view's bytes do not depend on whether it was
+	// cached.
 	f, err := s.gops.frameOnce(ent, p.Frame)
 	if err != nil {
 		return nil, nil, err

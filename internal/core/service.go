@@ -134,6 +134,7 @@ type Service struct {
 	prematHits     atomic.Int64 // batches already materialized when read
 	flightJoins    atomic.Int64 // demand reads that waited on a build running or owned by an earlier read
 	objectsReused  atomic.Int64 // frames served from a cached store object
+	unstored       atomic.Int64 // frame objects and batches too large for the memory tier
 	streamedVideos atomic.Int64
 	supersetHits   atomic.Int64 // views served from a shared superset region
 	supersetMisses atomic.Int64 // superset regions computed fresh
@@ -253,6 +254,7 @@ func New(opts Options) (*Service, error) {
 			"premat_hits":        s.prematHits.Load(),
 			"flight_joins":       s.flightJoins.Load(),
 			"objects_reused":     s.objectsReused.Load(),
+			"unstored_objects":   s.unstored.Load(),
 			"streamed_videos":    s.streamedVideos.Load(),
 			"flight_dumps":       s.flight.Dumps(),
 			"gop_hits":           s.gops.hits.Load(),

@@ -8,29 +8,20 @@ import (
 	"sync"
 )
 
-// A hand-written zlib encoder (RFC 1950/1951) for the Sub-filtered
-// samples of an encoded frame. It writes one of two stream shapes:
-//
-//   - Huffman-only (EncodeFrame): every 65535-byte block is coded with a
-//     dynamic Huffman code built from its byte histogram and no LZ77
-//     matches, or stored when that saves less than 1/16. Blocks split at
-//     the offsets of compress/flate's HuffmanOnly window, and the
-//     stored-vs-dynamic rule and code-length run-length coding are
-//     flate's, but the code is built in linear time after one sort (a
-//     two-queue Huffman, then a Kraft fix-up when a code overruns its
-//     length limit) instead of by package-merge, so the bytes can differ
-//     from flate's: ties break differently, and the fix-up is not
-//     package-merge's optimal length-limited code.
-//   - Stored (EncodeFrameFast): 65535-byte stored blocks, byte-identical
-//     to compress/zlib at NoCompression.
-//
-// Both end with an empty final stored block and the adler32 trailer, as
-// compress/zlib's Close writes them. Everything appends to the caller's
-// buffer; an encoder's scratch is pooled.
+// A hand-written Huffman-only zlib encoder (RFC 1950/1951) for
+// EncodeFrame's Sub-filtered samples. Each 65535-byte block (flate's
+// HuffmanOnly window) gets a dynamic Huffman code from its byte histogram
+// and no LZ77 matches, or is stored when that saves less than 1/16, by
+// flate's rules; but the code is built in linear time (a two-queue
+// Huffman, then a Kraft fix-up for overlong codes) instead of by
+// package-merge, so ties, and the length-limited code, can differ from
+// flate's. The stream ends as compress/zlib's Close ends it: an empty
+// final stored block and the adler32 trailer. Everything appends to the
+// caller's buffer; an encoder's scratch is pooled.
 
 const (
 	// maxBlock is the largest stored block and the size of compress/flate's
-	// HuffmanOnly window, so it is where both encodings split blocks.
+	// HuffmanOnly window, so it is where the encoder splits blocks.
 	maxBlock = 65535
 	endBlock = 256 // the end-of-block literal
 	// numLiterals is the literal/length alphabet a block uses: every
@@ -39,8 +30,8 @@ const (
 	maxLitBits     = 15
 	maxCodegenBits = 7
 	numCodegens    = 19
-	// zlibHeader is compress/zlib's header at HuffmanOnly and
-	// NoCompression: deflate, 32 KiB window, FLEVEL 0, no dictionary.
+	// zlibHeader is compress/zlib's header at HuffmanOnly: deflate,
+	// 32 KiB window, FLEVEL 0, no dictionary.
 	zlibHeader = 0x7801
 )
 
@@ -112,25 +103,6 @@ func (e *encoder) appendHuffman(dst, src []byte) []byte {
 	}
 	w.storedHeader(0, true)
 	return binary.BigEndian.AppendUint32(w.out, adler32.Checksum(src))
-}
-
-// appendStored appends a zlib stream of src in stored blocks to dst.
-func appendStored(dst, src []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, zlibHeader)
-	for start := 0; start < len(src); start += maxBlock {
-		block := src[start:min(start+maxBlock, len(src))]
-		n := uint16(len(block))
-		dst = append(dst, 0, byte(n), byte(n>>8), byte(^n), byte(^n>>8))
-		dst = append(dst, block...)
-	}
-	dst = append(dst, 1, 0, 0, 0xff, 0xff) // the empty final block
-	return binary.BigEndian.AppendUint32(dst, adler32.Checksum(src))
-}
-
-// storedLen is the length of appendStored's stream for n bytes.
-func storedLen(n int) int {
-	blocks := (n + maxBlock - 1) / maxBlock
-	return 2 + 5*blocks + n + 5 + 4
 }
 
 // writeBlock writes one non-final block of the bytes e.hist counts: a

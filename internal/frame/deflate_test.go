@@ -29,56 +29,44 @@ func stdlibZlib(src []byte, level int) []byte {
 	return buf.Bytes()
 }
 
-// checkStreams holds the two streams of src to their contracts: both
-// compress/zlib and inflate.Zlib inflate each back to src, the
-// Huffman-only stream is at most 0.1 % + 16 bytes longer than
-// compress/zlib's HuffmanOnly stream, and the stored stream is
-// byte-identical to compress/zlib's at NoCompression.
-func checkStreams(t testing.TB, src, huff, stored []byte) {
+// checkStreams holds a Huffman-only stream of src to its contract: both
+// compress/zlib and inflate.Zlib inflate it back to src, and it is at
+// most 0.1 % + 16 bytes longer than compress/zlib's HuffmanOnly stream.
+func checkStreams(t testing.TB, src, huff []byte) {
 	t.Helper()
-	for name, stream := range map[string][]byte{"huffman": huff, "stored": stored} {
-		zr, err := zlib.NewReader(bytes.NewReader(stream))
-		if err != nil {
-			t.Fatalf("%s: compress/zlib: %v", name, err)
-		}
-		got, err := io.ReadAll(zr)
-		if err != nil {
-			t.Fatalf("%s: compress/zlib: %v", name, err)
-		}
-		if !bytes.Equal(got, src) {
-			t.Fatalf("%s: compress/zlib inflates %d bytes that differ from the %d-byte input", name, len(got), len(src))
-		}
-		dst := make([]byte, len(src))
-		if err := inflate.Zlib(dst, stream); err != nil {
-			t.Fatalf("%s: inflate.Zlib: %v", name, err)
-		}
-		if !bytes.Equal(dst, src) {
-			t.Fatalf("%s: inflate.Zlib inflates bytes that differ from the input", name)
-		}
+	zr, err := zlib.NewReader(bytes.NewReader(huff))
+	if err != nil {
+		t.Fatalf("compress/zlib: %v", err)
+	}
+	got, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("compress/zlib: %v", err)
+	}
+	if !bytes.Equal(got, src) {
+		t.Fatalf("compress/zlib inflates %d bytes that differ from the %d-byte input", len(got), len(src))
+	}
+	dst := make([]byte, len(src))
+	if err := inflate.Zlib(dst, huff); err != nil {
+		t.Fatalf("inflate.Zlib: %v", err)
+	}
+	if !bytes.Equal(dst, src) {
+		t.Fatal("inflate.Zlib inflates bytes that differ from the input")
 	}
 	ref := stdlibZlib(src, zlib.HuffmanOnly)
 	if limit := len(ref) + len(ref)/1000 + 16; len(huff) > limit {
 		t.Fatalf("Huffman-only stream is %d bytes, want <= %d (compress/zlib's is %d)", len(huff), limit, len(ref))
 	}
-	if want := stdlibZlib(src, zlib.NoCompression); !bytes.Equal(stored, want) {
-		t.Fatalf("stored stream (%d bytes) differs from compress/zlib's at NoCompression (%d bytes)", len(stored), len(want))
-	}
 }
 
-// encodeBoth runs both encodings of src through the internal append
-// functions, after a prefix that must survive.
-func encodeBoth(src []byte) (huff, stored []byte) {
-	e := new(encoder)
+// encodeHuffman runs appendHuffman on src after a prefix that must
+// survive, and returns the stream.
+func encodeHuffman(src []byte) []byte {
 	prefix := []byte("prefix")
-	huff = e.appendHuffman(append([]byte(nil), prefix...), src)
-	stored = appendStored(append([]byte(nil), prefix...), src)
-	if !bytes.HasPrefix(huff, prefix) || !bytes.HasPrefix(stored, prefix) {
+	huff := new(encoder).appendHuffman(append([]byte(nil), prefix...), src)
+	if !bytes.HasPrefix(huff, prefix) {
 		panic("append overwrote its destination")
 	}
-	if len(stored)-len(prefix) != storedLen(len(src)) {
-		panic("storedLen disagrees with appendStored")
-	}
-	return huff[len(prefix):], stored[len(prefix):]
+	return huff[len(prefix):]
 }
 
 // histogramBytes is a shuffled input in which byte v occurs hist[v]
@@ -174,8 +162,7 @@ func TestEncoderStreams(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			huff, stored := encodeBoth(tc.src)
-			checkStreams(t, tc.src, huff, stored)
+			checkStreams(t, tc.src, encodeHuffman(tc.src))
 		})
 	}
 }
@@ -196,7 +183,7 @@ func TestEncoderCoversItsPaths(t *testing.T) {
 	}
 	random := make([]byte, 50000)
 	rand.New(rand.NewSource(2)).Read(random)
-	huff, _ := encodeBoth(random)
+	huff := encodeHuffman(random)
 	// A stored block's header byte is 0: BFINAL 0, BTYPE 00.
 	if huff[2] != 0 {
 		t.Fatalf("incompressible input starts with block header byte %#x, want a stored block", huff[2])
@@ -340,9 +327,7 @@ func TestBlockEnteredWithPendingBits(t *testing.T) {
 		e.emit(&w, src, dataBits)
 		w.writeCode(e.litCodes[endBlock])
 		w.storedHeader(0, true)
-		huff := binary.BigEndian.AppendUint32(w.out, adler32.Checksum(src))
-		_, stored := encodeBoth(src)
-		checkStreams(t, src, huff, stored)
+		checkStreams(t, src, binary.BigEndian.AppendUint32(w.out, adler32.Checksum(src)))
 		return
 	}
 	t.Fatal("no prefix left 32 or more bits pending after the header")

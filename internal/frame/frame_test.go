@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/zlib"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math"
 	"math/rand"
@@ -419,7 +420,7 @@ var encodeSink []byte
 // Reset-reused and takes one Write per Sub-filtered row.
 func stdlibEncodeFrame(zw *zlib.Writer, f *Frame) ([]byte, error) {
 	var buf bytes.Buffer
-	buf.Write(appendFrameHeader(nil, f))
+	buf.Write(appendFrameHeader(nil, frameMagic, f))
 	zw.Reset(&buf)
 	filtered := make([]byte, f.W)
 	for off := 0; off < len(f.Pix); off += f.W {
@@ -508,8 +509,8 @@ func TestEncodeFrameFastRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stored blocks trade size for decode speed; both must decode to the
-	// same frame through the one untouched decoder.
+	// The raw form trades size for decode speed; both must decode to the
+	// same frame through DecodeFrame.
 	for name, data := range map[string][]byte{"fast": fast, "slow": slow} {
 		got, err := DecodeFrame(data)
 		if err != nil {
@@ -520,6 +521,116 @@ func TestEncodeFrameFastRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(got.Pix, f.Pix) {
 			t.Fatalf("%s: pixel bytes differ after round trip", name)
+		}
+	}
+}
+
+// v1Objects are byte strings the SFM1/SCL1 writers produced before the
+// raw frame form existed: a Huffman-coded frame (32x4x1, index 4, PTS
+// 160), a frame object of the memory tier in stored zlib blocks (3x2x2,
+// index 7, PTS 280), and a clip of two 2x2x1 frames. They must stay
+// decodable: recovered spills and old payloads carry them.
+var v1Objects = map[string]string{
+	"huffman frame": "314d465320000000040000000100000004000000a000000000000000780104c0811000000800b1dd33441145fe540d111111119189888888886845444444441c11111111910f0000ffff2f1600d1",
+	"stored frame":  "314d46530300000002000000020000000700000018010000000000007801000c00f3ff052525742525e32525522525010000ffff119402d7",
+	"clip":          "314c43530200000030000000314d46530200000002000000010000000000000000000000000000007801000400fbff01254b25010000ffff0132009730000000314d46530200000002000000010000000200000050000000000000007801000400fbff09255325010000ffff016200a7",
+}
+
+// v1Frame is the frame with v1Objects' pixel pattern: sample i is
+// seed + 37*i.
+func v1Frame(w, h, c, index int, pts int64, seed byte) *Frame {
+	f := New(w, h, c)
+	for i := range f.Pix {
+		f.Pix[i] = seed + byte(i*37)
+	}
+	f.Index, f.PTS = index, pts
+	return f
+}
+
+// TestDecodeV1Objects decodes the checked-in v1 byte strings.
+func TestDecodeV1Objects(t *testing.T) {
+	raw := func(name string) []byte {
+		b, err := hex.DecodeString(v1Objects[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	huffWant := New(32, 4, 1)
+	for i := range huffWant.Pix {
+		huffWant.Pix[i] = byte(i/3) * 2
+	}
+	huffWant.Index, huffWant.PTS = 4, 160
+	for name, want := range map[string]*Frame{"huffman frame": huffWant, "stored frame": v1Frame(3, 2, 2, 7, 280, 5)} {
+		for _, decode := range []func([]byte) (*Frame, error){DecodeFrame, func(b []byte) (*Frame, error) {
+			f, owned, err := ViewFrame(b)
+			if err == nil && !owned {
+				t.Fatalf("%s: ViewFrame returned a v1 frame unowned", name)
+			}
+			return f, err
+		}} {
+			got, err := decode(raw(name))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !got.Equal(want) || got.Index != want.Index || got.PTS != want.PTS {
+				t.Fatalf("%s: decoded %+v, want %+v", name, got, want)
+			}
+		}
+	}
+	c, err := DecodeClip(raw("clip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []*Frame{v1Frame(2, 2, 1, 0, 0, 1), v1Frame(2, 2, 1, 2, 80, 9)}
+	if c.Len() != len(want) {
+		t.Fatalf("clip has %d frames, want %d", c.Len(), len(want))
+	}
+	for i, f := range c.Frames {
+		if !f.Equal(want[i]) || f.Index != want[i].Index || f.PTS != want[i].PTS {
+			t.Fatalf("clip frame %d: decoded %+v, want %+v", i, f, want[i])
+		}
+	}
+}
+
+// TestViewFrameAliasesRawPixels: a raw frame comes back unowned, its Pix
+// a window of the encoded bytes with cap == len; DecodeFrame copies it.
+// Flipping any pixel byte, or the CRC, makes both refuse the frame.
+func TestViewFrameAliasesRawPixels(t *testing.T) {
+	f := randomFrame(rand.New(rand.NewSource(15)), 9, 7, 3)
+	f.Index, f.PTS = 3, 99
+	enc, err := EncodeFrameFast(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := frameHeaderLen + crcLen + len(f.Pix); len(enc) != want || cap(enc) != want {
+		t.Fatalf("raw frame is %d bytes (cap %d), want %d", len(enc), cap(enc), want)
+	}
+	v, owned, err := ViewFrame(enc)
+	if err != nil || owned {
+		t.Fatalf("ViewFrame: owned %v, %v; want a view", owned, err)
+	}
+	if &v.Pix[0] != &enc[frameHeaderLen+crcLen] || cap(v.Pix) != len(v.Pix) {
+		t.Fatal("the view's Pix is not the encoded pixels cut at their length")
+	}
+	if !v.Equal(f) || v.Index != f.Index || v.PTS != f.PTS {
+		t.Fatal("the view differs from the encoded frame")
+	}
+	d, err := DecodeFrame(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &d.Pix[0] == &v.Pix[0] || !d.Equal(f) {
+		t.Fatal("DecodeFrame did not return an equal copy")
+	}
+	for _, at := range []int{frameHeaderLen, frameHeaderLen + crcLen, len(enc) - 1} {
+		bad := append([]byte(nil), enc...)
+		bad[at] ^= 0x10
+		if _, _, err := ViewFrame(bad); err == nil {
+			t.Fatalf("ViewFrame accepted a flipped byte at %d", at)
+		}
+		if _, err := DecodeFrame(bad); err == nil {
+			t.Fatalf("DecodeFrame accepted a flipped byte at %d", at)
 		}
 	}
 }

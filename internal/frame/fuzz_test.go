@@ -1,7 +1,10 @@
 package frame
 
 import (
+	"bytes"
+	"compress/zlib"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -30,19 +33,33 @@ func TestDecodeFrameRejectsOversizedGeometry(t *testing.T) {
 	}
 }
 
-// decodeSeeds is the FuzzDecodeFrame corpus: both encodings at a few
-// geometries, truncated and bit-flipped copies of each, and the
-// oversized-geometry input.
+// storedV1 is f in the memory tier's v1 form: an SFM1 header and the
+// Sub-filtered samples in stored zlib blocks, which compress/zlib writes
+// byte for byte at NoCompression.
+func storedV1(f *Frame) []byte {
+	return append(appendFrameHeader(nil, frameMagic, f), stdlibZlib(subFiltered(f), zlib.NoCompression)...)
+}
+
+// decodeSeeds is the FuzzDecodeFrame corpus: at a few geometries, the
+// raw form, the Huffman form and the v1 stored-block form, with
+// truncated and bit-flipped copies of each (a flip past the raw header
+// breaks the CRC); the checked-in v1 objects; a raw frame whose header
+// claims more samples than its payload holds; and the oversized-geometry
+// input.
 func decodeSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(11))
 	var seeds [][]byte
 	for _, geom := range [][3]int{{1, 1, 1}, {7, 5, 3}, {16, 16, 3}} {
 		f := randomFrame(rng, geom[0], geom[1], geom[2])
-		for _, enc := range []func(*Frame) ([]byte, error){EncodeFrame, EncodeFrameFast} {
-			full, err := enc(f)
-			if err != nil {
-				panic(err)
-			}
+		huff, err := EncodeFrame(f)
+		if err != nil {
+			panic(err)
+		}
+		raw, err := EncodeFrameFast(f)
+		if err != nil {
+			panic(err)
+		}
+		for _, full := range [][]byte{raw, huff, storedV1(f)} {
 			seeds = append(seeds, full)
 			for _, cut := range []int{27, 28, 30, len(full) - 4, len(full) - 1} {
 				seeds = append(seeds, full[:cut])
@@ -53,22 +70,61 @@ func decodeSeeds() [][]byte {
 				seeds = append(seeds, flipped)
 			}
 		}
+		big := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(big[4:], uint32(geom[0]+1))
+		seeds = append(seeds, big)
+	}
+	for _, v1 := range v1Objects {
+		b, err := hex.DecodeString(v1)
+		if err != nil {
+			panic(err)
+		}
+		seeds = append(seeds, b)
 	}
 	return append(seeds, hugeGeometryInput())
 }
 
-// FuzzDecodeFrame asserts the frame decoder never panics (or lets a
-// header size an allocation the payload cannot fill) on hostile bytes,
-// and that every frame it accepts round-trips through EncodeFrameFast.
+// FuzzDecodeFrame asserts the frame decoders never panic (or let a
+// header size an allocation the payload cannot fill) on hostile bytes;
+// that DecodeFrame and ViewFrame accept the same bytes and return equal
+// frames, ViewFrame's unowned Pix being a window of the input with
+// cap == len and DecodeFrame's never aliasing it; and that every frame
+// they accept round-trips through EncodeFrameFast.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, seed := range decodeSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeFrame(data)
+		view, owned, viewErr := ViewFrame(data)
+		if (err == nil) != (viewErr == nil) {
+			t.Fatalf("DecodeFrame error %v, ViewFrame error %v", err, viewErr)
+		}
 		if err != nil {
 			return
 		}
+		if !got.Equal(view) || got.Index != view.Index || got.PTS != view.PTS {
+			t.Fatal("DecodeFrame and ViewFrame return different frames")
+		}
+		if !owned && (&view.Pix[len(view.Pix)-1] != &data[len(data)-1] || cap(view.Pix) != len(view.Pix)) {
+			t.Fatal("an unowned view is not the tail of its input with cap == len")
+		}
+		// An owned frame is the caller's: writing it leaves the input as
+		// it was.
+		flip := func(p []byte) {
+			for i := range p {
+				p[i] ^= 0xff
+			}
+		}
+		before := append([]byte(nil), data...)
+		flip(got.Pix)
+		if owned {
+			flip(view.Pix)
+		}
+		if !bytes.Equal(data, before) {
+			t.Fatal("an owned decoded frame aliases its input")
+		}
+		flip(got.Pix)
 		enc, err := EncodeFrameFast(got)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
@@ -86,11 +142,10 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzEncodeFrame holds both encoders to their contracts on fuzzed
 // frames of bounded geometry (up to 160×160×4, so up to two blocks):
-// compress/zlib and inflate.Zlib both inflate each stream to the
-// Sub-filtered samples, the Huffman-only stream stays within 0.1 % + 16
-// bytes of compress/zlib's HuffmanOnly stream, the stored stream is
-// byte-identical to compress/zlib's at NoCompression, and DecodeFrame
-// returns the frame from both.
+// compress/zlib and inflate.Zlib both inflate EncodeFrame's stream to the
+// Sub-filtered samples, within 0.1 % + 16 bytes of compress/zlib's
+// HuffmanOnly stream, and DecodeFrame returns the frame from both
+// encoders' output.
 func FuzzEncodeFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(12))
 	for _, geom := range [][3]uint8{{0, 0, 0}, {6, 4, 2}, {111, 111, 2}, {159, 159, 3}} {
@@ -113,12 +168,12 @@ func FuzzEncodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EncodeFrame: %v", err)
 		}
-		stored, err := EncodeFrameFast(fr)
+		raw, err := EncodeFrameFast(fr)
 		if err != nil {
 			t.Fatalf("EncodeFrameFast: %v", err)
 		}
-		checkStreams(t, subFiltered(fr), huff[frameHeaderLen:], stored[frameHeaderLen:])
-		for name, enc := range map[string][]byte{"EncodeFrame": huff, "EncodeFrameFast": stored} {
+		checkStreams(t, subFiltered(fr), huff[frameHeaderLen:])
+		for name, enc := range map[string][]byte{"EncodeFrame": huff, "EncodeFrameFast": raw} {
 			got, err := DecodeFrame(enc)
 			if err != nil {
 				t.Fatalf("DecodeFrame of %s: %v", name, err)

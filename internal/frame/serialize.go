@@ -3,44 +3,56 @@ package frame
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"sand/internal/inflate"
 )
 
-// Serialization of frames and clips. An encoded frame is a 28-byte SFM1
-// header (geometry, index, PTS) followed by a zlib stream of row-predicted
-// pixel data: each row is delta-coded against the pixel to its left (Sub
-// filter, as in PNG). Two encoders write that stream and one decoder reads
-// both: EncodeFrame entropy-codes the filtered bytes with Huffman-only
-// deflate blocks, and EncodeFrameFast stores them; both are the
-// hand-written zlib writer in deflate.go, which appends to the caller's
-// buffer, so AppendClip encodes a whole clip into one. The header fixes the
-// raw size, so DecodeFrame inflates the stream in one internal/inflate
-// call straight into the frame's pixel buffer, with no streaming reader,
-// and rejects a stream that does not fill it exactly or fails its adler32
-// check. An encoded clip is an 8-byte SCL1 header (frame count) followed
-// by length-prefixed frames.
-// ParseFrameHeader and ClipFrames are the framing walk the decoders
-// share; they read every header without inflating any pixels.
+// Serialization of frames and clips. Every header opens with a
+// little-endian uint32 magic: three letters naming the format ("SFM"
+// frame, "SCL" clip, internal/core's "SBA" batch) above an encoding tag
+// byte, '1' for each format's original layout. Readers refuse a tag they
+// do not know, so a new encoding adds a tag and old objects stay readable.
+//
+// A frame is a 28-byte header (magic, geometry, index, PTS) and a payload:
+//   - SFM1: a zlib stream of the Sub-filtered rows (each sample minus its
+//     left neighbour, as in PNG), Huffman-coded by EncodeFrame's writer in
+//     deflate.go, which appends to the caller's buffer. Frame objects
+//     stored before the raw form are stored-block streams. One
+//     internal/inflate call fills Pix exactly and checks the adler32.
+//   - SFMR (raw): a CRC-32C of the pixels, then the pixels.
+//     EncodeFrameFast writes it; ViewFrame checks it and returns the
+//     pixels where they lie.
+//
+// A clip is an 8-byte SCL1 header (frame count) and length-prefixed
+// frames. ParseFrameHeader and ClipFrames are the framing walk the
+// decoders share; they touch no pixels.
 
 const (
-	frameMagic     = 0x53464d31 // "SFM1"
-	clipMagic      = 0x53434c31 // "SCL1"
+	tagZlib        = '1' // encoding tags, the low byte of a magic
+	tagRaw         = 'R'
+	frameMagic     = 0x53464d00 | tagZlib // "SFM1"
+	rawFrameMagic  = 0x53464d00 | tagRaw  // "SFMR"
+	clipMagic      = 0x53434c00 | tagZlib // "SCL1"
 	maxDimension   = 1 << 16
 	frameHeaderLen = 28
+	crcLen         = 4 // a raw frame's CRC-32C
 	clipHeaderLen  = 8
 	// minClipFrameLen is the fewest bytes a frame can take inside a clip:
 	// its length prefix and its header.
 	minClipFrameLen = 4 + frameHeaderLen
 )
 
+// castagnoli is the CRC-32C table (hardware-accelerated on amd64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // EncodeFrame serializes f losslessly and compactly: the Sub-filtered
 // planes are Huffman-coded without an LZ77 match search, which on
 // augmented frames compresses as well as zlib's default level at a
 // fraction of the time. It is the encoding of every batch payload. The
-// output is a standard zlib stream with its adler32 checksum, and its
-// capacity is its length.
+// output is an SFM1 header and a standard zlib stream with its adler32
+// checksum, and its capacity is its length.
 func EncodeFrame(f *Frame) ([]byte, error) {
 	if err := checkEncodable(f); err != nil {
 		return nil, err
@@ -51,21 +63,17 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 	return append(make([]byte, 0, len(e.staged)), e.staged...), nil
 }
 
-// EncodeFrameFast serializes f losslessly in decode-cheap form: the zlib
-// stream uses stored (uncompressed) blocks, so DecodeFrame pays a memcpy
-// instead of an inflate. Bytes are larger, reads are cheaper — the
-// encoding of every frame object in the engine's memory tier (the store
-// compresses it only when it spills to disk). The output is a standard
-// stream, byte-identical to compress/zlib's at NoCompression, and its
-// capacity is its length; DecodeFrame handles both encodings untouched.
+// EncodeFrameFast serializes f in raw form (SFMR) with one copy. It is
+// the encoding of every frame object in the engine's memory tier, read
+// back through ViewFrame without a copy (the store compresses it only
+// when it spills to disk). The output's capacity is its length.
 func EncodeFrameFast(f *Frame) ([]byte, error) {
 	if err := checkEncodable(f); err != nil {
 		return nil, err
 	}
-	e := encoders.Get().(*encoder)
-	defer encoders.Put(e)
-	dst := appendFrameHeader(make([]byte, 0, frameHeaderLen+storedLen(len(f.Pix))), f)
-	return appendStored(dst, e.filter(f)), nil
+	dst := appendFrameHeader(make([]byte, 0, frameHeaderLen+crcLen+len(f.Pix)), rawFrameMagic, f)
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(f.Pix, castagnoli))
+	return append(dst, f.Pix...), nil
 }
 
 // checkEncodable refuses a frame whose encoding ParseFrameHeader would
@@ -80,14 +88,14 @@ func checkEncodable(f *Frame) error {
 	return nil
 }
 
-// validGeometry is the geometry an SFM1 header may declare: both encoders
+// validGeometry is the geometry a frame header may declare: both encoders
 // refuse, and ParseFrameHeader rejects, any other.
 func validGeometry(w, h, c int) bool {
 	return w > 0 && h > 0 && c > 0 && w <= maxDimension && h <= maxDimension && c <= 16
 }
 
-func appendFrameHeader(dst []byte, f *Frame) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+func appendFrameHeader(dst []byte, magic uint32, f *Frame) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, magic)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.W))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.H))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.C))
@@ -98,26 +106,24 @@ func appendFrameHeader(dst []byte, f *Frame) []byte {
 // appendFrame appends EncodeFrame's bytes for f, which checkEncodable
 // accepts, to dst.
 func (e *encoder) appendFrame(dst []byte, f *Frame) []byte {
-	return e.appendHuffman(appendFrameHeader(dst, f), e.filter(f))
+	return e.appendHuffman(appendFrameHeader(dst, frameMagic, f), e.filter(f))
 }
 
-// FrameHeader is what an encoded frame's SFM1 header declares.
+// FrameHeader is what an encoded frame's header declares.
 type FrameHeader struct {
 	W, H, C int
 	Index   int
 	PTS     int64
+	raw     bool // tag 'R': a CRC-32C and the pixels follow
 }
 
 // ParseFrameHeader validates an encoded frame's header without touching
-// its pixel stream: the magic, a plausible geometry, and a sample count
-// the payload behind the header could inflate to. DecodeFrame runs the
-// same checks, so any frame it accepts parses here.
+// its pixels: a known magic, a plausible geometry, and a payload that can
+// hold that many samples. ViewFrame and DecodeFrame run the same checks,
+// so any frame they accept parses here.
 func ParseFrameHeader(data []byte) (FrameHeader, error) {
 	if len(data) < frameHeaderLen {
 		return FrameHeader{}, fmt.Errorf("frame: truncated header (%d bytes)", len(data))
-	}
-	if binary.LittleEndian.Uint32(data[0:]) != frameMagic {
-		return FrameHeader{}, fmt.Errorf("frame: bad magic %#x", binary.LittleEndian.Uint32(data[0:]))
 	}
 	h := FrameHeader{
 		W:     int(binary.LittleEndian.Uint32(data[4:])),
@@ -126,43 +132,65 @@ func ParseFrameHeader(data []byte) (FrameHeader, error) {
 		Index: int(int32(binary.LittleEndian.Uint32(data[16:]))),
 		PTS:   int64(binary.LittleEndian.Uint64(data[20:])),
 	}
+	switch m := binary.LittleEndian.Uint32(data[0:]); m {
+	case frameMagic:
+	case rawFrameMagic:
+		h.raw = true
+	default:
+		return FrameHeader{}, fmt.Errorf("frame: bad magic %#x", m)
+	}
 	if !validGeometry(h.W, h.H, h.C) {
 		return FrameHeader{}, fmt.Errorf("frame: implausible geometry %dx%dx%d", h.W, h.H, h.C)
 	}
-	// The header must not size the allocation by itself: a payload cannot
-	// inflate to more than inflate.MaxRatio times its length.
-	if payload := len(data) - frameHeaderLen; h.W*h.H*h.C > inflate.MaxRatio*payload {
-		return FrameHeader{}, fmt.Errorf("frame: %dx%dx%d samples exceed what a %d-byte payload can hold", h.W, h.H, h.C, payload)
+	// The header must not size an allocation by itself: a raw payload is
+	// its CRC and samples exactly, and a zlib payload cannot inflate to
+	// more than inflate.MaxRatio times its length.
+	n, payload := h.W*h.H*h.C, len(data)-frameHeaderLen
+	if h.raw && payload != crcLen+n || !h.raw && n > inflate.MaxRatio*payload {
+		return FrameHeader{}, fmt.Errorf("frame: %dx%dx%d samples do not fit a %d-byte payload", h.W, h.H, h.C, payload)
 	}
 	return h, nil
 }
 
-// DecodeFrame reverses EncodeFrame and EncodeFrameFast.
-func DecodeFrame(data []byte) (*Frame, error) {
+// ViewFrame decodes an encoded frame. A raw frame whose CRC-32C matches
+// comes back as a view: Pix aliases data (cap == len) and owned is false,
+// so nobody may write Pix. Any other encoding is decoded into a fresh
+// buffer, and owned is true.
+func ViewFrame(data []byte) (f *Frame, owned bool, err error) {
 	h, err := ParseFrameHeader(data)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	// The stream must fill Pix exactly, end cleanly and match its adler32
-	// trailer.
-	f := New(h.W, h.H, h.C)
-	f.Index, f.PTS = h.Index, h.PTS
+	f = &Frame{W: h.W, H: h.H, C: h.C, Index: h.Index, PTS: h.PTS}
+	if h.raw {
+		f.Pix = data[frameHeaderLen+crcLen : len(data) : len(data)]
+		if crc32.Checksum(f.Pix, castagnoli) != binary.LittleEndian.Uint32(data[frameHeaderLen:]) {
+			return nil, false, fmt.Errorf("frame: raw pixels fail their CRC-32C")
+		}
+		return f, false, nil
+	}
+	f.Pix = make([]byte, h.W*h.H*h.C)
 	if err := inflate.Zlib(f.Pix, data[frameHeaderLen:]); err != nil {
-		return nil, fmt.Errorf("frame: decompress payload: %w", err)
+		return nil, false, fmt.Errorf("frame: decompress payload: %w", err)
 	}
 	// Undo the Sub filter.
-	for ch := 0; ch < h.C; ch++ {
-		plane := f.Plane(ch)
-		for y := 0; y < h.H; y++ {
-			row := plane[y*h.W : (y+1)*h.W]
-			prev := byte(0)
-			for x := range row {
-				row[x] += prev
-				prev = row[x]
-			}
+	for off := 0; off < len(f.Pix); off += h.W {
+		row, prev := f.Pix[off:off+h.W], byte(0)
+		for x := range row {
+			row[x] += prev
+			prev = row[x]
 		}
 	}
-	return f, nil
+	return f, true, nil
+}
+
+// DecodeFrame is ViewFrame returning a frame the caller owns.
+func DecodeFrame(data []byte) (*Frame, error) {
+	f, owned, err := ViewFrame(data)
+	if err == nil && !owned {
+		f.Pix = append(make([]byte, 0, len(f.Pix)), f.Pix...)
+	}
+	return f, err
 }
 
 // EncodeClip serializes every frame of a clip into one buffer.

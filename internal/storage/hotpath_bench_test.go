@@ -9,8 +9,9 @@ import (
 
 // BenchmarkStoreRoundTrip measures the object-store hot path the engine
 // pays for every cached intermediate: serialize a frame the way the
-// engine stores frame objects (EncodeFrameFast, stored zlib blocks), Put
-// it into the memory tier, Get it back, and deserialize.
+// engine stores frame objects (EncodeFrameFast: raw pixels behind a
+// CRC-32C), Put it into the memory tier, Get it back, and read it the way
+// the engine does (ViewFrame: the CRC pass, no copy).
 func BenchmarkStoreRoundTrip(b *testing.B) {
 	s, err := Open(Options{MemBudget: 256 << 20})
 	if err != nil {
@@ -33,7 +34,7 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, err := frame.DecodeFrame(obj.Data)
+		g, _, err := frame.ViewFrame(obj.Data)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -70,6 +70,10 @@ type Object struct {
 // ErrNotFound is returned when a key is absent from the store.
 var ErrNotFound = errors.New("storage: object not found")
 
+// ErrTooLarge is wrapped by a Put of an object larger than the whole
+// memory budget: no eviction can make room for it.
+var ErrTooLarge = errors.New("storage: object exceeds memory budget")
+
 // ErrDiskBudget is wrapped by writes the disk tier refuses because they
 // would exceed Options.DiskBudget.
 var ErrDiskBudget = errors.New("storage: disk budget exhausted")
@@ -309,7 +313,7 @@ func (s *Store) Put(obj *Object) error {
 	}
 	size := int64(len(obj.Data))
 	if size > s.memBudget {
-		return fmt.Errorf("storage: object %s (%d bytes) exceeds memory budget %d", obj.Key, size, s.memBudget)
+		return fmt.Errorf("%w %d: %s is %d bytes", ErrTooLarge, s.memBudget, obj.Key, size)
 	}
 	s.mu.Lock()
 	if old, ok := s.mem[obj.Key]; ok {

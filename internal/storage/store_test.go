@@ -64,8 +64,8 @@ func TestPutValidation(t *testing.T) {
 	if err := s.Put(&Object{Key: "relative"}); err == nil {
 		t.Fatal("accepted relative key")
 	}
-	if err := s.Put(obj("/big", 200, 0)); err == nil {
-		t.Fatal("accepted object larger than budget")
+	if err := s.Put(obj("/big", 200, 0)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("object larger than budget: got %v, want ErrTooLarge", err)
 	}
 }
 
