@@ -801,6 +801,17 @@ func TestCacheMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestFingerprintStable pins the configuration fingerprint of one fixed
+// setup: persisted manifests and fleet fingerprints compare it across
+// builds, so a change to what it hashes must be deliberate.
+func TestFingerprintStable(t *testing.T) {
+	s := newService(t, []*config.Task{miniTask(t, "train")}, 2)
+	const want = "e872c7e29daaaaaf2f546fc863483d5b5388af70c6915e9e8359ad32147b9be6"
+	if got := s.fingerprint(); got != want {
+		t.Fatalf("fingerprint %s, want %s", got, want)
+	}
+}
+
 func TestManifestSurvivesCorruption(t *testing.T) {
 	dir := t.TempDir()
 	ds := miniDataset(t, 2)

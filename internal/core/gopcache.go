@@ -25,6 +25,10 @@ import (
 // eviction can never drop a GOP out from under a running sample. Cached
 // frames are shared read-only.
 //
+// One mutex guards the map and every entry. Decodes and derived frames
+// are computed outside it and published first-wins, so nothing waits on
+// another goroutine's work.
+//
 // The cache is bounded by a fixed byte budget; eviction is
 // least-recently-used among unpinned entries. Its footprint feeds the
 // scheduler's memory-pressure signal (Service.memPressure), but the
@@ -59,22 +63,20 @@ type gopKey struct {
 type gopEntry struct {
 	key gopKey
 
-	// guarded by gopCache.mu
+	// Every field below is guarded by gopCache.mu.
 	refs    int
 	lastUse int64 // clock at the last acquire
 	bytes   int64
 
-	// derived caches frames computed *from* this GOP's decoded frames —
-	// superset-crop regions shared by overlapping views — keyed by a
-	// deterministic descriptor. Publication is single-flight: the first
-	// claimant computes, peers wait on the slot. Guarded by gopCache.mu;
-	// accounted into bytes and dropped with the entry.
-	derived map[string]*derivedSlot
-
-	// mu serializes rolls, so concurrent requests for one frame decode it
-	// once; a held frame is immutable and shared read-only across samples.
-	mu     sync.Mutex
+	// A held frame is immutable and shared read-only across samples.
 	frames []*frame.Frame
+
+	// derived holds frames computed *from* this GOP's decoded frames —
+	// superset-crop regions shared by overlapping views — keyed by a
+	// deterministic descriptor. The first frame published under a
+	// descriptor stays; it is accounted into bytes and dropped with the
+	// entry.
+	derived map[string]*frame.Frame
 }
 
 func newGOPCache(budget int64) *gopCache {
@@ -114,24 +116,33 @@ func (c *gopCache) acquire(ent *dataset.Entry, idx int) (*gopEntry, error) {
 // frame that alternates with the new target by parity, so idx lands in
 // the target and no step writes its own reference. Only idx is kept, so
 // an extension and a re-roll of an unkept frame are the same code, and a
-// re-roll costs the distance to the nearest held frame below it. A failed
-// roll keeps nothing and charges no bytes, but counts the frames it
-// decoded. Callers must hold a reference on e.
+// re-roll costs the distance to the nearest held frame below it. The
+// decode runs outside the cache lock; if another roll published idx
+// meanwhile, its frame is returned and this one is dropped uncharged. A
+// failed roll keeps nothing and charges no bytes, but counts the frames
+// it decoded. Callers must hold a reference on e.
 func (c *gopCache) roll(ent *dataset.Entry, e *gopEntry, idx int) (*frame.Frame, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	i := idx - e.key.start
+	c.mu.Lock()
 	if i < len(e.frames) && e.frames[i] != nil {
-		return e.frames[i], nil
+		f := e.frames[i]
+		c.mu.Unlock()
+		return f, nil
 	}
-	v := ent.Video
-	dec := codec.NewDecoder(v, nil)
 	from := min(i, len(e.frames)) - 1
 	for from >= 0 && e.frames[from] == nil {
 		from--
 	}
+	var prime *frame.Frame
 	if from >= 0 {
-		if err := dec.Prime(e.frames[from], e.key.start+from); err != nil {
+		prime = e.frames[from]
+	}
+	c.mu.Unlock()
+
+	v := ent.Video
+	dec := codec.NewDecoder(v, nil)
+	if prime != nil {
+		if err := dec.Prime(prime, e.key.start+from); err != nil {
 			return nil, err
 		}
 	}
@@ -140,34 +151,35 @@ func (c *gopCache) roll(ent *dataset.Entry, e *gopEntry, idx int) (*frame.Frame,
 	if i-from > 1 {
 		scratch = frame.New(v.W, v.H, v.C)
 	}
-	var n int64
 	for j := from + 1; j <= i; j++ {
 		dst := target
 		if (i-j)%2 == 1 {
 			dst = scratch
 		}
 		if err := dec.DecodeNext(e.key.start+j, dst); err != nil {
-			c.account(e, 0, n)
 			return nil, err
 		}
-		n++
+		c.framesDecoded.Add(1)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if i >= len(e.frames) {
 		e.frames = append(e.frames, make([]*frame.Frame, i+1-len(e.frames))...)
 	}
+	if won := e.frames[i]; won != nil {
+		return won, nil
+	}
 	e.frames[i] = target
-	c.account(e, int64(target.Bytes()), n)
+	c.chargeLocked(e, int64(target.Bytes()))
 	return target, nil
 }
 
-// account records freshly decoded bytes/frames and enforces the budget.
-func (c *gopCache) account(e *gopEntry, bytes, frames int64) {
-	c.mu.Lock()
+// chargeLocked charges bytes newly held by e and enforces the budget.
+// Caller holds c.mu.
+func (c *gopCache) chargeLocked(e *gopEntry, bytes int64) {
 	e.bytes += bytes
 	c.bytes.Add(bytes)
-	c.framesDecoded.Add(frames)
 	c.evictLocked()
-	c.mu.Unlock()
 }
 
 // release unpins an entry and evicts if the cache is over budget.
@@ -216,65 +228,32 @@ func (c *gopCache) bytesNow() int64 {
 	return c.bytes.Load()
 }
 
-// derivedSlot is one single-flight derived-frame computation. The first
-// claimant becomes the leader and computes; everyone else blocks on
-// ready. f stays nil if the leader abandoned (error or deadline).
-type derivedSlot struct {
-	f     *frame.Frame
-	ready chan struct{} // closed on publish or abandon
+// derivedFrame returns the frame published in e under descriptor dk, or
+// nil if there is none yet. The frame is shared read-only.
+func (c *gopCache) derivedFrame(e *gopEntry, dk string) *frame.Frame {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return e.derived[dk]
 }
 
-// claimDerived resolves descriptor dk in e with single-flight semantics:
-//
-//   - (f, nil): the frame is published — use it, never mutate it.
-//   - (nil, slot): the caller is the leader and MUST finish the flight
-//     with publishDerived or abandonDerived, or peers block forever.
-//   - (nil, nil): a previous leader abandoned while the caller waited —
-//     compute privately without publishing.
-//
-// Waiting happens off the cache lock. The caller must hold a reference
-// on e (a lease pin) so the entry cannot be evicted mid-flight.
-func (c *gopCache) claimDerived(e *gopEntry, dk string) (*frame.Frame, *derivedSlot) {
+// publishDerived publishes f under descriptor dk in e unless a frame was
+// published there first, and returns the frame that stays published.
+// Only that frame is accounted into the entry and the cache budget —
+// heavy superset reuse competes with raw decoded frames for the same
+// memory. The caller must hold a reference on e (a lease pin) and must
+// not mutate the returned frame.
+func (c *gopCache) publishDerived(e *gopEntry, dk string, f *frame.Frame) *frame.Frame {
 	c.mu.Lock()
-	slot := e.derived[dk]
-	if slot == nil {
-		slot = &derivedSlot{ready: make(chan struct{})}
-		if e.derived == nil {
-			e.derived = map[string]*derivedSlot{}
-		}
-		e.derived[dk] = slot
-		c.mu.Unlock()
-		return nil, slot
+	defer c.mu.Unlock()
+	if won := e.derived[dk]; won != nil {
+		return won
 	}
-	c.mu.Unlock()
-	<-slot.ready
-	return slot.f, nil
-}
-
-// publishDerived completes a flight opened by claimDerived, accounting
-// the frame into the entry and the cache budget — heavy superset reuse
-// competes with raw decoded frames for the same memory. The published
-// frame is shared read-only; the caller must not mutate it.
-func (c *gopCache) publishDerived(e *gopEntry, slot *derivedSlot, f *frame.Frame) {
-	c.mu.Lock()
-	slot.f = f
-	b := int64(f.Bytes())
-	e.bytes += b
-	c.bytes.Add(b)
-	c.evictLocked()
-	c.mu.Unlock()
-	close(slot.ready)
-}
-
-// abandonDerived completes a failed flight: the slot is removed so a
-// later claimant can retry, and waiters observe a nil frame.
-func (c *gopCache) abandonDerived(e *gopEntry, dk string, slot *derivedSlot) {
-	c.mu.Lock()
-	if e.derived[dk] == slot {
-		delete(e.derived, dk)
+	if e.derived == nil {
+		e.derived = map[string]*frame.Frame{}
 	}
-	c.mu.Unlock()
-	close(slot.ready)
+	e.derived[dk] = f
+	c.chargeLocked(e, int64(f.Bytes()))
+	return f
 }
 
 // lease opens a per-materialization view of the cache that pins each

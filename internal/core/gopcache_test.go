@@ -76,9 +76,9 @@ func requestAll(c *gopCache, ent *dataset.Entry, from, to int) error {
 }
 
 // heldIndices returns the frame numbers e holds, ascending.
-func heldIndices(e *gopEntry) []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+func heldIndices(c *gopCache, e *gopEntry) []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var held []int
 	for i, f := range e.frames {
 		if f != nil {
@@ -92,20 +92,14 @@ func heldIndices(e *gopEntry) []int {
 // cache must be quiescent.
 func heldBytes(c *gopCache) int64 {
 	c.mu.Lock()
-	entries := make([]*gopEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
-	}
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	var n int64
-	for _, e := range entries {
-		e.mu.Lock()
+	for _, e := range c.entries {
 		for _, f := range e.frames {
 			if f != nil {
 				n += int64(f.Bytes())
 			}
 		}
-		e.mu.Unlock()
 	}
 	return n
 }
@@ -243,7 +237,7 @@ func TestGOPCacheKeepsOnlyRequestedFrames(t *testing.T) {
 	}
 	check := func(held []int, decoded int64) {
 		t.Helper()
-		if got := heldIndices(e); fmt.Sprint(got) != fmt.Sprint(held) {
+		if got := heldIndices(c, e); fmt.Sprint(got) != fmt.Sprint(held) {
 			t.Fatalf("holds frames %v, want %v", got, held)
 		}
 		want := int64(len(held)) * frameBytes
@@ -262,7 +256,7 @@ func TestGOPCacheKeepsOnlyRequestedFrames(t *testing.T) {
 	request(7) // held: no decode
 	check([]int{1, 3, 5, 7, 11}, 16)
 	// Held frames served as roll references: none may have been written.
-	for _, idx := range heldIndices(e) {
+	for _, idx := range heldIndices(c, e) {
 		request(idx)
 	}
 }
@@ -322,7 +316,7 @@ func TestGOPCacheOutOfOrderRequests(t *testing.T) {
 		e := c.entries[gopKey{video: "shuffled", start: start}]
 		c.mu.Unlock()
 		if e != nil {
-			held = append(held, heldIndices(e)...)
+			held = append(held, heldIndices(c, e)...)
 		}
 	}
 	if len(held) != len(requested) {
@@ -367,7 +361,7 @@ func TestGOPCacheFailedExtendChargesDecodedFrames(t *testing.T) {
 		t.Fatal("frame 8 decoded through a corrupt payload")
 	}
 	const frameBytes = 32 * 24 * 3
-	if held := heldIndices(e); len(held) != 1 || held[0] != 2 {
+	if held := heldIndices(c, e); len(held) != 1 || held[0] != 2 {
 		t.Fatalf("holds frames %v after the failed roll, want [2]", held)
 	}
 	if !framesEqual(e.frames[2], decodeRef(t, clean, 2)) {
@@ -525,10 +519,10 @@ func TestGOPCacheScanResistance(t *testing.T) {
 	}
 }
 
-// TestGOPCacheDerivedFrames covers the single-flight derived
-// superset-frame cache: one leader per descriptor, waiters receive the
-// published frame, abandoned flights retry, bytes are accounted and
-// released with the entry.
+// TestGOPCacheDerivedFrames covers the derived superset-frame cache: a
+// lookup misses until the first publish, a second publish under the same
+// descriptor returns the first frame uncharged, and the bytes leave with
+// the entry.
 func TestGOPCacheDerivedFrames(t *testing.T) {
 	ent := gopTestEntry(t, "derived", 10, 10)
 	c := newGOPCache(1 << 30)
@@ -541,41 +535,24 @@ func TestGOPCacheDerivedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytesBefore := c.bytes.Load()
-	f0, claim := c.claimDerived(e, "k1")
-	if f0 != nil || claim == nil {
-		t.Fatalf("first claim: frame=%v claim=%v, want leadership", f0, claim)
+	if f := c.derivedFrame(e, "k1"); f != nil {
+		t.Fatal("lookup found a frame before any publish")
 	}
-	// A concurrent waiter blocks until the leader publishes.
-	waited := make(chan *frame.Frame, 1)
-	go func() {
-		f, cl := c.claimDerived(e, "k1")
-		if cl != nil {
-			t.Error("waiter granted leadership during an open flight")
-		}
-		waited <- f
-	}()
-	f1 := frame.New(8, 8, 3)
-	c.publishDerived(e, claim, f1)
-	if got := <-waited; got != f1 {
-		t.Fatalf("waiter got %v, want the published frame", got)
+	f1, f2 := frame.New(8, 8, 3), frame.New(8, 8, 3)
+	if got := c.publishDerived(e, "k1", f1); got != f1 {
+		t.Fatal("first publish did not win")
 	}
-	// A late claim hits without blocking.
-	if f, cl := c.claimDerived(e, "k1"); f != f1 || cl != nil {
-		t.Fatalf("late claim: frame=%v claim=%v, want published hit", f, cl)
+	if got := c.derivedFrame(e, "k1"); got != f1 {
+		t.Fatal("lookup after publish did not return the published frame")
+	}
+	if got := c.publishDerived(e, "k1", f2); got != f1 {
+		t.Fatal("second publish replaced the first frame")
 	}
 	if got := c.bytes.Load() - bytesBefore; got != int64(f1.Bytes()) {
-		t.Fatalf("derived bytes %d, want %d", got, f1.Bytes())
+		t.Fatalf("derived bytes %d, want one frame of %d", got, f1.Bytes())
 	}
-	// An abandoned flight clears the slot so the next claimant leads.
-	if _, cl := c.claimDerived(e, "k2"); cl == nil {
-		t.Fatal("no leadership for fresh descriptor")
-	} else {
-		c.abandonDerived(e, "k2", cl)
-	}
-	if _, cl := c.claimDerived(e, "k2"); cl == nil {
-		t.Fatal("abandoned flight did not allow a retry")
-	} else {
-		c.abandonDerived(e, "k2", cl)
+	if f := c.derivedFrame(e, "k2"); f != nil {
+		t.Fatal("lookup of another descriptor found a frame")
 	}
 	bytesWithDerived := c.bytes.Load()
 	lease.release()
@@ -587,6 +564,81 @@ func TestGOPCacheDerivedFrames(t *testing.T) {
 	c.mu.Unlock()
 	if leftover != 0 {
 		t.Fatalf("bytes %d after evicting sole entry (had %d); derived frames leaked", leftover, bytesWithDerived)
+	}
+}
+
+// TestGOPCacheFirstPublishWins releases K goroutines at once onto one
+// cold frame and then onto one derived descriptor. Every roller must get
+// the reference pixels in the one frame that stays held, every publisher
+// must get the one frame that stays published, and the cache must charge
+// exactly one copy of each. Run under -race this checks that decodes and
+// derived computations outside the cache lock share nothing unlocked.
+func TestGOPCacheFirstPublishWins(t *testing.T) {
+	const k, idx = 8, 17
+	ent := gopTestEntry(t, "race", 30, 30) // one GOP
+	ref := decodeRef(t, ent, idx)
+	c := newGOPCache(1 << 30)
+	lease := c.lease()
+	defer lease.release()
+	e, err := lease.entryFor(ent, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// race runs fn on k goroutines released together and returns what
+	// each got.
+	race := func(fn func(g int) (*frame.Frame, error)) []*frame.Frame {
+		got := make([]*frame.Frame, k)
+		errs := make([]error, k)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < k; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				got[g], errs[g] = fn(g)
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+
+	rolled := race(func(int) (*frame.Frame, error) { return c.roll(ent, e, idx) })
+	for g, f := range rolled {
+		if !framesEqual(f, ref) {
+			t.Fatalf("roller %d: frame %d differs from the reference decode", g, idx)
+		}
+		if f != rolled[0] {
+			t.Fatalf("roller %d got a frame other than the one held", g)
+		}
+	}
+	if held := heldIndices(c, e); len(held) != 1 || held[0] != idx {
+		t.Fatalf("holds frames %v, want [%d]", held, idx)
+	}
+
+	published := race(func(g int) (*frame.Frame, error) {
+		f := frame.New(8, 8, 3)
+		for i := range f.Pix {
+			f.Pix[i] = byte(g)
+		}
+		return c.publishDerived(e, "sup", f), nil
+	})
+	for g, f := range published {
+		if f != published[0] {
+			t.Fatalf("publisher %d got a frame other than the first published", g)
+		}
+	}
+	if c.derivedFrame(e, "sup") != published[0] {
+		t.Fatal("lookup does not return the winning frame")
+	}
+	if got, want := c.bytes.Load(), heldBytes(c)+int64(published[0].Bytes()); got != want {
+		t.Fatalf("charged %d B, want the held frame plus one derived frame, %d B", got, want)
 	}
 }
 

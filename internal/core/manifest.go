@@ -34,8 +34,10 @@ type manifest struct {
 // fingerprint hashes everything a plan depends on.
 func (s *Service) fingerprint() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "seed=%d;k=%d;coord=%v;slack=%d;budget=%d;",
-		s.opts.Seed, s.opts.ChunkEpochs, s.opts.Coordinate, s.opts.PoolSlackClips, s.opts.StorageBudget)
+	// slack=0 keeps the hash input that persisted manifests and fleet
+	// fingerprints were computed from, so their values do not change.
+	fmt.Fprintf(h, "seed=%d;k=%d;coord=%v;slack=0;budget=%d;",
+		s.opts.Seed, s.opts.ChunkEpochs, s.opts.Coordinate, s.opts.StorageBudget)
 	tags := make([]string, 0, len(s.tasks))
 	for tag := range s.tasks {
 		tags = append(tags, tag)

@@ -13,10 +13,10 @@ package core
 // Plans are *batch-scoped*: the planner groups chains across every
 // sample of an iteration, not just within one sample, so two samples of
 // the same batch that crop the same source region share one superset
-// materialization through the decoded-GOP cache's single-flight derived
-// store. Cross-sample groups are what the per-sample planner could
-// never see — a single-chain sample has nothing to pair with on its
-// own, but four single-chain samples of one video usually do.
+// materialization through the decoded-GOP cache's derived store.
+// Cross-sample groups are what the per-sample planner could never see —
+// a single-chain sample has nothing to pair with on its own, but four
+// single-chain samples of one video usually do.
 
 import (
 	"fmt"
@@ -206,11 +206,11 @@ func (s *Service) buildBatchReusePlan(samples []*graph.Sample) *reusePlan {
 }
 
 // supersetView materializes member (si, ci)'s crop for source frame idx
-// through the group's shared superset: the first worker to reach a
-// (frame, group) pair computes the prefix once, slices the bounding
+// through the group's shared superset: a chain that finds no superset
+// for the (frame, group) pair computes the prefix, slices the bounding
 // region, and publishes it in the decoded-GOP cache's derived store;
-// everyone else — including sibling samples of the batch — slices their
-// window out of the published frame. The returned frame is a fresh copy
+// every later chain — including sibling samples of the batch — slices
+// its window out of the published frame. The returned frame is a fresh copy
 // exclusively owned by the caller, already advanced past the crop stage
 // (depth group.depth+1).
 func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.ResolvedChain,
@@ -221,10 +221,7 @@ func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.Resolv
 		return nil, err
 	}
 	dk := grp.derivedKey(idx)
-	// Single-flight: the first chain to reach this (frame, group) pair
-	// computes the prefix once; sibling views block briefly on the slot
-	// instead of redoing the same resize/decode work in parallel.
-	sup, claim := s.gops.claimDerived(e, dk)
+	sup := s.gops.derivedFrame(e, dk)
 	if sup != nil {
 		s.supersetHits.Add(1)
 		if grp.xsample {
@@ -234,18 +231,12 @@ func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.Resolv
 		s.supersetMisses.Add(1)
 		fresh, err := s.computeSuperset(sm, ci, chain, grp, ent, lease, idx, deadline)
 		if err != nil {
-			if claim != nil {
-				s.gops.abandonDerived(e, dk, claim)
-			}
 			return nil, err
 		}
 		// The canonical frame lives in the cache and is shared read-only.
-		// Without a claim (a previous leader abandoned while we waited)
-		// fresh stays private to this view.
-		if claim != nil {
-			s.gops.publishDerived(e, claim, fresh)
-		}
-		sup = fresh
+		// If another chain published it meanwhile, that frame wins; every
+		// computation of one descriptor yields the same bytes.
+		sup = s.gops.publishDerived(e, dk, fresh)
 	}
 	rect := grp.members[memberKey{si, ci}]
 	view, err := sup.SubRect(rect.x-grp.sup.x, rect.y-grp.sup.y, rect.w, rect.h)

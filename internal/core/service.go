@@ -41,9 +41,6 @@ type Options struct {
 	// Coordinate enables shared-pool/shared-window planning; disable to
 	// reproduce the uncoordinated baseline.
 	Coordinate bool
-	// PoolSlackClips widens the shared frame pool for multi-epoch
-	// variety.
-	PoolSlackClips int
 	// Lookahead is how many iterations ahead pre-materialization runs.
 	Lookahead int
 	// Seed drives all planning randomness.
@@ -466,11 +463,10 @@ func (s *Service) planChunk(startEpoch int) error {
 		}
 	}
 	plan, err := graph.BuildChunkPlan(specs, metas, graph.PlanParams{
-		StartEpoch:     startEpoch,
-		Epochs:         epochs,
-		Coordinate:     s.opts.Coordinate,
-		PoolSlackClips: s.opts.PoolSlackClips,
-		Seed:           s.opts.Seed + int64(startEpoch)*7919,
+		StartEpoch: startEpoch,
+		Epochs:     epochs,
+		Coordinate: s.opts.Coordinate,
+		Seed:       s.opts.Seed + int64(startEpoch)*7919,
 	})
 	if err != nil {
 		return err

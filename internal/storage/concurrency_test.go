@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sand/internal/obs"
 )
@@ -281,10 +282,12 @@ func TestParallelStress(t *testing.T) {
 	}
 }
 
-// TestGetPromotionSingleflight gates the disk read behind a barrier and
-// checks that K concurrent Gets of one spilled key perform exactly one
-// file read, all returning the same promoted object.
-func TestGetPromotionSingleflight(t *testing.T) {
+// TestGetConcurrentPromotion gates the disk read until K concurrent Gets
+// and GetPinneds of one spilled key are all inside it, then lets them
+// promote at once: every reader must get the payload, each read counts
+// as a promotion, one copy stays resident, and the pinned bytes return to
+// zero once every pin is released.
+func TestGetConcurrentPromotion(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{MemBudget: 1 << 20, Dir: dir})
 	if err != nil {
@@ -298,54 +301,57 @@ func TestGetPromotionSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fresh store over the directory holds the object on disk only, so
-	// the next Get must promote it.
+	// every reader below must promote it.
 	s, err := Open(Options{MemBudget: 1 << 20, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var calls atomic.Int64
+	const readers = 8
 	gate := make(chan struct{})
-	started := make(chan struct{})
+	arrived := make(chan struct{}, readers)
 	orig := readFile
 	readFile = func(path string) ([]byte, error) {
-		if calls.Add(1) == 1 {
-			close(started)
-		}
+		arrived <- struct{}{}
 		<-gate
 		return os.ReadFile(path)
 	}
 	defer func() { readFile = orig }()
 
-	const waiters = 8
 	var wg sync.WaitGroup
-	errs := make([]error, waiters)
-	data := make([][]byte, waiters)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		obj, err := s.Get("/sf/obj")
-		errs[0] = err
-		if obj != nil {
-			data[0] = obj.Data
-		}
-	}()
-	<-started // the leader holds the read; followers must coalesce onto it
-	for i := 1; i < waiters; i++ {
+	errs := make([]error, readers)
+	data := make([][]byte, readers)
+	pins := make([]*Pin, readers)
+	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			obj, err := s.Get("/sf/obj")
-			errs[i] = err
+			var obj *Object
+			if i%2 == 0 {
+				obj, errs[i] = s.Get("/sf/obj")
+			} else {
+				obj, pins[i], errs[i] = s.GetPinned("/sf/obj")
+			}
 			if obj != nil {
 				data[i] = obj.Data
 			}
 		}(i)
 	}
+	// No read can finish before the gate opens, so no copy is resident
+	// yet and every reader reaches the disk.
+	for i := 0; i < readers; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(10 * time.Second):
+			close(gate)
+			wg.Wait()
+			t.Fatalf("only %d of %d readers reached the disk read", i, readers)
+		}
+	}
 	close(gate)
 	wg.Wait()
 
-	for i := 0; i < waiters; i++ {
+	for i := 0; i < readers; i++ {
 		if errs[i] != nil {
 			t.Fatalf("reader %d: %v", i, errs[i])
 		}
@@ -353,11 +359,21 @@ func TestGetPromotionSingleflight(t *testing.T) {
 			t.Fatalf("reader %d got wrong payload", i)
 		}
 	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("singleflight leaked: %d disk reads for one key", got)
+	st := s.Stats()
+	if st.Promotions != readers {
+		t.Fatalf("promotions = %d, want one per reader (%d)", st.Promotions, readers)
 	}
-	if got := s.Stats().Promotions; got != 1 {
-		t.Fatalf("promotions counter = %d, want 1", got)
+	if st.MemObjects != 1 || st.MemBytes != int64(len(payload)) {
+		t.Fatalf("memory tier holds %d objects, %d B; want one copy of %d B", st.MemObjects, st.MemBytes, len(payload))
+	}
+	if st.PinnedBytes > int64(len(payload)) {
+		t.Fatalf("pinned bytes %d exceed the one resident copy (%d B)", st.PinnedBytes, len(payload))
+	}
+	for _, p := range pins {
+		p.Release()
+	}
+	if got := s.PinnedBytes(); got != 0 {
+		t.Fatalf("pinned bytes %d after every pin was released", got)
 	}
 }
 

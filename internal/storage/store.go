@@ -12,6 +12,10 @@
 // the watermark. Persist writes a spill file's bytes outside the lock and
 // only renames it into place under it.
 //
+// A promotion from disk reads the spill file outside the lock and
+// re-inserts it with Put; concurrent readers of one spilled key each read
+// the file, and the last copy re-inserted stays resident.
+//
 // Objects can be leased by reference: GetPinned returns the payload
 // together with a ref-counted Pin that keeps it memory-resident —
 // eviction passes skip pinned objects — so the network dataplane can
@@ -96,8 +100,8 @@ type Stats struct {
 	Evictions   int64
 	Spills      int64
 	// Promotions counts disk-tier reads that loaded an object back into
-	// memory; concurrent readers of the same spilled key are collapsed
-	// into one promotion (singleflight).
+	// memory. Concurrent readers of one spilled key each read the file,
+	// and each read counts.
 	Promotions int64
 	// EvictStorms counts detected eviction storms: stormPasses evicting
 	// passes inside stormWindow (see Options.OnEvictStorm).
@@ -117,14 +121,6 @@ const (
 	stormCooldown = 5 * time.Second
 )
 
-// promotion is one in-flight disk read being shared by every concurrent
-// Get of the same spilled key.
-type promotion struct {
-	done chan struct{} // closed once obj/err are set
-	obj  *Object
-	err  error
-}
-
 // Store is the two-tier object store. All methods are safe for
 // concurrent use.
 type Store struct {
@@ -135,10 +131,9 @@ type Store struct {
 
 	// mu guards both tiers' maps, the objects' Used flags and pin counts,
 	// eviction passes and the storm state below.
-	mu     sync.Mutex
-	mem    map[string]*Object
-	disk   map[string]diskEntry
-	promos map[string]*promotion // in-flight disk->memory promotions
+	mu   sync.Mutex
+	mem  map[string]*Object
+	disk map[string]diskEntry
 
 	// Byte accounting: atomic adds on mutation (under mu), single atomic
 	// loads on the scheduler-sampled read paths (MemBytes, MemPressure).
@@ -209,7 +204,6 @@ func Open(opts Options) (*Store, error) {
 		coldCompress: opts.ColdCompress,
 		mem:          map[string]*Object{},
 		disk:         map[string]diskEntry{},
-		promos:       map[string]*promotion{},
 		tr:           opts.Obs.Trace(),
 		onStorm:      opts.OnEvictStorm,
 		stormTimes:   make([]time.Time, stormPasses),
@@ -347,8 +341,9 @@ func (s *Store) dropLocked(obj *Object) {
 
 // Get returns the object for key, promoting a disk-tier object into
 // memory. The returned object is shared; callers must not mutate Data.
-// Concurrent Gets of the same spilled key are collapsed into a single
-// disk read (singleflight): one reader promotes, the rest wait for it.
+// The disk read runs outside the lock: concurrent Gets of one spilled key
+// each read the file and re-insert their copy, and the last copy
+// re-inserted stays resident.
 func (s *Store) Get(key string) (*Object, error) {
 	s.mu.Lock()
 	if obj, ok := s.mem[key]; ok {
@@ -357,51 +352,28 @@ func (s *Store) Get(key string) (*Object, error) {
 		return obj, nil
 	}
 	ent, onDisk := s.disk[key]
+	s.mu.Unlock()
 	if !onDisk {
-		s.mu.Unlock()
 		s.misses.Add(1)
 		// Bare sentinel: misses are the common case on the probe-heavy
 		// materialization path and must not allocate a formatted error.
 		return nil, ErrNotFound
 	}
-	if p, inflight := s.promos[key]; inflight {
-		s.mu.Unlock()
-		<-p.done
-		if p.err != nil {
-			return nil, p.err
-		}
-		s.hits.Add(1)
-		return p.obj, nil
-	}
-	p := &promotion{done: make(chan struct{})}
-	s.promos[key] = p
-	s.mu.Unlock()
-
 	data, err := s.readSpill(ent.path)
 	if errors.Is(err, os.ErrNotExist) {
 		// The entry was deleted between the lookup and the read; report
 		// a plain miss, as if the Get had lost the race to the Delete.
-		p.err = ErrNotFound
-	} else if err != nil {
-		p.err = fmt.Errorf("storage: disk tier read %s: %w", key, err)
-	} else {
-		p.obj = &Object{Key: key, Data: data}
-		s.promotions.Add(1)
-		// Re-insert before clearing the flight, so a Get arriving in
-		// between finds either the flight or the memory copy and never
-		// reads the disk twice. A refused Put is not fatal: every reader
-		// is served from the read copy.
-		_ = s.Put(p.obj)
+		return nil, ErrNotFound
 	}
-	s.mu.Lock()
-	delete(s.promos, key)
-	s.mu.Unlock()
-	close(p.done)
-	if p.err != nil {
-		return nil, p.err
+	if err != nil {
+		return nil, fmt.Errorf("storage: disk tier read %s: %w", key, err)
 	}
+	obj := &Object{Key: key, Data: data}
+	s.promotions.Add(1)
+	// A refused Put is not fatal: the reader is served from the read copy.
+	_ = s.Put(obj)
 	s.hits.Add(1)
-	return p.obj, nil
+	return obj, nil
 }
 
 // readSpill reads a disk-tier file back into an object payload, inflating
@@ -460,8 +432,8 @@ func (p *Pin) Release() {
 
 // GetPinned returns the object for key together with a pin that keeps
 // it memory-resident until released. Disk-tier objects are promoted
-// first (singleflighted, like Get). A nil pin alongside a non-nil
-// object means the promoted copy was evicted before it could be pinned —
+// first, as by Get. A nil pin alongside a non-nil object means the
+// promoted copy was evicted or displaced before it could be pinned —
 // the bytes are still valid (the caller holds the only live reference)
 // but not cache-resident, so zero-copy servers should count it as a
 // copy fallback.
@@ -474,7 +446,7 @@ func (s *Store) GetPinned(key string) (*Object, *Pin, error) {
 		return obj, p, nil
 	}
 	s.mu.Unlock()
-	obj, err := s.Get(key) // promote through the singleflight path
+	obj, err := s.Get(key)
 	if err != nil {
 		return nil, nil, err
 	}
