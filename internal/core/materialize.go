@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -581,17 +580,13 @@ func (s *Service) awaitBuild(key iterationKey, bk string, samples []*graph.Sampl
 	if joined {
 		s.flightJoins.Add(1)
 	} else if !promote || !s.pool.Promote(bk) {
-		// Demand runs carry the op signature and edge count, so they
-		// train the scheduler's cost model too — the SJF estimates stay
-		// fresh even when pre-materialization is gated off. The trace ID
-		// correlates the scheduler's events with the build's spans.
+		// The trace ID correlates the scheduler's events with the
+		// build's spans.
 		tid := obs.NextTraceID()
-		remaining, sig := planEstimate(samples)
 		err := s.pool.Submit(&sched.Task{
 			Key:       bk,
 			Kind:      sched.Demand,
-			Sig:       sig,
-			Remaining: remaining,
+			Remaining: planEdges(samples),
 			Trace:     tid,
 			Run:       func() error { return s.runFlight(key, f, 0, tid) },
 		})
@@ -644,7 +639,6 @@ func (s *Service) schedulePremat(after iterationKey) {
 			s.mu.Unlock()
 			return
 		}
-		remaining, sig := planEstimate(samples)
 		deadline := int64(ahead)
 		k := key
 		tid := obs.NextTraceID()
@@ -660,8 +654,7 @@ func (s *Service) schedulePremat(after iterationKey) {
 			Key:       batchKey(k.task, k.epoch, k.iter),
 			Kind:      sched.Premat,
 			Deadline:  deadline,
-			Remaining: remaining,
-			Sig:       sig,
+			Remaining: planEdges(samples),
 			Trace:     tid,
 			Run:       func() error { return s.runFlight(k, f, deadline, tid) },
 		})
@@ -693,27 +686,15 @@ func (s *Service) peekBatch(key iterationKey) ([]byte, bool, error) {
 	return obj.Data, true, nil
 }
 
-// planEstimate derives both scheduler planning inputs for an iteration's
-// samples: the unprocessed-edge count (the cold SJF key) and the op
-// signature (the cost model's learning key). The signature is the sorted
-// set of distinct full-chain op signatures across the samples — the same
-// per-op Sig strings the reuse planner keys on — so iterations running
-// the same pipeline shape share run-time estimates across epochs, chunks
-// and tasks.
-func planEstimate(samples []*graph.Sample) (remaining int, sig string) {
+// planEdges counts an iteration's unprocessed edges, the scheduler's SJF
+// key: each chain decodes its sample's frames and then applies its ops to
+// every one of them.
+func planEdges(samples []*graph.Sample) int {
 	n := 0
-	seen := map[string]struct{}{}
-	var sigs []string
 	for _, sm := range samples {
 		for _, chain := range sm.Chains {
 			n += len(sm.FrameIndices) * (1 + len(chain.Ops))
-			cs := cumulativeSig(chain.Ops, len(chain.Ops))
-			if _, dup := seen[cs]; !dup {
-				seen[cs] = struct{}{}
-				sigs = append(sigs, cs)
-			}
 		}
 	}
-	sort.Strings(sigs)
-	return n, strings.Join(sigs, ";")
+	return n
 }

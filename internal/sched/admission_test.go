@@ -6,15 +6,11 @@ import (
 	"time"
 )
 
-// admPool builds a 1-worker pool with a 1ms SLO and a 0.5ms release
-// threshold, suitable for driving the gate via noteDemandWaitLocked.
+// admPool builds a 1-worker pool with a 1ms SLO (so a 0.7ms release
+// threshold), suitable for driving the gate via noteDemandWaitLocked.
 func admPool(t *testing.T) *Pool {
 	t.Helper()
-	p, err := NewPool(Options{
-		Workers:              1,
-		AdmissionSLO:         time.Millisecond,
-		AdmissionReleaseFrac: 0.5,
-	})
+	p, err := NewPool(Options{Workers: 1, AdmissionSLO: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +82,20 @@ func TestAdmissionHysteresisNoFlapping(t *testing.T) {
 		t.Fatal("gate did not engage")
 	}
 	// Waits inside the hysteresis band (below the 1ms SLO, above the
-	// 0.5ms release threshold) must leave the gate exactly where it is,
+	// 0.7ms release threshold) must leave the gate exactly where it is,
 	// even after the window has fully turned over.
-	feed(p, 3*admWindowSize, 700*time.Microsecond)
+	feed(p, 3*admWindowSize, 850*time.Microsecond)
 	if !engaged(p) {
 		t.Fatal("gate released inside the hysteresis band")
 	}
 	if st := counts(p); st.admissionEngages != 1 || st.admissionReleases != 0 {
 		t.Fatalf("gate flapped: %+v", st)
+	}
+	// Just under the release threshold, the gate opens once the window
+	// has turned over.
+	feed(p, admWindowSize, 650*time.Microsecond)
+	if st := counts(p); engaged(p) || st.admissionReleases != 1 {
+		t.Fatalf("below the release threshold: %+v, want released once", st)
 	}
 }
 

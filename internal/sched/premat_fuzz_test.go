@@ -18,7 +18,7 @@ type prematRef struct {
 // sjfLess.
 func (r *prematRef) key(t *Task) [3]int64 {
 	if r.sjf {
-		return [3]int64{t.costNS, int64(t.Remaining), int64(t.seq)}
+		return [3]int64{int64(t.Remaining), int64(t.seq), 0}
 	}
 	return [3]int64{t.Deadline, int64(t.seq), 0}
 }
@@ -114,8 +114,7 @@ func FuzzPrematOrder(f *testing.F) {
 				tk := &Task{
 					Key:       strconv.Itoa(len(all)),
 					Deadline:  int64(arg % 8),
-					costNS:    int64(arg / 8 % 8),
-					Remaining: int(arg / 64),
+					Remaining: int(arg / 8 % 8),
 					seq:       uint64(len(all)),
 				}
 				all = append(all, tk)

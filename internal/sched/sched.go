@@ -11,18 +11,16 @@
 //   - Pre-materialization tasks are ordered earliest-deadline-first
 //     (deadline = iterations until the object is needed), so lagging work
 //     is boosted automatically. When memory pressure exceeds
-//     MemoryPressureThreshold, ordering switches to shortest-job-first,
-//     draining almost-finished subtrees to release their pinned decoded
-//     frames.
+//     MemoryPressureThreshold, ordering switches to shortest-job-first by
+//     fewest unprocessed edges (Task.Remaining), draining almost-finished
+//     subtrees to release their pinned decoded frames.
 //
-// Scheduling is closed-loop (see DESIGN.md §11): the SJF key is the
-// predicted run time from a CostModel learning per-op-signature run-time
-// distributions out of the pool's own observations (falling back to raw
-// edge counts while cold), and pre-materialization admission is gated on
-// the demand path's health — when the demand queue-wait p99 degrades
-// past Options.AdmissionSLO the pool stops admitting premat tasks
+// Pre-materialization admission is gated on the demand path's health
+// (see DESIGN.md §11): when the demand queue-wait p99 degrades past
+// Options.AdmissionSLO the pool stops admitting premat tasks
 // (ErrAdmission) and sheds the queued premat tail until the windowed p99
-// recovers, with hysteresis so the gate cannot flap.
+// falls below admReleaseFrac of the SLO, with hysteresis so the gate
+// cannot flap.
 //
 // The pool is fully instrumented (internal/obs): enqueue/dequeue,
 // EDF<->SJF mode-switch and admission engage/release trace events,
@@ -68,13 +66,8 @@ type Task struct {
 	// consumed; smaller = more urgent (EDF).
 	Deadline int64
 	// Remaining is the unprocessed-edge count of the task's subtree
-	// (the SJF cost basis; smaller = shorter job).
+	// (the SJF key; smaller = shorter job).
 	Remaining int
-	// Sig is the task's op signature — the key under which the pool's
-	// CostModel learns its run-time distribution (the engine shares it
-	// with the reuse-plan signatures). Empty tasks still feed the global
-	// per-edge estimate but get no per-signature prediction.
-	Sig string
 	// Run performs the work.
 	Run func() error
 	// Trace is the optional trace context the task belongs to; it is
@@ -85,7 +78,6 @@ type Task struct {
 	// bookkeeping
 	seq      uint64
 	enqueued time.Time
-	costNS   int64 // predicted run time at submit (primary SJF key)
 }
 
 // counters are the pool's event counts, guarded by Pool.mu and exposed
@@ -113,7 +105,6 @@ type Pool struct {
 
 	pressure func() float64
 	onError  func(*Task, error)
-	cost     *CostModel
 	onBreach func(reason string) // invoked (outside mu) when admission engages
 
 	// observability (all nil-safe)
@@ -161,19 +152,12 @@ type Options struct {
 	// and without running the task, for every queued premat task that
 	// admission control sheds, so the submitter can plan it again later.
 	OnError func(*Task, error)
-	// Cost is the run-time model behind the SJF order (predicted
-	// nanoseconds instead of raw edge counts). nil creates a private
-	// model; pass a shared one to pool estimates across pools.
-	Cost *CostModel
 	// AdmissionSLO is the demand-path queue-wait p99 SLO: when the
 	// windowed p99 of demand task waits exceeds it, the pool stops
 	// admitting premat tasks (Submit returns ErrAdmission) and sheds the
-	// queued premat tail until the p99 recovers below
-	// AdmissionReleaseFrac×SLO. 0 disables admission control.
+	// queued premat tail until the p99 recovers below 0.7×SLO
+	// (admReleaseFrac). 0 disables admission control.
 	AdmissionSLO time.Duration
-	// AdmissionReleaseFrac positions the release threshold as a fraction
-	// of AdmissionSLO (hysteresis). 0 defaults to 0.7.
-	AdmissionReleaseFrac float64
 	// OnSLOBreach is invoked — outside pool locks — each time admission
 	// control engages, with a short reason string. The engine points
 	// this at the flight recorder so a breach dumps the trace ring.
@@ -186,13 +170,15 @@ type Options struct {
 }
 
 // Admission-control tuning: the demand-wait window size, the minimum
-// samples before the gate may move, and the dwell (samples) between
-// moves. Sample-count-based hysteresis keeps tests and scenario replays
-// deterministic where wall-clock dwell would not be.
+// samples before the gate may move, the dwell (samples) between moves,
+// and the release threshold as a fraction of the SLO. Sample-count-based
+// hysteresis keeps tests and scenario replays deterministic where
+// wall-clock dwell would not be.
 const (
-	admWindowSize = 64
-	admMinSamples = 8
-	admDwell      = 16
+	admWindowSize  = 64
+	admMinSamples  = 8
+	admDwell       = 16
+	admReleaseFrac = 0.7
 )
 
 // NewPool starts the workers.
@@ -202,17 +188,9 @@ func NewPool(opts Options) (*Pool, error) {
 	}
 	p := &Pool{pressure: opts.MemPressure, onError: opts.OnError, workers: opts.Workers}
 	p.cond = sync.NewCond(&p.mu)
-	p.cost = opts.Cost
-	if p.cost == nil {
-		p.cost = NewCostModel()
-	}
 	if opts.AdmissionSLO > 0 {
 		p.admSLO = opts.AdmissionSLO.Nanoseconds()
-		frac := opts.AdmissionReleaseFrac
-		if frac <= 0 || frac >= 1 {
-			frac = 0.7
-		}
-		p.admRelease = int64(float64(p.admSLO) * frac)
+		p.admRelease = int64(float64(p.admSLO) * admReleaseFrac)
 		p.admWindow = make([]int64, 0, admWindowSize)
 		p.onBreach = opts.OnSLOBreach
 	}
@@ -269,12 +247,6 @@ func (p *Pool) Submit(t *Task) error {
 	if t.Kind != Demand && t.Kind != Premat {
 		return fmt.Errorf("sched: unknown task kind %d", t.Kind)
 	}
-	// Estimate before taking the lock: the cost model has its own lock
-	// and is never acquired under p.mu (and vice versa).
-	costNS := int64(t.Remaining)
-	if est, ok := p.cost.EstimateNS(t.Sig, t.Remaining); ok {
-		costNS = est
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed || p.draining {
@@ -284,7 +256,6 @@ func (p *Pool) Submit(t *Task) error {
 		p.stats.admissionRejected++
 		return ErrAdmission
 	}
-	t.costNS = costNS
 	t.seq = p.seq
 	p.seq++
 	t.enqueued = time.Now()
@@ -423,11 +394,7 @@ func (p *Pool) worker() {
 		}
 		runStart := time.Now()
 		err := t.Run()
-		runNS := time.Since(runStart).Nanoseconds()
-		p.histRun.Observe(runNS)
-		if err == nil {
-			p.cost.Observe(t.Sig, t.Remaining, runNS)
-		}
+		p.histRun.Observe(time.Since(runStart).Nanoseconds())
 		if traced {
 			p.tr.Span("sched", "task", t.Trace, spanStart, t.Key)
 		}
@@ -562,10 +529,6 @@ func (p *Pool) shedPrematLocked() []*Task {
 	return shed
 }
 
-// Cost returns the pool's run-time model (for sharing across pools and
-// for tests injecting estimates).
-func (p *Pool) Cost() *CostModel { return p.cost }
-
 // QueueDepth returns the number of queued (not yet running) tasks.
 func (p *Pool) QueueDepth() int {
 	p.mu.Lock()
@@ -574,8 +537,8 @@ func (p *Pool) QueueDepth() int {
 }
 
 // taskHeap is the premat queue: one heap whose order follows the pool's
-// policy, earliest deadline first or, while sjf is set, shortest
-// predicted job first. Both orders are total (seq breaks every tie), so
+// policy, earliest deadline first or, while sjf is set, fewest
+// unprocessed edges first. Both orders are total (seq breaks every tie), so
 // the pop sequence does not depend on the heap's shape, and a policy
 // change is a re-heapify under the other key (setSJF).
 type taskHeap struct {
@@ -591,14 +554,8 @@ func edfLess(a, b *Task) bool {
 	return a.seq < b.seq
 }
 
-// sjfLess orders by predicted nanoseconds (CostModel estimate × edges).
-// Cold tasks carry their raw edge count as costNS, which preserves the
-// edge-count ordering among themselves and self-corrects as soon as any
-// observation seeds the global per-edge estimate.
+// sjfLess orders by unprocessed-edge count, the paper's SJF key.
 func sjfLess(a, b *Task) bool {
-	if a.costNS != b.costNS {
-		return a.costNS < b.costNS
-	}
 	if a.Remaining != b.Remaining {
 		return a.Remaining < b.Remaining
 	}

@@ -188,13 +188,52 @@ func TestSJFUnderPressure(t *testing.T) {
 	}
 	close(block)
 	p.Close()
-	mu.Lock()
-	defer mu.Unlock()
 	if order[0] != 1 {
 		t.Fatalf("SJF did not run shortest job first: %v", order)
 	}
 	if counts(p).sjfDecisions == 0 {
 		t.Fatal("no SJF decisions counted")
+	}
+
+	// Run history does not enter the SJF key: after demand tasks with
+	// very different run times, premat tasks with equal edge counts pop
+	// in submission order, not by deadline and not by how long their
+	// predecessors ran.
+	p2, _ := NewPool(Options{Workers: 1, MemPressure: func() float64 { return 1.0 }})
+	defer p2.Abort()
+	for _, d := range []time.Duration{0, 20 * time.Millisecond, time.Microsecond} {
+		d := d
+		ran := make(chan struct{})
+		p2.Submit(&Task{Key: "d", Kind: Demand, Remaining: 4, Run: func() error {
+			time.Sleep(d)
+			close(ran)
+			return nil
+		}})
+		<-ran
+	}
+	block = make(chan struct{})
+	p2.Submit(&Task{Key: "gate", Kind: Demand, Run: func() error { <-block; return nil }})
+	var fifo []int
+	for i := 0; i < 5; i++ {
+		i := i
+		p2.Submit(&Task{Key: "p", Kind: Premat, Deadline: int64(10 - i), Remaining: 4, Run: func() error {
+			mu.Lock()
+			fifo = append(fifo, i)
+			mu.Unlock()
+			return nil
+		}})
+	}
+	close(block)
+	p2.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	for i, got := range fifo {
+		if got != i {
+			t.Fatalf("equal-edge SJF order %v, want submission order", fifo)
+		}
+	}
+	if len(fifo) != 5 || counts(p2).sjfDecisions != 5 {
+		t.Fatalf("ran %v with %d SJF decisions, want 5 of each", fifo, counts(p2).sjfDecisions)
 	}
 }
 

@@ -106,10 +106,9 @@ type Stats struct {
 	// EvictStorms counts detected eviction storms: stormPasses evicting
 	// passes inside stormWindow (see Options.OnEvictStorm).
 	EvictStorms int64
-	// CompressedSpills counts spills that landed on disk flate-compressed;
-	// SpillBytesSaved is the bytes that compression shaved off them.
-	CompressedSpills int64
-	SpillBytesSaved  int64
+	// SpillBytesSaved is the bytes that flate compression shaved off
+	// the spills that landed on disk compressed.
+	SpillBytesSaved int64
 }
 
 // Eviction-storm detection: this many evicting passes within the window
@@ -148,9 +147,8 @@ type Store struct {
 	spills     atomic.Int64
 	promotions atomic.Int64
 
-	// Spills written compressed, and the bytes that saved.
-	compressedSpills atomic.Int64
-	spillSaved       atomic.Int64
+	// Bytes that compressed spills saved.
+	spillSaved atomic.Int64
 
 	// Eviction-storm detection, guarded by mu. onStorm fires outside it.
 	onStorm    func(reason string)
@@ -618,10 +616,7 @@ func (s *Store) commitLocked(obj *Object, sp spillFile) error {
 	}
 	s.disk[obj.Key] = diskEntry{path: sp.path, size: sp.size}
 	s.spills.Add(1)
-	if sp.saved > 0 {
-		s.compressedSpills.Add(1)
-		s.spillSaved.Add(sp.saved)
-	}
+	s.spillSaved.Add(sp.saved)
 	return nil
 }
 
@@ -779,17 +774,16 @@ func (s *Store) Keys(prefix string) []string {
 // counters are atomic loads; object counts take the lock briefly.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		MemBytes:         s.memBytes.Load(),
-		DiskBytes:        s.diskBytes.Load(),
-		PinnedBytes:      s.pinnedBytes.Load(),
-		Hits:             s.hits.Load(),
-		Misses:           s.misses.Load(),
-		Evictions:        s.evictions.Load(),
-		Spills:           s.spills.Load(),
-		Promotions:       s.promotions.Load(),
-		EvictStorms:      s.storms.Load(),
-		CompressedSpills: s.compressedSpills.Load(),
-		SpillBytesSaved:  s.spillSaved.Load(),
+		MemBytes:        s.memBytes.Load(),
+		DiskBytes:       s.diskBytes.Load(),
+		PinnedBytes:     s.pinnedBytes.Load(),
+		Hits:            s.hits.Load(),
+		Misses:          s.misses.Load(),
+		Evictions:       s.evictions.Load(),
+		Spills:          s.spills.Load(),
+		Promotions:      s.promotions.Load(),
+		EvictStorms:     s.storms.Load(),
+		SpillBytesSaved: s.spillSaved.Load(),
 	}
 	s.mu.Lock()
 	st.MemObjects = len(s.mem)

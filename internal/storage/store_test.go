@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -345,8 +346,16 @@ func TestColdSpillCompressed(t *testing.T) {
 	s.Put(&Object{Key: "/t/a", Data: bytes.Repeat([]byte{7}, 300), Deadline: 50})
 	s.Put(&Object{Key: "/t/b", Data: bytes.Repeat([]byte{7}, 300), Deadline: 50})
 	s.Put(&Object{Key: "/t/push", Data: bytes.Repeat([]byte{1}, 500), Deadline: 1})
-	if got := s.compressedSpills.Load(); got != 2 {
-		t.Fatalf("compressed spills = %d, want 2", got)
+	s.mu.Lock()
+	compressed := 0
+	for _, e := range s.disk {
+		if strings.HasSuffix(e.path, ".objz") {
+			compressed++
+		}
+	}
+	s.mu.Unlock()
+	if compressed != 2 {
+		t.Fatalf("compressed spills = %d, want 2", compressed)
 	}
 	if saved := s.spillSaved.Load(); saved <= 0 {
 		t.Fatalf("spill_bytes_saved = %d, want > 0", saved)

@@ -24,8 +24,8 @@ go test ./bench
 echo "== storage race soak (concurrent promotions, pins and spills, 20 runs)"
 go test -race -count=20 ./internal/storage
 
-echo "== batch-flight race soak (promotion, premat heap order, one build per batch, dispatch rule, shared GOP-cache frames as decoder references, first-wins superset publication; 20 runs)"
-go test -race -count=20 -run 'Promote|PrematOrder|Flight|Dispatch|GOPCache|SupersetSerial' ./internal/sched ./internal/core
+echo "== batch-flight race soak (promotion, premat heap order, SJF order and EDF<->SJF switches, one build per batch, dispatch rule, shared GOP-cache frames as decoder references, first-wins superset publication; 20 runs)"
+go test -race -count=20 -run 'Promote|PrematOrder|SJF|PolicySwitches|Flight|Dispatch|GOPCache|SupersetSerial' ./internal/sched ./internal/core
 
 echo "== premat heap fuzz against a slow reference queue (10s)"
 go test -run=xxx -fuzz=FuzzPrematOrder -fuzztime=10s ./internal/sched/
