@@ -73,7 +73,6 @@ func main() {
 	workers := flag.Int("workers", 4, "preprocessing worker pool size")
 	readahead := flag.Int("readahead", viewserver.DefaultReadAhead, "batch views to prefetch ahead per sequence (0 disables)")
 	demandSLO := flag.Duration("demand-slo", 0, "demand-path queue-wait p99 SLO; above it premat admission closes (0 disables)")
-	flightDir := flag.String("flight-dir", "", "directory for flight-recorder trace dumps on SLO breaches ('' disables)")
 	inflight := flag.Int("inflight", 32, "max in-flight requests per client session")
 	metricsAddr := flag.String("metrics", "", "HTTP address for /metrics and /debug/trace ('' disables; fleet mode auto-binds 127.0.0.1:0)")
 	trace := flag.Bool("trace", false, "enable the event tracer at startup")
@@ -126,7 +125,6 @@ func main() {
 		Seed:        1,
 		Obs:         reg,
 		DemandSLO:   *demandSLO,
-		FlightDir:   *flightDir,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,6 +25,7 @@ var benchStale = map[string]bool{
 	"viewserver.readahead.brake":  true, // read-ahead has a fixed depth
 	"frame.pool.gets":             true, // frame buffers are not pooled
 	"frame.pool.reuses":           true,
+	"storage.evict_storms":        true, // the store has no storm detector
 }
 
 // TestMetricCatalogue boots one engine and one view server on a single

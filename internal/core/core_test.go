@@ -658,6 +658,26 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestPersistErrorServesFromMemory blocks every video's object
+// directory in the cache dir with a regular file, so each frame object's
+// Persist fails with "not a directory". Persistence is best-effort: the
+// memory-tier copy must serve every batch, byte-identical to the oracle.
+func TestPersistErrorServesFromMemory(t *testing.T) {
+	dir := t.TempDir()
+	ds := miniDataset(t, 3)
+	if err := os.MkdirAll(filepath.Join(dir, "obj"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range ds.Videos {
+		if err := os.WriteFile(filepath.Join(dir, "obj", v.Spec.Name), []byte("not a directory"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := crashService(t, dir, ds)
+	defer s.Close()
+	checkOracle(t, s)
+}
+
 // TestCrashRecoveryRecomputesGarbledObjects garbles every persisted frame
 // object between the crash and the restart — each .objz still inflates
 // but one payload byte is flipped, and each .obj has a flipped byte — and

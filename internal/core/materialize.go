@@ -345,12 +345,10 @@ func (s *Service) storeFrame(key string, f *frame.Frame, deadline int64) error {
 		return err
 	}
 	if s.opts.CacheDir != "" {
-		// Best-effort persistence; memory-tier copy remains authoritative.
-		// The object may already be evicted again, or the disk full.
-		err := s.store.Persist(key)
-		if err != nil && !errors.Is(err, storage.ErrNotFound) && !errors.Is(err, storage.ErrDiskBudget) {
-			return err
-		}
+		// Best-effort persistence: the memory-tier copy serves this read,
+		// and recovery recomputes an object that never reached the disk
+		// (already evicted again, or the write failed).
+		_ = s.store.Persist(key)
 	}
 	return nil
 }

@@ -54,11 +54,6 @@ type Options struct {
 	// being admitted until the demand path recovers (DESIGN.md §11).
 	// 0 disables admission control.
 	DemandSLO time.Duration
-	// FlightDir enables the flight recorder: when an SLO breach fires
-	// (admission control engaging, an eviction storm), the obs trace
-	// ring is dumped to a Chrome trace file in this directory. Creating
-	// the recorder enables tracing. "" disables.
-	FlightDir string
 	// Obs is the observability registry receiving the engine's traces,
 	// gauges and histograms. Nil uses obs.Default(), so binaries that
 	// never touch observability still aggregate into the process-wide
@@ -121,8 +116,7 @@ type Service struct {
 
 	reg      *obs.Registry
 	tr       *obs.Tracer
-	flight   *obs.FlightRecorder // auto trace dumps on SLO breach (nil = off)
-	histView *obs.Histogram      // view-read latency (ns), demand + premat-hit
+	histView *obs.Histogram // view-read latency (ns), demand + premat-hit
 
 	// Event counters, exposed only through the "core" and "core.reuse"
 	// obs snapshots. Atomic: readers and workers bump them concurrently.
@@ -195,22 +189,11 @@ func New(opts Options) (*Service, error) {
 	s.reg = reg
 	s.tr = reg.Trace()
 	s.histView = reg.Histogram("core.view_read_ns")
-	// The flight recorder exists before the store and the pool so both
-	// can report breaches into it; a nil recorder (FlightDir unset) is a
-	// valid no-op receiver for Breach.
-	if opts.FlightDir != "" {
-		fr, err := obs.NewFlightRecorder(s.tr, opts.FlightDir)
-		if err != nil {
-			return nil, err
-		}
-		s.flight = fr
-	}
 	st, err := storage.Open(storage.Options{
 		MemBudget:    opts.MemBudget,
 		Dir:          opts.CacheDir,
 		ColdCompress: true, // spills deflate when that shrinks them
 		Obs:          reg,
-		OnEvictStorm: func(reason string) { s.flight.Breach(reason) },
 	})
 	if err != nil {
 		return nil, err
@@ -236,7 +219,6 @@ func New(opts Options) (*Service, error) {
 		MemPressure:  s.memPressure,
 		OnError:      s.onTaskError,
 		AdmissionSLO: opts.DemandSLO,
-		OnSLOBreach:  func(reason string) { s.flight.Breach(reason) },
 		Obs:          reg,
 	})
 	if err != nil {
@@ -253,7 +235,6 @@ func New(opts Options) (*Service, error) {
 			"objects_reused":     s.objectsReused.Load(),
 			"unstored_objects":   s.unstored.Load(),
 			"streamed_videos":    s.streamedVideos.Load(),
-			"flight_dumps":       s.flight.Dumps(),
 			"gop_hits":           s.gops.hits.Load(),
 			"gop_misses":         s.gops.misses.Load(),
 			"gop_evictions":      s.gops.evictions.Load(),

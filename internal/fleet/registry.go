@@ -33,18 +33,15 @@ type RegistryOptions struct {
 	// HeartbeatEvery is the interval the registry advertises to nodes in
 	// announce responses (default SuspectAfter/4).
 	HeartbeatEvery time.Duration
-	// SweepEvery is the background deadline-check period (default
-	// SuspectAfter/2). Deadlines are additionally checked on every read,
-	// so sweeps only matter for push-style consumers.
-	SweepEvery time.Duration
 	// Now overrides the clock (tests, simulated fleets). Default
 	// time.Now.
 	Now func() time.Time
-	// DisableSweeper skips the background deadline-sweeper goroutine.
-	// Deadlines are still applied on every read, so state queries stay
-	// exact — only push-style consumers lose proactive transitions. The
-	// scenario harness sets this when Now is a virtual clock: with no
-	// real-time ticker the registry becomes fully deterministic.
+	// DisableSweeper skips the background deadline-sweeper goroutine,
+	// which checks deadlines every SuspectAfter/2. Deadlines are still
+	// applied on every read, so state queries stay exact — only
+	// push-style consumers lose proactive transitions. The scenario
+	// harness sets this when Now is a virtual clock: with no real-time
+	// ticker the registry becomes fully deterministic.
 	DisableSweeper bool
 	// Obs receives fleet gauges (node counts by state). Nil disables.
 	Obs *obs.Registry
@@ -62,9 +59,6 @@ func (o *RegistryOptions) normalize() {
 	}
 	if o.HeartbeatEvery <= 0 {
 		o.HeartbeatEvery = o.SuspectAfter / 4
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = o.SuspectAfter / 2
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -117,7 +111,7 @@ func NewRegistry(opts RegistryOptions) *Registry {
 	r.sweeping.Add(1)
 	go func() {
 		defer r.sweeping.Done()
-		t := time.NewTicker(r.opts.SweepEvery)
+		t := time.NewTicker(r.opts.SuspectAfter / 2)
 		defer t.Stop()
 		for {
 			select {

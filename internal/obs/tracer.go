@@ -125,8 +125,8 @@ func (t *Tracer) Instant(cat, name string, tr TraceID, arg string) {
 
 // InstantAt records a zero-duration event at an explicit timestamp
 // (nanoseconds since the tracer epoch). Virtual-time emitters — the
-// scenario harness runs on a simulated clock — use this so their flight
-// records are deterministic instead of wall-clock-stamped.
+// scenario harness runs on a simulated clock — use this so their
+// events are deterministic instead of wall-clock-stamped.
 func (t *Tracer) InstantAt(cat, name string, tr TraceID, tsNS int64, arg string) {
 	if !t.Enabled() {
 		return

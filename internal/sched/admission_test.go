@@ -1,9 +1,14 @@
 package sched
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"sand/internal/obs"
 )
 
 // admPool builds a 1-worker pool with a 1ms SLO (so a 0.7ms release
@@ -162,25 +167,20 @@ func TestAdmissionShedsPrematTail(t *testing.T) {
 	}
 }
 
-func TestAdmissionBreachCallbackFires(t *testing.T) {
-	breach := make(chan string, 1)
-	p, err := NewPool(Options{
-		Workers:      1,
-		AdmissionSLO: time.Millisecond,
-		OnSLOBreach: func(reason string) {
-			select {
-			case breach <- reason:
-			default:
-			}
-		},
-	})
+// TestAdmissionEngageInstantTraced ages queued demand tasks past the
+// SLO so the dequeue path itself engages the gate, then reads the result
+// the way an operator does: the engage counter, and the sched.admission
+// instant in the registry's /debug/trace export.
+func TestAdmissionEngageInstantTraced(t *testing.T) {
+	reg := obs.New()
+	reg.Trace().Enable()
+	p, err := NewPool(Options{Workers: 1, AdmissionSLO: time.Millisecond, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Abort()
 
-	// Pin the worker, queue demand tasks, and let them age past the SLO
-	// so the dequeue path itself detects the breach.
+	// Pin the worker, queue demand tasks, and let them age past the SLO.
 	block := make(chan struct{})
 	started := make(chan struct{})
 	if err := p.Submit(&Task{Key: "blocker", Kind: Demand, Run: func() error {
@@ -198,13 +198,26 @@ func TestAdmissionBreachCallbackFires(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond) // queued waits now exceed the 1ms SLO
 	close(block)
+	p.Close()
 
-	select {
-	case reason := <-breach:
-		if reason == "" {
-			t.Fatal("breach callback fired with empty reason")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("breach callback never fired")
+	if v, ok := reg.Query("sched.admission_engages"); !ok || v != 1 {
+		t.Fatalf("sched.admission_engages = %v (present %v), want 1", v, ok)
 	}
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
+	var trace struct {
+		TraceEvents []struct {
+			Cat, Name string
+			Args      struct{ Detail string }
+		}
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &trace); err != nil {
+		t.Fatalf("/debug/trace: %v", err)
+	}
+	for _, e := range trace.TraceEvents {
+		if e.Cat == "sched" && e.Name == "admission" && strings.HasPrefix(e.Args.Detail, "engage ") {
+			return
+		}
+	}
+	t.Fatalf("no sched.admission engage instant in /debug/trace: %s", rec.Body.Bytes())
 }

@@ -105,7 +105,6 @@ type Pool struct {
 
 	pressure func() float64
 	onError  func(*Task, error)
-	onBreach func(reason string) // invoked (outside mu) when admission engages
 
 	// observability (all nil-safe)
 	tr         *obs.Tracer
@@ -158,10 +157,6 @@ type Options struct {
 	// queued premat tail until the p99 recovers below 0.7×SLO
 	// (admReleaseFrac). 0 disables admission control.
 	AdmissionSLO time.Duration
-	// OnSLOBreach is invoked — outside pool locks — each time admission
-	// control engages, with a short reason string. The engine points
-	// this at the flight recorder so a breach dumps the trace ring.
-	OnSLOBreach func(reason string)
 	// Obs is the observability registry the pool reports through:
 	// enqueue/dequeue/mode-switch/admission trace events, queue-wait and
 	// run-time histograms, and a "sched" counter snapshot. nil disables
@@ -192,7 +187,6 @@ func NewPool(opts Options) (*Pool, error) {
 		p.admSLO = opts.AdmissionSLO.Nanoseconds()
 		p.admRelease = int64(float64(p.admSLO) * admReleaseFrac)
 		p.admWindow = make([]int64, 0, admWindowSize)
-		p.onBreach = opts.OnSLOBreach
 	}
 	p.tr = opts.Obs.Trace()
 	p.histWait = opts.Obs.Histogram("sched.queue_wait_ns")
@@ -334,12 +328,9 @@ func (p *Pool) next() *Task {
 			wait := time.Since(t.enqueued).Nanoseconds()
 			p.histWait.Observe(wait)
 			p.histDemand.Observe(wait)
-			breach, shed := p.noteDemandWaitLocked(wait)
+			shed := p.noteDemandWaitLocked(wait)
 			p.tr.Instant("sched", "dequeue", t.Trace, "demand "+t.Key)
 			p.mu.Unlock()
-			if breach != "" && p.onBreach != nil {
-				p.onBreach(breach)
-			}
 			if p.onError != nil {
 				for _, st := range shed {
 					p.onError(st, ErrAdmission)
@@ -450,11 +441,11 @@ func (p *Pool) Abort() {
 
 // noteDemandWaitLocked records one demand queue-wait sample and moves
 // the admission gate if the windowed p99 crossed a threshold. When the
-// gate just engaged it returns a non-empty breach reason and the premat
-// tasks it shed; the caller reports both after dropping p.mu.
-func (p *Pool) noteDemandWaitLocked(waitNS int64) (string, []*Task) {
+// gate just engaged it returns the premat tasks it shed; the caller
+// reports them after dropping p.mu.
+func (p *Pool) noteDemandWaitLocked(waitNS int64) []*Task {
 	if p.admSLO == 0 {
-		return "", nil
+		return nil
 	}
 	if len(p.admWindow) < admWindowSize {
 		p.admWindow = append(p.admWindow, waitNS)
@@ -464,10 +455,10 @@ func (p *Pool) noteDemandWaitLocked(waitNS int64) (string, []*Task) {
 	p.admIdx = (p.admIdx + 1) % admWindowSize
 	p.admCount++
 	if p.admCount < admMinSamples {
-		return "", nil
+		return nil
 	}
 	if p.admSwitches > 0 && p.admCount-p.admSwitch < admDwell {
-		return "", nil
+		return nil
 	}
 	p99 := p.windowP99Locked()
 	if !p.admEngaged && p99 > p.admSLO {
@@ -479,8 +470,7 @@ func (p *Pool) noteDemandWaitLocked(waitNS int64) (string, []*Task) {
 		p.stats.admissionShed += int64(len(shed))
 		p.tr.Instant("sched", "admission", 0,
 			fmt.Sprintf("engage p99=%dns slo=%dns shed=%d", p99, p.admSLO, len(shed)))
-		return fmt.Sprintf("sched demand p99 %s over SLO %s (shed %d premat)",
-			time.Duration(p99), time.Duration(p.admSLO), len(shed)), shed
+		return shed
 	}
 	if p.admEngaged && p99 < p.admRelease {
 		p.admEngaged = false
@@ -490,7 +480,7 @@ func (p *Pool) noteDemandWaitLocked(waitNS int64) (string, []*Task) {
 		p.tr.Instant("sched", "admission", 0,
 			fmt.Sprintf("release p99=%dns threshold=%dns", p99, p.admRelease))
 	}
-	return "", nil
+	return nil
 }
 
 // windowP99Locked computes the p99 of the demand-wait ring without

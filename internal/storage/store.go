@@ -42,7 +42,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sand/internal/obs"
 )
@@ -78,10 +77,6 @@ var ErrNotFound = errors.New("storage: object not found")
 // memory budget: no eviction can make room for it.
 var ErrTooLarge = errors.New("storage: object exceeds memory budget")
 
-// ErrDiskBudget is wrapped by writes the disk tier refuses because they
-// would exceed Options.DiskBudget.
-var ErrDiskBudget = errors.New("storage: disk budget exhausted")
-
 // EvictionThreshold is the fill fraction beyond which the store evicts
 // (the paper uses 75% of the designated budget).
 const EvictionThreshold = 0.75
@@ -103,40 +98,27 @@ type Stats struct {
 	// memory. Concurrent readers of one spilled key each read the file,
 	// and each read counts.
 	Promotions int64
-	// EvictStorms counts detected eviction storms: stormPasses evicting
-	// passes inside stormWindow (see Options.OnEvictStorm).
-	EvictStorms int64
 	// SpillBytesSaved is the bytes that flate compression shaved off
 	// the spills that landed on disk compressed.
 	SpillBytesSaved int64
 }
 
-// Eviction-storm detection: this many evicting passes within the window
-// means the store is churning — its working set no longer fits — and the
-// storm hook fires (at most once per cooldown).
-const (
-	stormPasses   = 8
-	stormWindow   = time.Second
-	stormCooldown = 5 * time.Second
-)
-
 // Store is the two-tier object store. All methods are safe for
 // concurrent use.
 type Store struct {
 	memBudget    int64
-	diskBudget   int64
 	dir          string // disk tier directory; "" disables the disk tier
 	coldCompress bool
 
 	// mu guards both tiers' maps, the objects' Used flags and pin counts,
-	// eviction passes and the storm state below.
+	// and eviction passes.
 	mu   sync.Mutex
 	mem  map[string]*Object
 	disk map[string]diskEntry
 
 	// Byte accounting: atomic adds on mutation (under mu), single atomic
 	// loads on the scheduler-sampled read paths (MemBytes, MemPressure).
-	// diskBytes is also reserved outside mu by Persist's file write.
+	// diskBytes is also counted outside mu by writeTemp.
 	memBytes    atomic.Int64
 	diskBytes   atomic.Int64
 	pinnedBytes atomic.Int64
@@ -149,13 +131,6 @@ type Store struct {
 
 	// Bytes that compressed spills saved.
 	spillSaved atomic.Int64
-
-	// Eviction-storm detection, guarded by mu. onStorm fires outside it.
-	onStorm    func(reason string)
-	stormTimes []time.Time // timestamps of recent evicting passes (ring)
-	stormIdx   int
-	stormLast  time.Time // last hook invocation (cooldown)
-	storms     atomic.Int64
 
 	tr    *obs.Tracer
 	above bool // watermark crossing state, maintained tracer-on or -off; guarded by mu
@@ -170,9 +145,6 @@ type diskEntry struct {
 type Options struct {
 	// MemBudget caps the memory tier in bytes.
 	MemBudget int64
-	// DiskBudget caps the disk tier in bytes (0 with Dir set means
-	// unlimited).
-	DiskBudget int64
 	// Dir is the disk tier directory; empty disables persistence.
 	Dir string
 	// Obs receives store gauges, counters and trace events. Nil means
@@ -181,11 +153,6 @@ type Options struct {
 	// ColdCompress writes every spill flate-compressed when that shrinks
 	// it. Off, every spill is written verbatim.
 	ColdCompress bool
-	// OnEvictStorm is invoked — outside store locks — when an eviction
-	// storm is detected (stormPasses evicting passes within stormWindow,
-	// rate-limited to one invocation per stormCooldown). The engine
-	// points this at the flight recorder so churn dumps the trace ring.
-	OnEvictStorm func(reason string)
 }
 
 // Open creates a store, recovering any objects already persisted in
@@ -197,14 +164,11 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		memBudget:    opts.MemBudget,
-		diskBudget:   opts.DiskBudget,
 		dir:          opts.Dir,
 		coldCompress: opts.ColdCompress,
 		mem:          map[string]*Object{},
 		disk:         map[string]diskEntry{},
 		tr:           opts.Obs.Trace(),
-		onStorm:      opts.OnEvictStorm,
-		stormTimes:   make([]time.Time, stormPasses),
 	}
 	if r := opts.Obs; r != nil {
 		r.Gauge("storage.mem_bytes", func() float64 { return float64(s.MemBytes()) })
@@ -219,7 +183,6 @@ func Open(opts Options) (*Store, error) {
 				"promotions":   st.Promotions,
 				"disk_objects": int64(st.DiskObjects),
 				"disk_bytes":   st.DiskBytes,
-				"evict_storms": st.EvictStorms,
 			}
 		})
 		r.SnapshotFunc("storage.tier", func() map[string]int64 {
@@ -317,12 +280,8 @@ func (s *Store) Put(obj *Object) error {
 	s.mem[obj.Key] = obj
 	s.memBytes.Add(size)
 	s.noteWatermarkLocked()
-	storm, err := s.evictLocked()
+	err := s.evictLocked()
 	s.mu.Unlock()
-	// The storm hook may dump traces or take foreign locks: never under mu.
-	if storm != "" && s.onStorm != nil {
-		s.onStorm(storm)
-	}
 	return err
 }
 
@@ -518,8 +477,7 @@ func (s *Store) Persist(key string) error {
 }
 
 // spillFile is a spill written to a temporary file but not yet
-// registered in the disk tier. Its size is already reserved against the
-// disk budget.
+// registered in the disk tier. Its size is already counted in diskBytes.
 type spillFile struct {
 	tmp, path string // the temporary file, and the key's path it is renamed to
 	size      int64
@@ -527,12 +485,9 @@ type spillFile struct {
 }
 
 // writeTemp writes obj's on-disk form to a fresh temporary file in the
-// key's directory. It needs no lock: Key and Data are immutable. The disk
-// budget is reserved with a single atomic add before any I/O and rolled
-// back on failure, so two concurrent spills can never both pass the check
-// and overshoot the budget. A replace is conservatively double-counted
-// (old + new) until commitLocked releases the old entry — a spill that
-// only fits by reusing its predecessor's bytes is rejected.
+// key's directory. It needs no lock: Key and Data are immutable. Its size
+// is added to diskBytes before any I/O and rolled back on failure; a
+// replace counts old + new until commitLocked releases the old entry.
 func (s *Store) writeTemp(obj *Object) (spillFile, error) {
 	if s.dir == "" {
 		return spillFile{}, fmt.Errorf("storage: no disk tier configured")
@@ -548,10 +503,7 @@ func (s *Store) writeTemp(obj *Object) (spillFile, error) {
 		}
 	}
 	sp.size = int64(len(data))
-	if newTotal := s.diskBytes.Add(sp.size); s.diskBudget > 0 && newTotal > s.diskBudget {
-		s.diskBytes.Add(-sp.size)
-		return spillFile{}, fmt.Errorf("%w (%d + %d > %d)", ErrDiskBudget, newTotal-sp.size, sp.size, s.diskBudget)
-	}
+	s.diskBytes.Add(sp.size)
 	tmp, err := writeTempFile(sp.path, data)
 	if err != nil {
 		s.diskBytes.Add(-sp.size)
@@ -675,13 +627,11 @@ func victimOrder(a, b *Object) int {
 // unpinned objects once by victimOrder and evicts from the head —
 // spilling non-ephemeral objects to the disk tier first — until the store
 // is back under the watermark. Pinned objects are mid-flight on zero-copy
-// responses (or otherwise leased) and are never victims. It returns a
-// non-empty storm reason for the caller to report once mu is released.
-// Caller holds mu.
-func (s *Store) evictLocked() (storm string, err error) {
+// responses (or otherwise leased) and are never victims. Caller holds mu.
+func (s *Store) evictLocked() error {
 	thr := s.watermark()
 	if s.memBytes.Load() <= thr {
-		return "", nil
+		return nil
 	}
 	passStart := s.tr.Now()
 	vs := make([]*Object, 0, len(s.mem))
@@ -703,7 +653,7 @@ func (s *Store) evictLocked() (storm string, err error) {
 					err = s.commitLocked(o, sp)
 				}
 				if err != nil && s.memBytes.Load() > s.memBudget {
-					return "", fmt.Errorf("storage: cannot spill %s and memory over budget: %w", o.Key, err)
+					return fmt.Errorf("storage: cannot spill %s and memory over budget: %w", o.Key, err)
 				}
 			}
 		}
@@ -714,37 +664,12 @@ func (s *Store) evictLocked() (storm string, err error) {
 		freed += int64(len(o.Data))
 	}
 
-	if evicted > 0 {
-		if s.tr.Enabled() {
-			s.tr.Span("storage", "evict_pass", 0, passStart,
-				fmt.Sprintf("evicted %d objects, freed %d bytes", evicted, freed))
-		}
-		storm = s.noteEvictPassLocked()
+	if evicted > 0 && s.tr.Enabled() {
+		s.tr.Span("storage", "evict_pass", 0, passStart,
+			fmt.Sprintf("evicted %d objects, freed %d bytes", evicted, freed))
 	}
 	s.noteWatermarkLocked()
-	return storm, nil
-}
-
-// noteEvictPassLocked records one evicting pass and returns a non-empty
-// storm reason when the pass completed a storm (stormPasses evicting
-// passes inside stormWindow, outside the cooldown). Caller holds mu; the
-// returned reason is acted on after the lock is dropped.
-func (s *Store) noteEvictPassLocked() string {
-	now := time.Now()
-	oldest := s.stormTimes[s.stormIdx] // about to be overwritten: the Nth-last pass
-	s.stormTimes[s.stormIdx] = now
-	s.stormIdx = (s.stormIdx + 1) % stormPasses
-	if oldest.IsZero() || now.Sub(oldest) > stormWindow {
-		return ""
-	}
-	if !s.stormLast.IsZero() && now.Sub(s.stormLast) < stormCooldown {
-		return ""
-	}
-	s.stormLast = now
-	s.storms.Add(1)
-	reason := fmt.Sprintf("storage eviction storm: %d evicting passes in %s", stormPasses, now.Sub(oldest))
-	s.tr.Instant("storage", "evict_storm", 0, reason)
-	return reason
+	return nil
 }
 
 // Keys returns all keys with the given prefix, across both tiers, sorted.
@@ -782,7 +707,6 @@ func (s *Store) Stats() Stats {
 		Evictions:       s.evictions.Load(),
 		Spills:          s.spills.Load(),
 		Promotions:      s.promotions.Load(),
-		EvictStorms:     s.storms.Load(),
 		SpillBytesSaved: s.spillSaved.Load(),
 	}
 	s.mu.Lock()

@@ -191,22 +191,6 @@ func TestPersistAndRecovery(t *testing.T) {
 	}
 }
 
-func TestDiskBudgetEnforced(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Options{MemBudget: 10000, DiskBudget: 600, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put(obj("/a", 500, 0))
-	if err := s.Persist("/a"); err != nil {
-		t.Fatal(err)
-	}
-	s.Put(obj("/b", 500, 0))
-	if err := s.Persist("/b"); err == nil {
-		t.Fatal("disk budget not enforced")
-	}
-}
-
 func TestDelete(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{MemBudget: 10000, Dir: dir})

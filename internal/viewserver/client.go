@@ -44,12 +44,6 @@ type ClientOptions struct {
 	// redials from clients that all lost their connection at the same
 	// instant. 0 uses the default 0.5; negative disables jitter.
 	BackoffJitter float64
-	// MaxMessage bounds response frames (default DefaultMaxMessage;
-	// must be >= the server's read chunk limit to stream large views).
-	MaxMessage int
-	// ReadChunk is the per-request read size used by ReadAll
-	// (default 1 MiB).
-	ReadChunk int
 }
 
 func (o *ClientOptions) normalize() {
@@ -73,12 +67,6 @@ func (o *ClientOptions) normalize() {
 	}
 	if o.BackoffJitter > 1 {
 		o.BackoffJitter = 1
-	}
-	if o.MaxMessage <= 0 {
-		o.MaxMessage = DefaultMaxMessage
-	}
-	if o.ReadChunk <= 0 {
-		o.ReadChunk = 1 << 20
 	}
 }
 
@@ -206,7 +194,7 @@ func (c *Client) exchangeLocked(req request) (uint8, []byte, error) {
 	if _, err := c.conn.Write(frame); err != nil {
 		return 0, nil, err
 	}
-	body, err := readFrame(c.conn, c.opts.MaxMessage)
+	body, err := readFrame(c.conn, DefaultMaxMessage)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -252,7 +240,7 @@ func (c *Client) roundTripRead(op Op, req request, buf []byte) (uint8, int, erro
 		c.dropConnLocked()
 		return 0, 0, fmt.Errorf("viewserver: %s: %w", op, err)
 	}
-	status, n, errPayload, err := readResponse(c.conn, c.opts.MaxMessage, req.id, buf)
+	status, n, errPayload, err := readResponse(c.conn, DefaultMaxMessage, req.id, buf)
 	if err != nil && !errors.Is(err, io.ErrShortBuffer) {
 		c.dropConnLocked()
 		return 0, 0, fmt.Errorf("viewserver: %s: %w", op, err)
@@ -344,6 +332,9 @@ func (c *Client) Read(fd int, buf []byte) (int, error) {
 	return n, nil
 }
 
+// readAllChunk is the per-request read size ReadAll uses.
+const readAllChunk = 1 << 20
+
 // ReadAll reads the remaining view content from the current offset. It
 // sizes the result up front (one Size round trip), so the payload
 // scatter-reads straight into its final buffer instead of growing
@@ -374,8 +365,8 @@ func (c *Client) ReadAll(fd int) ([]byte, error) {
 			continue
 		}
 		chunk := out[filled:]
-		if len(chunk) > c.opts.ReadChunk {
-			chunk = chunk[:c.opts.ReadChunk]
+		if len(chunk) > readAllChunk {
+			chunk = chunk[:readAllChunk]
 		}
 		n, err := c.Read(fd, chunk)
 		filled += n

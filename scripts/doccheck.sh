@@ -33,7 +33,7 @@ while IFS=: read -r file line ref; do
         echo "doccheck: $file:$line names \`$ref\`, which internal/$pkg does not declare" >&2
         fail=1
     fi
-done < <(grep -onE '`[a-z]+\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md OBSERVABILITY.md)
+done < <(grep -onE '`[a-z]+\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md OBSERVABILITY.md SCENARIOS.md EXPERIMENTS.md)
 
 unformatted="$(gofmt -l cmd examples internal)"
 if [ -n "$unformatted" ]; then
