@@ -8,8 +8,8 @@ test:
 	go test ./...
 
 # Dataplane, premat-heap, frame-decoder, frame-encoder, batch-, GOP-cache
-# request-order, inflate, TVC-container, disk-tier recovery, resize-kernel
-# and task-config fuzzing (bounded; extend -fuzztime for longer campaigns).
+# request-order, inflate, Huffman-table, TVC-container, disk-tier recovery,
+# resize-kernel and task-config fuzzing (bounded; extend -fuzztime for longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
 	go test -run=xxx -fuzz=FuzzPrematOrder -fuzztime=30s ./internal/sched/
@@ -18,6 +18,7 @@ fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/core/
 	go test -run=xxx -fuzz=FuzzGOPRequests -fuzztime=30s ./internal/core/
 	go test -run=xxx -fuzz=FuzzInflate -fuzztime=30s ./internal/inflate/
+	go test -run=xxx -fuzz=FuzzHuffmanTable -fuzztime=30s ./internal/inflate/
 	go test -run=xxx -fuzz=FuzzParseVideo -fuzztime=30s ./internal/codec/
 	go test -run=xxx -fuzz=FuzzRecover -fuzztime=30s ./internal/storage/
 	go test -run=xxx -fuzz=FuzzResizeWindow -fuzztime=30s ./internal/augment/

@@ -155,7 +155,7 @@ func (d *Decoder) reconstruct(i int, dst *frame.Frame) error {
 		return fmt.Errorf("codec: frame %d: %w", i, err)
 	}
 	if e.ftype == IFrame {
-		prefixRows(dst.Pix, d.v.W)
+		frame.UndoSub(dst.Pix, d.v.W)
 	} else {
 		addReference(dst.Pix, d.last.Pix)
 	}
@@ -167,20 +167,6 @@ func (d *Decoder) reconstruct(i int, dst *frame.Frame) error {
 	}
 	d.last, d.lastIdx = dst, i
 	return nil
-}
-
-// prefixRows undoes left-neighbour prediction in place: every row of w
-// samples (rows of all planes lie back to back) becomes its running sum.
-func prefixRows(pix []byte, w int) {
-	for len(pix) >= w {
-		row := pix[:w]
-		var acc byte
-		for x := range row {
-			acc += row[x]
-			row[x] = acc
-		}
-		pix = pix[w:]
-	}
 }
 
 // hiBits selects the top bit of each byte of a word.

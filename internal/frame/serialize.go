@@ -173,15 +173,24 @@ func ViewFrame(data []byte) (f *Frame, owned bool, err error) {
 	if err := inflate.Zlib(f.Pix, data[frameHeaderLen:]); err != nil {
 		return nil, false, fmt.Errorf("frame: decompress payload: %w", err)
 	}
-	// Undo the Sub filter.
-	for off := 0; off < len(f.Pix); off += h.W {
-		row, prev := f.Pix[off:off+h.W], byte(0)
-		for x := range row {
-			row[x] += prev
-			prev = row[x]
-		}
-	}
+	UndoSub(f.Pix, h.W)
 	return f, true, nil
+}
+
+// UndoSub undoes the Sub filter in place: every row of w > 0 samples
+// (rows of all planes lie back to back) becomes its running sum. It
+// serves SFM1 frames and TVC I-frames, whose encoders both predict each
+// sample from its left neighbour.
+func UndoSub(pix []byte, w int) {
+	for len(pix) >= w {
+		row := pix[:w]
+		var acc byte
+		for x := range row {
+			acc += row[x]
+			row[x] = acc
+		}
+		pix = pix[w:]
+	}
 }
 
 // DecodeFrame is ViewFrame returning a frame the caller owns.

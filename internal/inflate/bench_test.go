@@ -42,10 +42,13 @@ func tvcPayload(b *testing.B, clip *frame.Clip, i int) []byte {
 
 // BenchmarkInflate times each stream the engine inflates, once with this
 // package and once with the compress/* streaming reader it replaced, so
-// the ratio stays visible: "frame" is an EncodeFrame'd Sub-filtered frame
-// (Huffman-only zlib, every batch payload), "tvc-iframe" a TVC I-frame
-// payload, and "tvc-pframe" a TVC P-frame payload at the corpus's
-// 192×108 geometry, mostly short overlapping matches (raw deflate).
+// the ratio stays visible. "frame" is an EncodeFrame'd Sub-filtered frame
+// (Huffman-only zlib, every batch payload) and "tvc-iframe" a TVC I-frame
+// payload: long blocks, decoded through 12-bit tables and a pair table.
+// "tvc-pframe" is a TVC P-frame payload at the corpus's 192×108
+// geometry, mostly short overlapping matches (raw deflate): a 758-byte
+// short block, decoded through 9-bit tables and no pair table. Each case
+// reports its input size as src-B/op, which decides the table width.
 func BenchmarkInflate(b *testing.B) {
 	clip := benchClip(b, 112, 112)
 	f := clip.Frames[0]
@@ -72,6 +75,7 @@ func BenchmarkInflate(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.Run("inflate", func(b *testing.B) {
 				b.SetBytes(int64(len(dst)))
+				b.ReportMetric(float64(len(c.src)), "src-B/op")
 				for i := 0; i < b.N; i++ {
 					if err := c.ours(dst, c.src); err != nil {
 						b.Fatal(err)
@@ -81,6 +85,7 @@ func BenchmarkInflate(b *testing.B) {
 			})
 			b.Run("stdlib", func(b *testing.B) {
 				b.SetBytes(int64(len(dst)))
+				b.ReportMetric(float64(len(c.src)), "src-B/op")
 				for i := 0; i < b.N; i++ {
 					r, err := c.stdlib(bytes.NewReader(c.src))
 					if err == nil {

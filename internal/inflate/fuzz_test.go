@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/zlib"
+	"encoding/binary"
 	"errors"
+	"hash/adler32"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -60,7 +63,118 @@ func fuzzSeeds() [][]byte {
 			}
 		}
 	}
+	for _, c := range tableSeeds() {
+		seeds = append(seeds, c.zlib)
+	}
 	return seeds
+}
+
+// tableSeed is a zlib stream whose first block is dynamic, and the width
+// of the primary tables that block must get. Every one has 15-bit codes,
+// so subtables too.
+type tableSeed struct {
+	name string
+	zlib []byte
+	bits uint
+}
+
+// tableSeeds reach both table widths, the pair table and subtables under
+// each width: a Huffman-only stream of more than shortBlock bytes whose
+// literal code reaches 15 bits, a short one with codes longer than
+// narrowBits, and two one byte either side of the short/long threshold.
+// A raw stream of n bytes has n-1 bytes left after its first block's
+// header, and a zlib stream's body runs on through the adler32 trailer.
+func tableSeeds() []tableSeed {
+	// Fibonacci symbol counts make the most skewed Huffman code, which
+	// compress/flate limits to 15 bits.
+	var fib []byte
+	for i, a, b := 0, 1, 1; i < 20; i, a, b = i+1, b, a+b {
+		fib = append(fib, bytes.Repeat([]byte{byte('A' + i)}, a)...)
+	}
+	rand.New(rand.NewSource(11)).Shuffle(len(fib), func(i, j int) { fib[i], fib[j] = fib[j], fib[i] })
+	return []tableSeed{
+		{"huffman-only, long, 15-bit codes", zlibBytes(fib, flate.HuffmanOnly), wideBits},
+		{"short, codes to 15 bits", zlibWrap(chainBlock(600)), narrowBits},
+		{"one byte short of long", zlibWrap(chainBlock(shortBlock - 4)), narrowBits},
+		{"just long", zlibWrap(chainBlock(shortBlock - 3)), wideBits},
+	}
+}
+
+// chainBlock returns a final dynamic block of exactly size bytes, and its
+// output, over a literal/length code whose lengths run 1, 2, ..., 15, 15:
+// literals 'a' to 'n' take 1 to 14 bits, 'o' and end-of-block 15. Each of
+// 'a' to 'o' is sent once, then 'a' until the block fills size bytes.
+func chainBlock(size int) (raw, out []byte) {
+	lens := make([]int, 258) // 257 literal/length lengths, then an empty distance code
+	clen := map[int]uint{}
+	for l := 0; l <= maxCodeLen; l++ {
+		clen[l] = 4
+		if l < maxCodeLen {
+			lens['a'+l] = l + 1
+		}
+	}
+	lens[256] = maxCodeLen
+	w := new(bitWriter)
+	dynamicHeader(w, clen, lens, 257, 1)
+	litLens := map[int]uint{}
+	for sym, l := range lens[:257] {
+		if l != 0 {
+			litLens[sym] = uint(l)
+		}
+	}
+	code := canonical(litLens, 257)
+	bitsUsed := 8*len(w.out) + int(w.n)
+	for sym := 'a'; sym <= 'o'; sym++ {
+		out = append(out, byte(sym))
+		bitsUsed += int(code[sym].len)
+	}
+	for (bitsUsed+maxCodeLen+7)/8 < size {
+		out = append(out, 'a')
+		bitsUsed++
+	}
+	for _, c := range out {
+		w.putCode(uint64(code[c].code), code[c].len)
+	}
+	w.putCode(uint64(code[256].code), code[256].len)
+	return w.bytes(), out
+}
+
+// zlibWrap puts a raw deflate stream of out behind a zlib header and
+// ahead of out's adler32.
+func zlibWrap(raw, out []byte) []byte {
+	s := append([]byte{0x78, 0x9c}, raw...)
+	return binary.BigEndian.AppendUint32(s, adler32.Checksum(out))
+}
+
+// TestTableSeeds checks that each tableSeed reaches the tables it is
+// there for: its width, a pair table exactly when wide, and subtables
+// for its 15-bit codes. compress/zlib must accept it.
+func TestTableSeeds(t *testing.T) {
+	for _, c := range tableSeeds() {
+		if _, err := referenceZlib(c.zlib); err != nil {
+			t.Fatalf("%s: compress/zlib: %v", c.name, err)
+		}
+		d := new(decoder)
+		d.src = c.zlib[2:]
+		if hdr, err := d.bits(3); err != nil || hdr>>1 != 2 {
+			t.Fatalf("%s: block header %03b, %v: want a dynamic block", c.name, hdr, err)
+		}
+		pairs, err := d.readCodes()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		links := false
+		for _, e := range d.lit.table[:1<<d.lit.bits] {
+			links = links || e&15 == 0 && e != 0
+		}
+		if longest := slices.Max(d.lens[:]); longest != maxCodeLen {
+			t.Errorf("%s: longest code %d bits, want %d", c.name, longest, maxCodeLen)
+		}
+		if d.lit.bits != c.bits || (pairs != nil) != (c.bits == wideBits) || !links {
+			t.Errorf("%s: %d-bit table, pairs %v, subtables %v; want %d bits",
+				c.name, d.lit.bits, pairs != nil, links, c.bits)
+		}
+	}
 }
 
 // FuzzInflate holds Raw and Zlib to compress/flate and compress/zlib:

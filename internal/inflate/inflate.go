@@ -5,6 +5,15 @@
 // the raw size in their headers, so there is nothing for a streaming
 // reader's window, per-symbol byte reads and Read-call plumbing to buy.
 //
+// Each code decodes through a two-level table, as in zlib and libdeflate:
+// a primary table indexed by the next few input bits, and a subtable for
+// each prefix that begins a longer code, both built by doubling. What a
+// dynamic block gets follows its length, not the alphabet's: a block
+// with fewer than 4 KiB of stream left (a TVC P-frame) gets 9-bit
+// primary tables and no pair table, cheap to build for a few hundred
+// bytes of input; a longer one (a TVC I-frame, a batch frame) gets 12-bit
+// tables and a pair table that decodes two literals per lookup.
+//
 // Every byte of dst is written, so dst need not be zeroed: the decoded-GOP
 // cache rolls frames through a reused scratch frame. Match copies move
 // eight bytes at a time at distances of eight or more (possibly running a
@@ -54,9 +63,21 @@ const (
 	maxCodeLen = 15
 	numLit     = 288 // literal/length alphabet, including the two unused codes
 	numDist    = 32  // distance alphabet, including the two unused codes
-	// maxTableBits caps the direct lookup table; longer codes take the
-	// canonical slow path.
-	maxTableBits = 12
+	// A dynamic block with fewer than shortBlock bytes of stream left
+	// (in the bench corpus, every TVC P-frame) is decoded through narrowBits-bit primary
+	// tables and no pair table, which cost little to build; a longer one
+	// through wideBits-bit tables and a pair table, which pay for
+	// themselves over its output. The code-length code's table is
+	// clenBits wide, the longest code-length code there is.
+	shortBlock = 4096
+	narrowBits = 9
+	wideBits   = 12
+	clenBits   = 7
+	// tableSize is the most entries init fills for a complete code that
+	// the decoder builds: a wideBits-bit primary table and the subtables
+	// of the worst 288-symbol code at that width, as zlib's
+	// examples/enough.c counts them ("enough 288 12 15" prints 4382).
+	tableSize = 4382
 	// matchBits is the most bits one match consumes: a length code, its
 	// extra bits, a distance code and its extra bits (15+5+15+13).
 	matchBits = 48
@@ -72,68 +93,128 @@ var (
 	codeOrder = [19]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
 )
 
-// huffman is a canonical Huffman code. table holds one entry per
-// tableBits-bit prefix of the input: sym<<4 | length for every code of at
-// most tableBits bits, and 0 where the prefix begins a longer code or no
-// code at all, which slowSym resolves from count and syms.
+// huffman is a canonical Huffman code as a two-level lookup table.
+// table[:1<<bits] is the primary table: one entry per bits-bit prefix of
+// the input, sym<<4 | length for a code of at most bits bits. A prefix
+// that begins a longer code holds a link instead, length 0 with the
+// subtable's offset past the primary table (always even) in the top
+// eight bits, halved, and its width sb in bits 4-7; the subtable's 1<<sb
+// entries, indexed by the sb input bits after the prefix, are sym<<4 |
+// length again. An entry of 0 is no code at all, which only the empty
+// code and the single one-bit code leave.
 type huffman struct {
-	table     [1 << maxTableBits]uint16
-	tableBits uint
-	count     [maxCodeLen + 1]uint16
-	syms      [numLit]uint16 // symbols ordered by (code length, symbol)
-	// pairs, for a literal/length code, maps the same prefixes to the one
-	// or two literals they begin with: lit2<<16 | lit1<<8 | count<<4 |
-	// total length, and count 0 where the prefix begins no literal.
-	pairs [1 << maxTableBits]uint32
+	bits  uint
+	table [tableSize]uint16
 }
 
-// init builds h from per-symbol code lengths. It rejects over-subscribed
-// codes, and incomplete ones exactly as compress/flate does: an empty code
-// and a single one-bit code are accepted (decoding with them fails on the
-// first unassigned bit pattern), any other incomplete code is not.
-func (h *huffman) init(lengths []uint8) bool {
-	h.count = [maxCodeLen + 1]uint16{}
-	longest := 0
+// init builds h from per-symbol code lengths (at most numLit of them),
+// with a primary table of min(width, longest code) bits. It rejects
+// over-subscribed codes, and incomplete ones exactly as compress/flate
+// does: an empty code and a single one-bit code are accepted (decoding
+// with them fails on the first unassigned bit pattern), any other
+// incomplete code is not.
+//
+// Given pairs, for a literal/length code, init also fills pairs[:1<<bits]
+// with the one or two literals each primary-table prefix begins with:
+// lit2<<16 | lit1<<8 | count<<4 | total length, count 0 where the prefix
+// begins no literal (and throughout for the two incomplete codes). A
+// second literal joins the first when its whole code lies in the
+// prefix, so every pair entry, like every table entry, is right whenever
+// the bits its length covers are in the buffer.
+//
+// Both tables are built by doubling, as zlib's and libdeflate's are: with
+// a table 2^l entries long, each code of length l fills the one entry its
+// bit-reversed codeword indexes, and copying the filled table onto the
+// next 2^l entries extends every entry placed so far to l+1 bits.
+// Nothing is cleared first: every entry a complete code leaves is
+// written.
+func (h *huffman) init(lengths []uint8, width uint, pairs []uint32) bool {
+	var count [maxCodeLen + 1]uint16
 	for _, l := range lengths {
-		h.count[l]++
-		longest = max(longest, int(l))
+		count[l]++
 	}
-	h.count[0] = 0
-	left := 1
+	count[0] = 0
+	left, longest := 1, uint(0)
 	for l := 1; l <= maxCodeLen; l++ {
-		left = left<<1 - int(h.count[l])
+		left = left<<1 - int(count[l])
 		if left < 0 {
 			return false // over-subscribed
 		}
+		if count[l] != 0 {
+			longest = uint(l)
+		}
 	}
-	if left != 0 && longest > 0 && !(longest == 1 && h.count[1] == 1) {
-		return false // incomplete
+	if left != 0 {
+		if longest > 1 {
+			return false // incomplete
+		}
+		// The empty code or a single one-bit code: a one-bit table whose
+		// entry for a 1 bit, at least, is no code.
+		h.bits, h.table[0], h.table[1] = 1, 0, 0
+		for sym, l := range lengths {
+			if l != 0 {
+				h.table[0] = uint16(sym)<<4 | 1
+			}
+		}
+		if pairs != nil {
+			pairs[0], pairs[1] = 0, 0
+		}
+		return true
 	}
-	var offs [maxCodeLen + 2]uint16
+	var first [maxCodeLen + 2]int // index in syms of each length's first code
 	for l := 1; l <= maxCodeLen; l++ {
-		offs[l+1] = offs[l] + h.count[l]
+		first[l+1] = first[l] + int(count[l])
 	}
+	var syms, revs [numLit]uint16 // symbols ordered by (code length, symbol), and their reversed codewords
+	offs := first
 	for sym, l := range lengths {
 		if l != 0 {
-			h.syms[offs[l]] = uint16(sym)
+			syms[offs[l]] = uint16(sym)
 			offs[l]++
 		}
 	}
-	h.tableBits = uint(min(max(longest, 1), maxTableBits))
-	size := 1 << h.tableBits
-	clear(h.table[:size])
-	// Walk the codes in canonical order, placing each short one at every
-	// table slot whose low bits are its bit-reversed code.
-	code, idx := 0, 0
-	for l := 1; l <= maxCodeLen; l++ {
-		for i := 0; i < int(h.count[l]); i, idx, code = i+1, idx+1, code+1 {
-			if uint(l) > h.tableBits {
-				continue
-			}
+	h.bits = min(longest, width)
+	// code is the next codeword as RFC 1951 assigns them, first bit
+	// highest; the input sends it first bit first, so its entries sit at
+	// its bit-reversed value.
+	t := h.table[:]
+	code, size := 0, 1
+	for l := uint(1); l <= h.bits; l++ {
+		copy(t[size:], t[:size])
+		size <<= 1
+		for s := first[l]; s < first[l+1]; s, code = s+1, code+1 {
+			rev := bits.Reverse16(uint16(code)) >> (16 - l)
+			t[rev] = syms[s]<<4 | uint16(l)
+			revs[s] = rev
+		}
+		code <<= 1
+	}
+	if pairs != nil {
+		fillPairs(pairs, h.bits, &syms, &revs, &first)
+	}
+	// Codes longer than bits, grouped by their bits-bit prefix, each
+	// group in a subtable just wide enough for it: sb starts at the
+	// group's shortest length and grows while the codes left cannot fill
+	// 2^sb entries.
+	end, prefix, start := size, -1, 0
+	for l := h.bits + 1; l <= longest; l++ {
+		for s := first[l]; s < first[l+1]; s, code = s+1, code+1 {
 			rev := int(bits.Reverse16(uint16(code)) >> (16 - l))
-			e := h.syms[idx]<<4 | uint16(l)
-			for j := rev; j < size; j += 1 << l {
-				h.table[j] = e
+			if rev&(size-1) != prefix {
+				prefix, start = rev&(size-1), end
+				sb := l - h.bits
+				for used := first[l+1] - s; used < 1<<sb; used = used<<1 + int(count[h.bits+sb]) {
+					sb++
+				}
+				end = start + 1<<sb
+				t[prefix] = uint16(start-size)<<7 | uint16(sb)<<4
+				if pairs != nil {
+					pairs[prefix] = 0
+				}
+			}
+			e := syms[s]<<4 | uint16(l)
+			for i := start + rev>>h.bits; i < end; i += 1 << (l - h.bits) {
+				t[i] = e
 			}
 		}
 		code <<= 1
@@ -141,46 +222,48 @@ func (h *huffman) init(lengths []uint8) bool {
 	return true
 }
 
-// buildPairs fills pairs from table. A second literal joins the first
-// when its whole code lies inside the tableBits-n1 bits left of the
-// prefix, so every pair entry, like every table entry, is right whenever
-// the bits its length covers are in the buffer.
-func (h *huffman) buildPairs() {
-	size := 1 << h.tableBits
-	for i, e1 := range h.table[:size] {
-		if e1 == 0 || e1 >= 256<<4 {
-			h.pairs[i] = 0
-			continue
+// fillPairs fills pairs[:1<<tableBits] (see init) by doubling, from the
+// codes of at most tableBits bits: the l-bit ones are
+// syms[first[l]:first[l+1]], their reversed codewords
+// revs[first[l]:first[l+1]]. At length l every l-bit code enters alone,
+// as one literal or none, and every two literals whose codes are l bits
+// long together enter as a pair; the writes at each length are no more
+// than its 2^l entries.
+func fillPairs(pairs []uint32, tableBits uint, syms, revs *[numLit]uint16, first *[maxCodeLen + 2]int) {
+	for l, size := uint(1), 1; l <= tableBits; l++ {
+		copy(pairs[size:], pairs[:size])
+		size <<= 1
+		for s := first[l]; s < first[l+1]; s++ {
+			p := uint32(0)
+			if syms[s] < 256 {
+				p = uint32(syms[s])<<8 | 1<<4 | uint32(l)
+			}
+			pairs[revs[s]] = p
 		}
-		n1 := uint(e1 & 15)
-		p := uint32(e1>>4)<<8 | 1<<4 | uint32(n1)
-		if e2 := h.table[i>>n1]; e2 != 0 && e2 < 256<<4 && uint(e2&15) <= h.tableBits-n1 {
-			p = uint32(e2>>4)<<16 | uint32(e1>>4)<<8 | 2<<4 | uint32(n1+uint(e2&15))
+		// Literals come first among each length's symbols.
+		for n1 := uint(1); n1 < l; n1++ {
+			for s1 := first[n1]; s1 < first[n1+1] && syms[s1] < 256; s1++ {
+				p := uint32(syms[s1])<<8 | 2<<4 | uint32(l)
+				for s2 := first[l-n1]; s2 < first[l-n1+1] && syms[s2] < 256; s2++ {
+					pairs[int(revs[s1])|int(revs[s2])<<n1] = p | uint32(syms[s2])<<16
+				}
+			}
 		}
-		h.pairs[i] = p
 	}
 }
 
-// slowSym decodes one symbol bit by bit from the low bits of b, returning
-// the symbol and its length, or length 0 when no code matches.
-func (h *huffman) slowSym(b uint64) (int, uint) {
-	code, first, idx := 0, 0, 0
-	for l := uint(1); l <= maxCodeLen; l++ {
-		code |= int(b & 1)
-		b >>= 1
-		count := int(h.count[l])
-		if code-first < count {
-			return int(h.syms[idx+code-first]), l
-		}
-		idx += count
-		first = (first + count) << 1
-		code <<= 1
-	}
-	return 0, 0
+// link returns the subtable entry that the link e, found in the primary
+// table for the input bits b, points at.
+func (h *huffman) link(e uint16, b uint64) uint16 {
+	return h.table[1<<h.bits+int(e>>8)<<1+int(b>>h.bits)&(1<<(e>>4&15)-1)]
 }
 
-// fixedLit and fixedDist are the fixed codes of RFC 1951 §3.2.6.
-var fixedLit, fixedDist huffman
+// fixedLit and fixedDist are the fixed codes of RFC 1951 §3.2.6, and
+// fixedPairs fixedLit's pair table.
+var (
+	fixedLit, fixedDist huffman
+	fixedPairs          [1 << 9]uint32 // fixedLit's longest code is 9 bits
+)
 
 func init() {
 	var l [numLit]uint8
@@ -196,13 +279,12 @@ func init() {
 			l[i] = 8
 		}
 	}
-	fixedLit.init(l[:])
-	fixedLit.buildPairs()
+	fixedLit.init(l[:], wideBits, fixedPairs[:])
 	var d [numDist]uint8
 	for i := range d {
 		d[i] = 5
 	}
-	fixedDist.init(d[:])
+	fixedDist.init(d[:], wideBits, nil)
 }
 
 // decoder is one stream's bit reader and its dynamic codes; Raw and Zlib
@@ -215,16 +297,27 @@ type decoder struct {
 	nb   uint   // valid bits in b
 	lit  huffman
 	dist huffman
-	lens [numLit + numDist]uint8
+	// pairs is lit's pair table, built for long blocks only.
+	pairs [1 << wideBits]uint32
+	lens  [numLit + numDist]uint8
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
-// refill tops the bit buffer up to more than 56 bits, byte by byte, and
-// past the end of src with zero bytes, which are an error only once one of
-// their bits has been consumed. The block loop refills eight bytes at a
-// time itself and comes here only near the end of src.
+// refill tops the bit buffer up to more than 56 bits: eight bytes at a
+// time while src has them, then byte by byte, and past the end of src with
+// zero bytes, which are an error only once one of their bits has been
+// consumed. The block loop refills eight bytes at a time itself and comes
+// here only near the end of src.
 func (d *decoder) refill() error {
+	if d.pos+8 <= len(d.src) {
+		// Bits above nb are already the next input bits, so or-ing the
+		// reload over them is harmless.
+		d.b |= binary.LittleEndian.Uint64(d.src[d.pos:]) << d.nb
+		d.pos += int(63-d.nb) >> 3
+		d.nb |= 56
+		return nil
+	}
 	if d.over*8 > int(d.nb) {
 		return ErrTruncated
 	}
@@ -251,25 +344,6 @@ func (d *decoder) bits(n uint) (uint32, error) {
 	d.b >>= n
 	d.nb -= n
 	return v, nil
-}
-
-// sym decodes one symbol of h outside the block loop.
-func (d *decoder) sym(h *huffman) (int, error) {
-	if d.nb < maxCodeLen {
-		if err := d.refill(); err != nil {
-			return 0, err
-		}
-	}
-	e := h.table[d.b&(1<<h.tableBits-1)]
-	sym, n := int(e>>4), uint(e&15)
-	if n == 0 {
-		if sym, n = h.slowSym(d.b); n == 0 {
-			return 0, fmt.Errorf("%w: invalid code", ErrCorrupt)
-		}
-	}
-	d.b >>= n
-	d.nb -= n
-	return sym, nil
 }
 
 // consumed returns how many bytes of src the stream used up to the
@@ -339,10 +413,11 @@ func inflate(dst, src []byte) (int, error) {
 		case 0:
 			out, err = d.stored(dst, out)
 		case 1:
-			out, err = d.block(dst, out, &fixedLit, &fixedDist)
+			out, err = d.block(dst, out, &fixedLit, &fixedDist, fixedPairs[:])
 		case 2:
-			if err = d.readCodes(); err == nil {
-				out, err = d.block(dst, out, &d.lit, &d.dist)
+			var pairs []uint32
+			if pairs, err = d.readCodes(); err == nil {
+				out, err = d.block(dst, out, &d.lit, &d.dist, pairs)
 			}
 		default:
 			err = fmt.Errorf("%w: block type 3", ErrCorrupt)
@@ -390,78 +465,89 @@ func (d *decoder) stored(dst []byte, out int) (int, error) {
 	return out + n, nil
 }
 
-// readCodes reads a dynamic block's code definitions into d.lit and d.dist.
-func (d *decoder) readCodes() error {
+// readCodes reads a dynamic block's code definitions into d.lit and d.dist
+// and returns the pair table the block decodes with: d.pairs for a long
+// block, none for a short one.
+func (d *decoder) readCodes() ([]uint32, error) {
+	width, pairs := uint(narrowBits), []uint32(nil)
+	if left := len(d.src) - d.pos - d.over + int(d.nb>>3); left >= shortBlock {
+		width, pairs = wideBits, d.pairs[:]
+	}
 	v, err := d.bits(14)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nlit, ndist, nclen := int(v&31)+257, int(v>>5&31)+1, int(v>>10)+4
 	if nlit > 286 || ndist > 30 {
-		return fmt.Errorf("%w: %d literal/length or %d distance codes", ErrCorrupt, nlit, ndist)
+		return nil, fmt.Errorf("%w: %d literal/length or %d distance codes", ErrCorrupt, nlit, ndist)
 	}
 	var clens [19]uint8
 	for _, sym := range codeOrder[:nclen] {
 		l, err := d.bits(3)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		clens[sym] = uint8(l)
 	}
-	if !d.lit.init(clens[:]) {
-		return fmt.Errorf("%w: bad code-length code", ErrCorrupt)
+	if !d.lit.init(clens[:], clenBits, nil) {
+		return nil, fmt.Errorf("%w: bad code-length code", ErrCorrupt)
 	}
+	// Code-length codes are at most clenBits bits, so d.lit's table holds
+	// every one, and an entry of length 0 is no code.
+	clen, mask := &d.lit, uint64(1)<<d.lit.bits-1
 	lens := d.lens[:nlit+ndist]
 	for i := 0; i < len(lens); {
-		sym, err := d.sym(&d.lit)
-		if err != nil {
-			return err
+		if d.nb < clenBits+7 { // a code and the longest repeat count
+			if err := d.refill(); err != nil {
+				return nil, err
+			}
 		}
+		e := clen.table[d.b&mask]
+		n := uint(e & 15)
+		if n == 0 {
+			return nil, fmt.Errorf("%w: invalid code-length code", ErrCorrupt)
+		}
+		d.b >>= n
+		d.nb -= n
+		sym := e >> 4
 		if sym < 16 {
 			lens[i] = uint8(sym)
 			i++
 			continue
 		}
-		var rep uint32
 		var fill uint8
+		x, rep := uint(7), 11 // 18: 11-138 zeros
 		switch sym {
 		case 16:
 			if i == 0 {
-				return fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
+				return nil, fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
 			}
-			fill = lens[i-1]
-			rep, err = d.bits(2)
-			rep += 3
+			fill, x, rep = lens[i-1], 2, 3
 		case 17:
-			rep, err = d.bits(3)
-			rep += 3
-		default: // 18
-			rep, err = d.bits(7)
-			rep += 11
+			x, rep = 3, 3
 		}
-		if err != nil {
-			return err
+		rep += int(d.b & (1<<x - 1))
+		d.b >>= x
+		d.nb -= x
+		if i+rep > len(lens) {
+			return nil, fmt.Errorf("%w: code lengths overrun", ErrCorrupt)
 		}
-		if i+int(rep) > len(lens) {
-			return fmt.Errorf("%w: code lengths overrun", ErrCorrupt)
-		}
-		for end := i + int(rep); i < end; i++ {
+		for end := i + rep; i < end; i++ {
 			lens[i] = fill
 		}
 	}
-	if !d.lit.init(lens[:nlit]) || !d.dist.init(lens[nlit:]) {
-		return fmt.Errorf("%w: bad literal/length or distance code", ErrCorrupt)
+	if !d.lit.init(lens[:nlit], width, pairs) || !d.dist.init(lens[nlit:], width, nil) {
+		return nil, fmt.Errorf("%w: bad literal/length or distance code", ErrCorrupt)
 	}
-	d.lit.buildPairs()
-	return nil
+	return pairs, nil
 }
 
 // block decodes one Huffman-coded block. It is the hot loop: the bit
 // reader lives in locals, and one refill covers a whole match or a run of
 // literals.
-func (d *decoder) block(dst []byte, out int, lit, dist *huffman) (int, error) {
+func (d *decoder) block(dst []byte, out int, lit, dist *huffman, pairs []uint32) (int, error) {
 	src, pos, b, nb := d.src, d.pos, d.b, d.nb
-	litMask, distMask := uint64(1)<<lit.tableBits-1, uint64(1)<<dist.tableBits-1
+	litMask, distMask := uint64(1)<<lit.bits-1, uint64(1)<<dist.bits-1
 	for {
 		if nb < matchBits {
 			if pos+8 <= len(src) {
@@ -478,27 +564,31 @@ func (d *decoder) block(dst []byte, out int, lit, dist *huffman) (int, error) {
 				pos, b, nb = d.pos, d.b, d.nb
 			}
 		}
-		// Literals run on, one or two per lookup, without a refill while
-		// the buffer still holds their whole codes and dst has room for
-		// two; the single-symbol path below takes the rest.
-		for p := lit.pairs[b&litMask]; p&(3<<4) != 0 && uint(p&15) <= nb && out+1 < len(dst); p = lit.pairs[b&litMask] {
-			dst[out] = byte(p >> 8)
-			dst[out+1] = byte(p >> 16)
-			out += int(p >> 4 & 3)
-			n := uint(p & 15)
-			b >>= n
-			nb -= n
-		}
-		if nb < matchBits {
-			continue
-		}
-		e := lit.table[b&litMask]
-		sym, n := int(e>>4), uint(e&15)
-		if n == 0 {
-			if sym, n = lit.slowSym(b); n == 0 {
-				return 0, fmt.Errorf("%w: invalid literal/length code", ErrCorrupt)
+		// Given a pair table, literals run on, one or two per lookup,
+		// without a refill while the buffer still holds their whole codes
+		// and dst has room for two; the single-symbol path below takes the
+		// rest.
+		if pairs != nil {
+			for p := pairs[b&litMask]; p&(3<<4) != 0 && uint(p&15) <= nb && out+1 < len(dst); p = pairs[b&litMask] {
+				dst[out] = byte(p >> 8)
+				dst[out+1] = byte(p >> 16)
+				out += int(p >> 4 & 3)
+				n := uint(p & 15)
+				b >>= n
+				nb -= n
+			}
+			if nb < matchBits {
+				continue
 			}
 		}
+		e := lit.table[b&litMask]
+		if e&15 == 0 {
+			if e == 0 {
+				return 0, fmt.Errorf("%w: invalid literal/length code", ErrCorrupt)
+			}
+			e = lit.link(e, b)
+		}
+		sym, n := int(e>>4), uint(e&15)
 		b >>= n
 		nb -= n
 		if sym < 256 {
@@ -523,12 +613,13 @@ func (d *decoder) block(dst []byte, out int, lit, dist *huffman) (int, error) {
 		nb -= x
 
 		e = dist.table[b&distMask]
-		sym, n = int(e>>4), uint(e&15)
-		if n == 0 {
-			if sym, n = dist.slowSym(b); n == 0 {
+		if e&15 == 0 {
+			if e == 0 {
 				return 0, fmt.Errorf("%w: invalid distance code", ErrCorrupt)
 			}
+			e = dist.link(e, b)
 		}
+		sym, n = int(e>>4), uint(e&15)
 		b >>= n
 		nb -= n
 		if sym >= len(distBase) {

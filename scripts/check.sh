@@ -48,6 +48,9 @@ go test -run=xxx -fuzz=FuzzGOPRequests -fuzztime=10s ./internal/core/
 echo "== inflate differential fuzz against compress/flate and compress/zlib (10s)"
 go test -run=xxx -fuzz=FuzzInflate -fuzztime=10s ./internal/inflate/
 
+echo "== Huffman table build fuzz against the bit-by-bit canonical walk (10s)"
+go test -run=xxx -fuzz=FuzzHuffmanTable -fuzztime=10s ./internal/inflate/
+
 echo "== TVC container parse + decode fuzz (10s)"
 go test -run=xxx -fuzz=FuzzParseVideo -fuzztime=10s ./internal/codec/
 
