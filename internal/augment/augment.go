@@ -60,21 +60,6 @@ type RegionOp interface {
 	Region(srcW, srcH int) (x, y, w, h int, ok bool)
 }
 
-// InPlacer is implemented by ops that can transform a clip by mutating its
-// frames directly, eliminating the output allocation and copy of Apply.
-// Callers may only use it on clips they own exclusively (no frame is
-// shared with a cache or another clip).
-//
-// Contract: ApplyInPlace must draw exactly the same values from rng as
-// Apply would, so a pipeline mixing the two paths keeps its random stream
-// aligned. An implementation that returns done=false must do so before
-// consuming any randomness or mutating any frame; the caller then falls
-// back to Apply.
-type InPlacer interface {
-	Op
-	ApplyInPlace(clip *frame.Clip, rng *rand.Rand) (done bool, err error)
-}
-
 // windowed is implemented by crop-family ops whose whole effect is
 // selecting one rectangle of their input. ResizeCrop fuses a bilinear
 // Resize immediately followed by a windowed op into one kernel that
@@ -142,8 +127,7 @@ func (p Pipeline) Deterministic() bool {
 }
 
 // Apply runs the pipeline stage by stage. A bilinear resize fuses with
-// the crop after it, and InPlacer stages mutate a clip in place once an
-// earlier stage of this pipeline produced it.
+// the crop after it.
 func (p Pipeline) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 	cur := clip
 	for i := 0; i < len(p); i++ {
@@ -157,19 +141,6 @@ func (p Pipeline) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 				continue
 			}
 		}
-		// In-place fast path: once an earlier stage has produced a fresh
-		// clip (one sharing no frame with the input — identity stages and
-		// inv_sample alias input frames), later InPlacer stages mutate it
-		// directly instead of allocating and copying a successor.
-		if ip, ok := op.(InPlacer); ok && cur != clip && !sharesFrames(cur, clip) {
-			done, err := ip.ApplyInPlace(cur, rng)
-			if err != nil {
-				return nil, fmt.Errorf("augment: stage %d (%s): %w", i, op.Name(), err)
-			}
-			if done {
-				continue
-			}
-		}
 		next, err := op.Apply(cur, rng)
 		if err != nil {
 			return nil, fmt.Errorf("augment: stage %d (%s): %w", i, op.Name(), err)
@@ -177,18 +148,6 @@ func (p Pipeline) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 		cur = next
 	}
 	return cur, nil
-}
-
-// sharesFrames reports whether any frame pointer appears in both clips.
-func sharesFrames(a, b *frame.Clip) bool {
-	for _, f := range a.Frames {
-		for _, g := range b.Frames {
-			if f == g {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // mapFrames applies fn to every frame, building a new clip.
@@ -432,16 +391,6 @@ func (c *Crop) window(srcW, srcH int, _ *rand.Rand) (int, int, int, int, bool) {
 	return c.X, c.Y, c.W, c.H, ok
 }
 
-// ApplyInPlace implements InPlacer via frame compaction.
-func (c *Crop) ApplyInPlace(clip *frame.Clip, _ *rand.Rand) (bool, error) {
-	for _, f := range clip.Frames {
-		if err := f.CropInPlace(c.X, c.Y, c.W, c.H); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
 // CenterCrop extracts a centered W x H rectangle.
 type CenterCrop struct {
 	W, H int
@@ -475,16 +424,6 @@ func (c *CenterCrop) window(srcW, srcH int, _ *rand.Rand) (int, int, int, int, b
 	x, y := (srcW-c.W)/2, (srcH-c.H)/2
 	ok := x >= 0 && y >= 0 && c.W > 0 && c.H > 0 && x+c.W <= srcW && y+c.H <= srcH
 	return x, y, c.W, c.H, ok
-}
-
-// ApplyInPlace implements InPlacer via frame compaction.
-func (c *CenterCrop) ApplyInPlace(clip *frame.Clip, _ *rand.Rand) (bool, error) {
-	for _, f := range clip.Frames {
-		if err := f.CropInPlace((f.W-c.W)/2, (f.H-c.H)/2, c.W, c.H); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
 }
 
 // RandomCrop samples one crop origin per clip (all frames share it, as VDL
@@ -536,26 +475,6 @@ func (c *RandomCrop) window(srcW, srcH int, rng *rand.Rand) (int, int, int, int,
 	return x, y, c.W, c.H, true
 }
 
-// ApplyInPlace implements InPlacer, drawing the origin exactly like Apply
-// before compacting frames.
-func (c *RandomCrop) ApplyInPlace(clip *frame.Clip, rng *rand.Rand) (bool, error) {
-	if rng == nil {
-		return true, fmt.Errorf("random_crop: nil rng")
-	}
-	w, h, _ := clip.Geometry()
-	if c.W > w || c.H > h {
-		return true, fmt.Errorf("random_crop: %dx%d exceeds frame %dx%d", c.W, c.H, w, h)
-	}
-	x := rng.Intn(w - c.W + 1)
-	y := rng.Intn(h - c.H + 1)
-	for _, f := range clip.Frames {
-		if err := f.CropInPlace(x, y, c.W, c.H); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
 // HFlip mirrors frames horizontally, either always (Prob >= 1) or with the
 // given probability per clip.
 type HFlip struct {
@@ -585,44 +504,17 @@ func (h *HFlip) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 	}
 	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
 		g := frame.New(f.W, f.H, f.C)
-		for c := 0; c < f.C; c++ {
-			src := f.Plane(c)
-			dst := g.Plane(c)
-			for y := 0; y < f.H; y++ {
-				for x := 0; x < f.W; x++ {
-					dst[y*f.W+x] = src[y*f.W+(f.W-1-x)]
-				}
+		// Planes are stored back to back, so Pix is f.H*f.C rows of f.W.
+		for r := 0; r < len(f.Pix); r += f.W {
+			src := f.Pix[r : r+f.W]
+			dst := g.Pix[r : r+f.W]
+			// The i bound lets the compiler drop dst's bounds check.
+			for i, j := 0, len(src)-1; i < len(dst) && j >= 0; i, j = i+1, j-1 {
+				dst[i] = src[j]
 			}
 		}
 		return g, nil
 	})
-}
-
-// ApplyInPlace implements InPlacer: rows are mirrored by swapping ends.
-// The stochastic draw matches Apply exactly.
-func (h *HFlip) ApplyInPlace(clip *frame.Clip, rng *rand.Rand) (bool, error) {
-	do := h.Prob >= 1
-	if !h.Deterministic() {
-		if rng == nil {
-			return true, fmt.Errorf("hflip: nil rng for stochastic flip")
-		}
-		do = rng.Float64() < h.Prob
-	}
-	if !do {
-		return true, nil
-	}
-	for _, f := range clip.Frames {
-		for c := 0; c < f.C; c++ {
-			plane := f.Plane(c)
-			for y := 0; y < f.H; y++ {
-				row := plane[y*f.W : (y+1)*f.W]
-				for i, j := 0, f.W-1; i < j; i, j = i+1, j-1 {
-					row[i], row[j] = row[j], row[i]
-				}
-			}
-		}
-	}
-	return true, nil
 }
 
 // VFlip mirrors frames vertically with probability Prob.
@@ -662,39 +554,6 @@ func (v *VFlip) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, error) {
 		}
 		return g, nil
 	})
-}
-
-// ApplyInPlace implements InPlacer: rows are mirrored by swapping pairs
-// through a stack scratch row. The stochastic draw matches Apply exactly.
-func (v *VFlip) ApplyInPlace(clip *frame.Clip, rng *rand.Rand) (bool, error) {
-	do := v.Prob >= 1
-	if !v.Deterministic() {
-		if rng == nil {
-			return true, fmt.Errorf("vflip: nil rng for stochastic flip")
-		}
-		do = rng.Float64() < v.Prob
-	}
-	if !do {
-		return true, nil
-	}
-	var tmp []byte
-	for _, f := range clip.Frames {
-		if len(tmp) < f.W {
-			tmp = make([]byte, f.W)
-		}
-		row := tmp[:f.W]
-		for c := 0; c < f.C; c++ {
-			plane := f.Plane(c)
-			for top, bot := 0, f.H-1; top < bot; top, bot = top+1, bot-1 {
-				a := plane[top*f.W : (top+1)*f.W]
-				b := plane[bot*f.W : (bot+1)*f.W]
-				copy(row, a)
-				copy(a, b)
-				copy(b, row)
-			}
-		}
-	}
-	return true, nil
 }
 
 // Rotate90 rotates every frame by Turns quarter-turns clockwise.
@@ -770,40 +629,14 @@ func (j *ColorJitter) Apply(clip *frame.Clip, rng *rand.Rand) (*frame.Clip, erro
 	}
 	bright := 1 + (rng.Float64()*2-1)*j.Brightness
 	contrast := 1 + (rng.Float64()*2-1)*j.Contrast
-	lut := jitterLUT(bright, contrast)
-	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
-		g := frame.New(f.W, f.H, f.C)
-		for i, v := range f.Pix {
-			g.Pix[i] = lut[v]
-		}
-		return g, nil
-	})
+	return Jitter(clip, bright, contrast)
 }
 
-// ApplyInPlace implements InPlacer: the LUT is applied to the frames'
-// own buffers. The two stochastic draws match Apply exactly.
-func (j *ColorJitter) ApplyInPlace(clip *frame.Clip, rng *rand.Rand) (bool, error) {
-	if j.Deterministic() {
-		return true, nil
-	}
-	if rng == nil {
-		return true, fmt.Errorf("color_jitter: nil rng")
-	}
-	bright := 1 + (rng.Float64()*2-1)*j.Brightness
-	contrast := 1 + (rng.Float64()*2-1)*j.Contrast
-	lut := jitterLUT(bright, contrast)
-	for _, f := range clip.Frames {
-		for i, v := range f.Pix {
-			f.Pix[i] = lut[v]
-		}
-	}
-	return true, nil
-}
-
-// jitterLUT builds the 256-entry brightness/contrast lookup table shared
-// by ColorJitter's two execution paths.
-func jitterLUT(bright, contrast float64) []byte {
-	lut := make([]byte, 256)
+// Jitter maps every sample v of clip to (v-128)*contrast+128, scaled by
+// bright and clamped to [0,255], into fresh frames: ColorJitter's
+// transform for factors already drawn.
+func Jitter(clip *frame.Clip, bright, contrast float64) (*frame.Clip, error) {
+	var lut [256]byte
 	for i := range lut {
 		v := (float64(i)-128)*contrast + 128
 		v *= bright
@@ -814,7 +647,13 @@ func jitterLUT(bright, contrast float64) []byte {
 		}
 		lut[i] = byte(v)
 	}
-	return lut
+	return mapFrames(clip, func(f *frame.Frame) (*frame.Frame, error) {
+		g := frame.New(f.W, f.H, f.C)
+		for i, v := range f.Pix {
+			g.Pix[i] = lut[v]
+		}
+		return g, nil
+	})
 }
 
 // Grayscale averages channels into a single-channel clip.
@@ -871,21 +710,8 @@ func (n *Normalize) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
 	})
 }
 
-// ApplyInPlace implements InPlacer: each plane's mean is computed before
-// any sample of that plane is overwritten, so the result is identical to
-// Apply.
-func (n *Normalize) ApplyInPlace(clip *frame.Clip, _ *rand.Rand) (bool, error) {
-	for _, f := range clip.Frames {
-		for c := 0; c < f.C; c++ {
-			p := f.Plane(c)
-			normalizePlane(p, p, n.Mean)
-		}
-	}
-	return true, nil
-}
-
 // normalizePlane recenters src's samples to the target mean, writing into
-// dst. dst may alias src: the mean is fully computed before writes start.
+// dst.
 func normalizePlane(dst, src []byte, target int) {
 	var sum int64
 	for _, v := range src {
@@ -925,8 +751,7 @@ func (s *InvSample) Deterministic() bool { return true }
 
 // Apply implements Op.
 func (s *InvSample) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
-	// The reversed clip shares the input's frames: in-place paths check
-	// for aliased frames, and no caller mutates clip contents.
+	// The reversed clip shares the input's frames: no op writes its input.
 	out := make([]*frame.Frame, clip.Len())
 	for i, f := range clip.Frames {
 		out[clip.Len()-1-i] = f

@@ -362,30 +362,44 @@ func TestInvSample(t *testing.T) {
 	}
 }
 
+// TestOpsDoNotMutateInput builds every registered op through the
+// registry and checks that Apply leaves its input clip unchanged. A newly
+// registered op fails the test until it has a params entry here.
 func TestOpsDoNotMutateInput(t *testing.T) {
 	clip := testClip(t, 2, 16, 16, 3)
 	snapshot := clip.Clone()
 	rng := rand.New(rand.NewSource(12))
-	ops := []Op{
-		&Resize{W: 8, H: 8},
-		&Crop{X: 1, Y: 1, W: 8, H: 8},
-		&CenterCrop{W: 8, H: 8},
-		&RandomCrop{W: 8, H: 8},
-		&HFlip{Prob: 1},
-		&VFlip{Prob: 1},
-		&Rotate90{Turns: 1},
-		&ColorJitter{Brightness: 0.5},
-		&Grayscale{},
-		&Normalize{Mean: 100},
-		&InvSample{},
+	params := map[string]Params{
+		"resize":       {"shape": []any{8, 8}},
+		"crop":         {"shape": []any{8, 8}, "x": 1, "y": 1},
+		"center_crop":  {"shape": []any{8, 8}},
+		"random_crop":  {"shape": []any{8, 8}},
+		"flip":         {"flip_prob": 1.0},
+		"vflip":        {"flip_prob": 1.0},
+		"rotate90":     {"turns": 1},
+		"color_jitter": {"brightness": 0.5, "contrast": 0.3},
+		"grayscale":    {},
+		"normalize":    {"mean": 100},
+		"inv_sample":   {},
+		"pad":          {"all": 2, "value": 7},
+		"saturation":   {"factor": 1.5},
 	}
-	for _, op := range ops {
+	for _, name := range Names() {
+		p, ok := params[name]
+		if !ok {
+			t.Errorf("op %q has no params entry", name)
+			continue
+		}
+		op, err := Build(name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if _, err := op.Apply(clip, rng); err != nil {
-			t.Fatalf("%s: %v", op.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		for i := range clip.Frames {
 			if !clip.Frames[i].Equal(snapshot.Frames[i]) {
-				t.Fatalf("%s mutated its input", op.Name())
+				t.Fatalf("%s mutated its input", name)
 			}
 		}
 	}

@@ -7,9 +7,26 @@ import (
 	"sand/internal/frame"
 )
 
+// randomClip builds a clip of n distinct frames with random pixels.
+func randomClip(t testing.TB, rng *rand.Rand, n, w, h, c int) *frame.Clip {
+	t.Helper()
+	frames := make([]*frame.Frame, n)
+	for i := range frames {
+		f := frame.New(w, h, c)
+		rng.Read(f.Pix)
+		f.Index = i
+		frames[i] = f
+	}
+	clip, err := frame.NewClip(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clip
+}
+
 // applyUnfused runs the pipeline stage by stage through each op's plain
-// Apply — no fusion, no in-place rewrites — as the ground truth the
-// fused Pipeline.Apply must reproduce byte-for-byte.
+// Apply — no fusion — as the ground truth the fused Pipeline.Apply must
+// reproduce byte-for-byte.
 func applyUnfused(t *testing.T, p Pipeline, clip *frame.Clip, rng *rand.Rand) *frame.Clip {
 	t.Helper()
 	cur := clip
@@ -141,6 +158,69 @@ func TestFusionNearestUnaffected(t *testing.T) {
 	for i := range got.Frames {
 		if !got.Frames[i].Equal(want.Frames[i]) {
 			t.Fatalf("frame %d differs", i)
+		}
+	}
+}
+
+// TestPipelineInPlaceFastPath: a chained pipeline must produce the same
+// output as each stage's Apply run in turn, and must not mutate its input
+// clip.
+func TestPipelineInPlaceFastPath(t *testing.T) {
+	p := Pipeline{
+		&Resize{W: 24, H: 24},
+		&RandomCrop{W: 20, H: 20},
+		&HFlip{Prob: 1},
+		&Normalize{Mean: 100},
+	}
+	src := randomClip(t, rand.New(rand.NewSource(9)), 4, 32, 32, 3)
+	orig := src.Clone()
+
+	got, err := p.Apply(src, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Input untouched.
+	for i := range src.Frames {
+		if !src.Frames[i].Equal(orig.Frames[i]) {
+			t.Fatalf("pipeline mutated input frame %d", i)
+		}
+	}
+	// Reference: each stage's Apply in turn.
+	ref := src.Clone()
+	cur := ref
+	rng := rand.New(rand.NewSource(3))
+	for _, op := range p {
+		next, err := op.Apply(cur, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = next
+	}
+	if got.Len() != cur.Len() {
+		t.Fatalf("length %d != %d", got.Len(), cur.Len())
+	}
+	for i := range got.Frames {
+		if !got.Frames[i].Equal(cur.Frames[i]) {
+			t.Fatalf("pipeline output differs at frame %d", i)
+		}
+	}
+}
+
+// TestPipelineInPlaceInvSampleAliasing: inv_sample's output aliases its
+// input frames, so the op after it must not write them.
+func TestPipelineInPlaceInvSampleAliasing(t *testing.T) {
+	p := Pipeline{
+		&InvSample{},
+		&Normalize{Mean: 200},
+	}
+	src := randomClip(t, rand.New(rand.NewSource(11)), 3, 16, 16, 3)
+	orig := src.Clone()
+	if _, err := p.Apply(src, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range src.Frames {
+		if !src.Frames[i].Equal(orig.Frames[i]) {
+			t.Fatalf("pipeline mutated shared input frame %d behind inv_sample", i)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 			}()
 		}
 		// Deepest cached augmentation prefix in the object store wins.
-		f, fromDepth, owned := s.loadBestCached(sm, chain, idx, total, stopDepth)
+		f, fromDepth := s.loadBestCached(sm, chain, idx, total, stopDepth)
 		var err error
 		switch {
 		case f != nil:
@@ -146,7 +146,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 			if err != nil {
 				return err
 			}
-			fromDepth, owned = grp.depth+1, true
+			fromDepth = grp.depth + 1
 			if err := s.storeIfCached(sm, chain, findLeaf(sm, ci, idx), total, fromDepth, idx, f, deadline); err != nil {
 				return err
 			}
@@ -157,7 +157,6 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 			if err != nil {
 				return fmt.Errorf("core: decode %s: %w", sm.Video, err)
 			}
-			owned = false
 			fromDepth = 0
 			// Cache the decoded frame if the plan says so.
 			if cachedAt(sm.Leaves[ci][pos], total, 0) {
@@ -166,7 +165,7 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 				}
 			}
 		}
-		g, err := s.applyOps(sm, ci, chain, f, owned, fromDepth, idx, deadline)
+		g, err := s.applyOps(sm, ci, chain, f, fromDepth, idx, deadline)
 		if err != nil {
 			return err
 		}
@@ -184,15 +183,14 @@ func (s *Service) materializeChain(sm *graph.Sample, si, ci int, chain *graph.Re
 
 // loadBestCached searches the store for the deepest cached prefix of one
 // chain for one frame: the leaf first, then shallower aug objects, then
-// the decoded frame. Returns the loaded frame, the depth it corresponds
-// to and whether the caller owns its pixels, or (nil, 0, false) when
-// nothing usable is cached. A raw object comes back as a view of the
-// stored bytes (frame.ViewFrame), unowned: the store's objects are never
-// written after Put, so the first op that would write it in place copies
-// it instead. Depths at or below stopDepth are not consulted (-1 searches
-// all the way down to the decoded frame); superset-grouped chains stop at
-// the crop depth, where the shared region is the cheaper source.
-func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, idx, total, stopDepth int) (*frame.Frame, int, bool) {
+// the decoded frame. Returns the loaded frame and the depth it corresponds
+// to, or (nil, 0) when nothing usable is cached. A raw object comes back
+// as a view of the stored bytes (frame.ViewFrame); no op writes its
+// input, so the view is only read. Depths at or below stopDepth are not
+// consulted (-1 searches all the way down to the decoded frame);
+// superset-grouped chains stop at the crop depth, where the shared region
+// is the cheaper source.
+func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, idx, total, stopDepth int) (*frame.Frame, int) {
 	for d := total; d > stopDepth; d-- {
 		var key string
 		if d == 0 {
@@ -205,9 +203,8 @@ func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, i
 			continue
 		}
 		var f *frame.Frame
-		var owned bool
 		if err == nil {
-			f, owned, err = frame.ViewFrame(obj.Data)
+			f, _, err = frame.ViewFrame(obj.Data)
 		}
 		if err != nil {
 			// An unreadable or garbled object (a damaged spill file, or
@@ -219,26 +216,25 @@ func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, i
 			continue
 		}
 		s.store.MarkUsed(key)
-		return f, d, owned
+		return f, d
 	}
-	return nil, 0, false
+	return nil, 0
 }
 
 // applyOps runs chain.Ops[fromDepth:] on f, storing intermediate objects
-// whose plan nodes are cached. owned reports whether an op may mutate f
-// in place: frames an op produced here are ours, while shared frames
-// (GOP-cache hits, which identity ops pass through untouched) are only
-// read.
+// whose plan nodes are cached. f may be shared (a GOP-cache frame or a
+// stored view): every op writes fresh frames and identity ops pass f
+// through, so f is only read.
 func (s *Service) applyOps(sm *graph.Sample, ci int, chain *graph.ResolvedChain,
-	f *frame.Frame, owned bool, fromDepth, idx int, deadline int64) (*frame.Frame, error) {
-	return s.applyOpsRange(sm, ci, chain, f, owned, fromDepth, len(chain.Ops), idx, deadline)
+	f *frame.Frame, fromDepth, idx int, deadline int64) (*frame.Frame, error) {
+	return s.applyOpsRange(sm, ci, chain, f, fromDepth, len(chain.Ops), idx, deadline)
 }
 
 // applyOpsRange is applyOps over the half-open depth range
 // [fromDepth, until) — the superset path uses it to run just the shared
 // prefix of a grouped chain.
 func (s *Service) applyOpsRange(sm *graph.Sample, ci int, chain *graph.ResolvedChain,
-	f *frame.Frame, owned bool, fromDepth, until, idx int, deadline int64) (*frame.Frame, error) {
+	f *frame.Frame, fromDepth, until, idx int, deadline int64) (*frame.Frame, error) {
 	total := len(chain.Ops)
 	leaf := findLeaf(sm, ci, idx)
 	cur := f
@@ -256,34 +252,16 @@ func (s *Service) applyOpsRange(sm *graph.Sample, ci int, chain *graph.ResolvedC
 		if d+1 < until && !cachedAt(leaf, total, d+1) {
 			res, fused = augment.ResizeCrop(op, chain.Ops[d+1].Op, wrapper, nil)
 		}
-		// Owned frames take the in-place path when the op offers one:
-		// resolved ops draw no randomness, so rng parity is trivial and
-		// the output is byte-identical to Apply.
-		mutated := false
 		if fused {
 			d++ // the crop is folded into the resize
-		} else if owned {
-			if ip, ok := op.(augment.InPlacer); ok {
-				done, err := ip.ApplyInPlace(wrapper, nil)
-				if err != nil {
-					return nil, fmt.Errorf("core: op %s on %s frame %d: %w", op.Name(), sm.Video, idx, err)
-				}
-				mutated = done
+		} else {
+			var err error
+			res, err = op.Apply(wrapper, nil)
+			if err != nil {
+				return nil, fmt.Errorf("core: op %s on %s frame %d: %w", op.Name(), sm.Video, idx, err)
 			}
 		}
-		if !mutated {
-			if !fused {
-				var err error
-				res, err = op.Apply(wrapper, nil)
-				if err != nil {
-					return nil, fmt.Errorf("core: op %s on %s frame %d: %w", op.Name(), sm.Video, idx, err)
-				}
-			}
-			if res.Frames[0] != cur {
-				owned = true // freshly produced by the op: exclusively ours
-			}
-			cur = res.Frames[0]
-		}
+		cur = res.Frames[0]
 		// Shared frames already carry the right index (they were decoded
 		// as frame idx); skipping the redundant write keeps them strictly
 		// read-only across concurrent samples.

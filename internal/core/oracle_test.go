@@ -17,8 +17,9 @@ import (
 // oracleBatch materializes one iteration the slow, obviously correct way:
 // every frame of every sample is decoded by a fresh decoder (so it rolls
 // forward from its keyframe) and run through each chain's resolved ops
-// with Apply — no in-place ops, GOP cache, object store or reuse plan. It shares only the engine's schedule, so it checks
-// materialization, not planning.
+// with Apply — no fusion, GOP cache, object store or reuse plan. It
+// shares only the engine's schedule, so it checks materialization, not
+// planning.
 func oracleBatch(s *Service, key iterationKey) ([]byte, error) {
 	samples, err := s.scheduleFor(key)
 	if err != nil {

@@ -210,9 +210,8 @@ func (s *Service) buildBatchReusePlan(samples []*graph.Sample) *reusePlan {
 // for the (frame, group) pair computes the prefix, slices the bounding
 // region, and publishes it in the decoded-GOP cache's derived store;
 // every later chain — including sibling samples of the batch — slices
-// its window out of the published frame. The returned frame is a fresh copy
-// exclusively owned by the caller, already advanced past the crop stage
-// (depth group.depth+1).
+// its window out of the published frame. The returned frame is a fresh copy,
+// already advanced past the crop stage (depth group.depth+1).
 func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.ResolvedChain,
 	grp *reuseGroup, ent *dataset.Entry, lease *gopLease, idx int, deadline int64) (*frame.Frame, error) {
 
@@ -250,7 +249,7 @@ func (s *Service) supersetView(sm *graph.Sample, si, ci int, chain *graph.Resolv
 // source frame and slices the bounding superset region. When the prefix
 // ends in a bilinear resize whose output the plan does not cache, only
 // the superset window of that resize is computed (augment.ResizeCrop).
-// The result is a fresh frame owned by the caller.
+// The result is a fresh frame.
 func (s *Service) computeSuperset(sm *graph.Sample, ci int, chain *graph.ResolvedChain,
 	grp *reuseGroup, ent *dataset.Entry, lease *gopLease, idx int, deadline int64) (*frame.Frame, error) {
 
@@ -266,8 +265,7 @@ func (s *Service) computeSuperset(sm *graph.Sample, ci int, chain *graph.Resolve
 	if fuse {
 		until = last
 	}
-	// owned=false: the decoded source is shared read-only.
-	cur, err := s.applyOpsRange(sm, ci, chain, src, false, 0, until, idx, deadline)
+	cur, err := s.applyOpsRange(sm, ci, chain, src, 0, until, idx, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +277,7 @@ func (s *Service) computeSuperset(sm *graph.Sample, ci int, chain *graph.Resolve
 		}
 		// Not a bilinear resize, or the window does not fit: run the last
 		// prefix op whole, as below.
-		if cur, err = s.applyOpsRange(sm, ci, chain, cur, cur != src, last, grp.depth, idx, deadline); err != nil {
+		if cur, err = s.applyOpsRange(sm, ci, chain, cur, last, grp.depth, idx, deadline); err != nil {
 			return nil, err
 		}
 	}

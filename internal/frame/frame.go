@@ -104,34 +104,6 @@ func (f *Frame) SubRect(x0, y0, w, h int) (*Frame, error) {
 	return out, nil
 }
 
-// CropInPlace shrinks f to the rectangle [x0,x0+w) x [y0,y0+h) by
-// compacting the surviving rows forward inside f's own pixel buffer, so
-// cropping an exclusively owned frame costs zero allocations. The frame's
-// geometry and Pix length shrink to the crop.
-//
-// The forward copy order is overlap-safe: for every plane and row the
-// source offset is >= the destination offset (w <= W, h <= H), destination
-// rows never overrun a later row's source, and copy is memmove within one
-// row.
-func (f *Frame) CropInPlace(x0, y0, w, h int) error {
-	if x0 < 0 || y0 < 0 || w <= 0 || h <= 0 || x0+w > f.W || y0+h > f.H {
-		return fmt.Errorf("frame: rect (%d,%d,%d,%d) outside %dx%d", x0, y0, w, h, f.W, f.H)
-	}
-	if x0 == 0 && y0 == 0 && w == f.W && h == f.H {
-		return nil
-	}
-	for c := 0; c < f.C; c++ {
-		src := f.Pix[c*f.W*f.H:]
-		dst := f.Pix[c*w*h:]
-		for y := 0; y < h; y++ {
-			copy(dst[y*w:(y+1)*w], src[(y0+y)*f.W+x0:(y0+y)*f.W+x0+w])
-		}
-	}
-	f.W, f.H = w, h
-	f.Pix = f.Pix[:w*h*f.C]
-	return nil
-}
-
 // Clip is a time-ordered sequence of frames with uniform geometry.
 type Clip struct {
 	Frames []*Frame

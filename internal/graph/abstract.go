@@ -399,46 +399,8 @@ func (j *resolvedJitter) Signature() string {
 // Deterministic implements augment.Op.
 func (j *resolvedJitter) Deterministic() bool { return true }
 
-// Apply implements augment.Op with the same LUT construction as
-// augment.ColorJitter but with fixed, pre-drawn factors.
+// Apply implements augment.Op: augment.ColorJitter's transform with the
+// pre-drawn factors.
 func (j *resolvedJitter) Apply(clip *frame.Clip, _ *rand.Rand) (*frame.Clip, error) {
-	lut := j.lut()
-	out := make([]*frame.Frame, clip.Len())
-	for i, f := range clip.Frames {
-		g := frame.New(f.W, f.H, f.C)
-		g.Index, g.PTS = f.Index, f.PTS
-		for p, v := range f.Pix {
-			g.Pix[p] = lut[v]
-		}
-		out[i] = g
-	}
-	return frame.NewClip(out)
-}
-
-// ApplyInPlace implements augment.InPlacer: the pre-drawn LUT is applied
-// to the frames' own buffers.
-func (j *resolvedJitter) ApplyInPlace(clip *frame.Clip, _ *rand.Rand) (bool, error) {
-	lut := j.lut()
-	for _, f := range clip.Frames {
-		for p, v := range f.Pix {
-			f.Pix[p] = lut[v]
-		}
-	}
-	return true, nil
-}
-
-// lut builds the jitter lookup table for the resolved factors.
-func (j *resolvedJitter) lut() []byte {
-	lut := make([]byte, 256)
-	for i := range lut {
-		v := (float64(i)-128)*j.contrast + 128
-		v *= j.bright
-		if v < 0 {
-			v = 0
-		} else if v > 255 {
-			v = 255
-		}
-		lut[i] = byte(v)
-	}
-	return lut
+	return augment.Jitter(clip, j.bright, j.contrast)
 }

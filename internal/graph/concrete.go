@@ -418,10 +418,8 @@ type PlanParams struct {
 	// reproduces the uncoordinated baseline (every sample draws fresh
 	// randomness over the whole video).
 	Coordinate bool
-	// PoolSlackClips widens the shared pool (see PoolParams).
-	PoolSlackClips int
-	Seed           int64
-	CostModel      *CostModel
+	Seed       int64
+	CostModel  *CostModel
 }
 
 // TaskSpec couples a task config with its parsed sampling requirement.
@@ -504,7 +502,7 @@ func BuildChunkPlan(tasks []TaskSpec, videos []VideoMeta, p PlanParams) (*ChunkP
 		var window *CropWindow
 		if p.Coordinate {
 			var err error
-			pool, err = BuildFramePool(reqs, PoolParams{VideoFrames: vm.Frames, SlackClips: p.PoolSlackClips}, rng)
+			pool, err = BuildFramePool(reqs, PoolParams{VideoFrames: vm.Frames}, rng)
 			if err != nil {
 				return nil, fmt.Errorf("graph: video %s: %w", vm.Name, err)
 			}

@@ -192,7 +192,7 @@ func TestBuildChunkPlanSharing(t *testing.T) {
 		{Task: taskWithPipeline(t, "mae", 8, 2)},
 	}
 	vids := testVideos(3)
-	coord, err := BuildChunkPlan(tasks, vids, PlanParams{Epochs: 3, Coordinate: true, PoolSlackClips: 1, Seed: 7})
+	coord, err := BuildChunkPlan(tasks, vids, PlanParams{Epochs: 3, Coordinate: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func planForPruning(t testing.TB, videos, epochs int, seed int64) *ChunkPlan {
 		{Task: taskWithPipeline(t, "mae", 8, 2)},
 	}
 	vids := testVideos(videos)
-	plan, err := BuildChunkPlan(tasks, vids, PlanParams{Epochs: epochs, Coordinate: true, PoolSlackClips: 1, Seed: seed})
+	plan, err := BuildChunkPlan(tasks, vids, PlanParams{Epochs: epochs, Coordinate: true, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package metrics provides the small reporting toolkit the benchmark
-// harness uses: aligned text tables, histograms/CDFs, ratio formatting
-// and simple aggregate statistics.
+// harness uses: aligned text tables, ratio formatting and simple
+// aggregate statistics.
 package metrics
 
 import (
@@ -170,62 +170,6 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Histogram is a simple integer-valued histogram.
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram creates an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: map[int]int{}}
-}
-
-// Add increments the bucket for v.
-func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Count returns the count in bucket v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// CDF returns sorted (value, cumulative fraction) pairs.
-func (h *Histogram) CDF() ([]int, []float64) {
-	if h.total == 0 {
-		return nil, nil
-	}
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	fracs := make([]float64, len(keys))
-	cum := 0
-	for i, k := range keys {
-		cum += h.counts[k]
-		fracs[i] = float64(cum) / float64(h.total)
-	}
-	return keys, fracs
-}
-
-// FracAtLeast returns the fraction of observations >= v.
-func (h *Histogram) FracAtLeast(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	n := 0
-	for k, c := range h.counts {
-		if k >= v {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.total)
 }
 
 // Sparkline renders values as a unicode mini-chart (for CLI figures).

@@ -111,38 +111,6 @@ func TestQuickSummaryBounds(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int{1, 1, 2, 4, 4, 4, 8} {
-		h.Add(v)
-	}
-	if h.Total() != 7 || h.Count(4) != 3 || h.Count(99) != 0 {
-		t.Fatalf("histogram counts wrong")
-	}
-	if got := h.FracAtLeast(4); math.Abs(got-4.0/7) > 1e-9 {
-		t.Fatalf("FracAtLeast(4) = %v", got)
-	}
-	keys, fracs := h.CDF()
-	if len(keys) != 4 || keys[0] != 1 || keys[3] != 8 {
-		t.Fatalf("CDF keys %v", keys)
-	}
-	if fracs[len(fracs)-1] != 1.0 {
-		t.Fatalf("CDF must end at 1, got %v", fracs)
-	}
-	for i := 1; i < len(fracs); i++ {
-		if fracs[i] < fracs[i-1] {
-			t.Fatal("CDF not monotone")
-		}
-	}
-	empty := NewHistogram()
-	if k, f := empty.CDF(); k != nil || f != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-	if empty.FracAtLeast(1) != 0 {
-		t.Fatal("empty FracAtLeast")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
 		t.Fatal("empty sparkline")

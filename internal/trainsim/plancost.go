@@ -164,7 +164,7 @@ func DerivePlanCosts(workloads []gpusim.Workload, videos, chunkEpochs int, budge
 	// temporal randomness lives in the per-chunk pool placement and the
 	// spatial randomness in per-sample sub-crops.
 	coord, err := graph.BuildChunkPlan(specs, metas, graph.PlanParams{
-		Epochs: chunkEpochs, Coordinate: true, PoolSlackClips: 0, Seed: seed,
+		Epochs: chunkEpochs, Coordinate: true, Seed: seed,
 		CostModel: cm,
 	})
 	if err != nil {

@@ -43,21 +43,3 @@ func TestBackoffDelayJitterBounds(t *testing.T) {
 		t.Fatalf("jitter produced only %d distinct delays", len(seen))
 	}
 }
-
-func TestBackoffJitterNormalization(t *testing.T) {
-	cases := []struct {
-		in, want float64
-	}{
-		{0, 0.5}, // zero value gets the default
-		{-1, 0},  // negative disables
-		{0.25, 0.25},
-		{3, 1}, // clamped to full spread
-	}
-	for _, c := range cases {
-		o := ClientOptions{BackoffJitter: c.in}
-		o.normalize()
-		if o.BackoffJitter != c.want {
-			t.Fatalf("normalize(jitter=%g) = %g, want %g", c.in, o.BackoffJitter, c.want)
-		}
-	}
-}

@@ -13,6 +13,15 @@ import (
 	"sand/internal/vfs"
 )
 
+// backoffJitter spreads each retry delay to delay*[0.5, 1.5), so a
+// restarted server is not hit by a synchronized thundering herd of
+// redials from clients that all lost their connection at the same
+// instant.
+const backoffJitter = 0.5
+
+// requestTimeout is the per-request I/O deadline.
+const requestTimeout = 30 * time.Second
+
 // backoffDelay computes the attempt-th (1-based) reconnect delay:
 // exponential growth from base, spread across [1-jitter, 1+jitter) by u
 // (a uniform [0,1) variate) so a fleet of clients that lost the same
@@ -30,8 +39,6 @@ func backoffDelay(base time.Duration, attempt int, jitter, u float64) time.Durat
 type ClientOptions struct {
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
-	// RequestTimeout is the per-request I/O deadline (default 30s).
-	RequestTimeout time.Duration
 	// DialRetries is how many times a (re)dial is attempted before a
 	// request fails, with exponential backoff between attempts
 	// (default 4).
@@ -39,34 +46,17 @@ type ClientOptions struct {
 	// BackoffBase is the first retry delay, doubling per attempt
 	// (default 50ms).
 	BackoffBase time.Duration
-	// BackoffJitter randomizes each retry delay to delay*[1-j, 1+j), so
-	// a restarted server is not hit by a synchronized thundering herd of
-	// redials from clients that all lost their connection at the same
-	// instant. 0 uses the default 0.5; negative disables jitter.
-	BackoffJitter float64
 }
 
 func (o *ClientOptions) normalize() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
 	if o.DialRetries <= 0 {
 		o.DialRetries = 4
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffJitter == 0 {
-		o.BackoffJitter = 0.5
-	}
-	if o.BackoffJitter < 0 {
-		o.BackoffJitter = 0
-	}
-	if o.BackoffJitter > 1 {
-		o.BackoffJitter = 1
 	}
 }
 
@@ -136,7 +126,7 @@ func (c *Client) ensureConnLocked() error {
 	var lastErr error
 	for attempt := 0; attempt < c.opts.DialRetries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(backoffDelay(c.opts.BackoffBase, attempt, c.opts.BackoffJitter, rand.Float64()))
+			time.Sleep(backoffDelay(c.opts.BackoffBase, attempt, backoffJitter, rand.Float64()))
 		}
 		conn, err := net.DialTimeout(c.network, c.addr, c.opts.DialTimeout)
 		if err != nil {
@@ -184,7 +174,7 @@ func (c *Client) roundTrip(op Op, req request, retryable bool) (uint8, []byte, e
 // exchangeLocked writes the frame and reads the matching response under
 // the client lock (single request in flight).
 func (c *Client) exchangeLocked(req request) (uint8, []byte, error) {
-	deadline := time.Now().Add(c.opts.RequestTimeout)
+	deadline := time.Now().Add(requestTimeout)
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return 0, nil, err
 	}
@@ -228,7 +218,7 @@ func (c *Client) roundTripRead(op Op, req request, buf []byte) (uint8, int, erro
 	req.op = op
 	req.id = c.nextID
 	c.nextID++
-	deadline := time.Now().Add(c.opts.RequestTimeout)
+	deadline := time.Now().Add(requestTimeout)
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		c.dropConnLocked()
 		return 0, 0, fmt.Errorf("viewserver: %s: %w", op, err)

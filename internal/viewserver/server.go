@@ -32,10 +32,6 @@ type Options struct {
 	// socket, so backpressure propagates through TCP instead of growing
 	// an unbounded buffer. 0 uses the default.
 	MaxInflight int
-	// MaxMessage bounds a single wire frame in bytes. Oversized frames
-	// are answered with a protocol error and the connection is closed.
-	// 0 uses DefaultMaxMessage.
-	MaxMessage int
 	// Obs receives the server's request spans, latency histogram and
 	// counters. Nil means no registration.
 	Obs *obs.Registry
@@ -47,9 +43,6 @@ func (o *Options) normalize() {
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 32
-	}
-	if o.MaxMessage <= 0 {
-		o.MaxMessage = DefaultMaxMessage
 	}
 }
 
@@ -323,7 +316,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	sem := make(chan struct{}, s.opts.MaxInflight)
 	var handlers sync.WaitGroup
 	for {
-		body, err := readFrame(conn, s.opts.MaxMessage)
+		body, err := readFrame(conn, DefaultMaxMessage)
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
 				// Clean protocol error: tell the client why before
@@ -468,7 +461,7 @@ func (s *Server) handleOpen(sess *session, req request) {
 }
 
 // maxReadChunk keeps a read response within the frame limit.
-func (s *Server) maxReadChunk() int { return s.opts.MaxMessage - 64 }
+const maxReadChunk = DefaultMaxMessage - 64
 
 func (s *Server) handleRead(sess *session, req request) {
 	h, ok := sess.lookup(req.fd)
@@ -477,8 +470,8 @@ func (s *Server) handleRead(sess *session, req request) {
 		return
 	}
 	n := int(req.n)
-	if n > s.maxReadChunk() {
-		n = s.maxReadChunk()
+	if n > maxReadChunk {
+		n = maxReadChunk
 	}
 	h.mu.Lock()
 	data := h.view.Data
@@ -504,8 +497,8 @@ func (s *Server) handleReadAt(sess *session, req request) {
 		return
 	}
 	want := int(req.n)
-	if want > s.maxReadChunk() {
-		want = s.maxReadChunk()
+	if want > maxReadChunk {
+		want = maxReadChunk
 	}
 	data := h.view.Data
 	off := int64(req.off)

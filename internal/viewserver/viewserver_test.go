@@ -74,9 +74,8 @@ func startServer(t *testing.T, opts Options) (*Server, *vfs.FS, string) {
 func dialT(t *testing.T, addr string) *Client {
 	t.Helper()
 	c, err := Dial("tcp", addr, ClientOptions{
-		DialTimeout:    2 * time.Second,
-		RequestTimeout: 5 * time.Second,
-		BackoffBase:    5 * time.Millisecond,
+		DialTimeout: 2 * time.Second,
+		BackoffBase: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,14 +353,14 @@ func TestReadaheadStalledClientBounded(t *testing.T) {
 // TestOversizedFrameRejected: the server answers a too-large frame with
 // a clean protocol error and drops the connection instead of dying.
 func TestOversizedFrameRejected(t *testing.T) {
-	srv, _, addr := startServer(t, Options{MaxMessage: 1 << 16})
+	srv, _, addr := startServer(t, Options{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1<<24) // body claims 16 MiB
+	binary.BigEndian.PutUint32(hdr[:], DefaultMaxMessage+1)
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
