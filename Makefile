@@ -7,11 +7,15 @@ test:
 	go build ./...
 	go test ./...
 
-# Dataplane, premat-heap, frame-decoder, frame-encoder, batch-, GOP-cache
-# request-order, inflate, Huffman-table, TVC-container, disk-tier recovery,
-# resize-kernel and task-config fuzzing (bounded; extend -fuzztime for longer campaigns).
+# Every fuzz target: wire request, response and cursor, premat-heap,
+# frame-decoder, frame-encoder, batch-, GOP-cache request-order, inflate,
+# Huffman-table, TVC-container, disk-tier recovery, resize-kernel,
+# task-config and scenario-YAML fuzzing (bounded; extend -fuzztime for
+# longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
+	go test -run=xxx -fuzz=FuzzReadResponse -fuzztime=30s ./internal/viewserver/
+	go test -run=xxx -fuzz=FuzzCursor -fuzztime=30s ./internal/viewserver/
 	go test -run=xxx -fuzz=FuzzPrematOrder -fuzztime=30s ./internal/sched/
 	go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/frame/
 	go test -run=xxx -fuzz=FuzzEncodeFrame -fuzztime=30s -fuzzminimizetime=1s ./internal/frame/
@@ -23,6 +27,7 @@ fuzz:
 	go test -run=xxx -fuzz=FuzzRecover -fuzztime=30s ./internal/storage/
 	go test -run=xxx -fuzz=FuzzResizeWindow -fuzztime=30s ./internal/augment/
 	go test -run=xxx -fuzz=FuzzLoadTask -fuzztime=30s ./internal/config/
+	go test -run=xxx -fuzz=FuzzParse -fuzztime=30s ./internal/scenario/
 
 # The end-to-end epoch benchmark with per-layer attribution (see
 # bench/README.md).

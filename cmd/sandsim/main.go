@@ -127,7 +127,7 @@ func cmdRun(args []string) error {
 			}
 			fmt.Printf("  report: %s\n", path)
 			if tracePath != "" {
-				fmt.Printf("  flight recorder: %s\n", tracePath)
+				fmt.Printf("  trace: %s\n", tracePath)
 			}
 		}
 		if *asJSON {

@@ -31,6 +31,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad source", func(t *Task) { t.Source = "carrier-pigeon" }},
 		{"missing path", func(t *Task) { t.DatasetPath = "" }},
 		{"zero batch", func(t *Task) { t.Sampling.VideosPerBatch = 0 }},
+		{"zero stride", func(t *Task) { t.Sampling.FrameStride = 0 }},
 		{"negative stride", func(t *Task) { t.Sampling.FrameStride = -1 }},
 		{"unknown branch type", func(t *Task) {
 			t.Stages = []Stage{{Name: "x", Type: "loop", Inputs: []string{"frame"}, Outputs: []string{"o"}}}

@@ -675,7 +675,7 @@ func TestPersistErrorServesFromMemory(t *testing.T) {
 	}
 	s := crashService(t, dir, ds)
 	defer s.Close()
-	checkOracle(t, s)
+	checkOracle(t, s, nil)
 }
 
 // TestCrashRecoveryRecomputesGarbledObjects garbles every persisted frame

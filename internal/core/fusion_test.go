@@ -48,7 +48,7 @@ func TestFusionKeepsCachedResizeOutputs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			checkOracle(t, s)
+			checkOracle(t, s, nil)
 			cached, absent := 0, 0
 			for epoch := 0; epoch < s.opts.TotalEpochs; epoch++ {
 				iters, err := s.ItersInEpoch(task.Tag, epoch)

@@ -505,7 +505,6 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	if obj, pin, err := s.store.GetPinned(bk); err == nil {
 		s.store.MarkUsed(bk)
 		s.prematHits.Add(1)
-		s.tr.Instant("core", "premat_hit", 0, bk)
 		s.histView.Observe(time.Since(readStart).Nanoseconds())
 		s.schedulePremat(key)
 		return obj.Data, pin, nil

@@ -55,8 +55,8 @@ func readEpoch(t testing.TB, s *Service, epoch int) {
 
 // TestEpochEventKinds is the golden-file check that one quickstart-style
 // epoch emits every load-bearing event kind. The golden file lists the
-// deterministic kinds; nondeterministic ones (premat_hit, mode_switch,
-// eviction events) are asserted by their own tests.
+// deterministic kinds; nondeterministic ones (mode_switch, eviction
+// events) are asserted by their own tests.
 func TestEpochEventKinds(t *testing.T) {
 	reg := obs.New()
 	reg.Trace().Enable()

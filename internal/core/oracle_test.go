@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"sand/internal/codec"
 	"sand/internal/config"
 	"sand/internal/dataset"
 	"sand/internal/frame"
+	"sand/internal/graph"
 	"sand/internal/obs"
 )
 
@@ -25,6 +28,12 @@ func oracleBatch(s *Service, key iterationKey) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return oracleSamples(s, key, samples)
+}
+
+// oracleSamples is oracleBatch over an already scheduled iteration.
+func oracleSamples(s *Service, key iterationKey, samples []*graph.Sample) ([]byte, error) {
+	var err error
 	batch := &frame.Batch{Epoch: key.epoch, Iteration: key.iter}
 	for _, sm := range samples {
 		ent, ok := s.snapshot().Find(sm.Video)
@@ -72,10 +81,56 @@ func oracleBatch(s *Service, key iterationKey) ([]byte, error) {
 	return EncodeBatch(batch)
 }
 
+// oracleMemo shares the oracle's bytes among the engines of one fixture.
+// Every oracleEnv plans from the same tasks, dataset and seed, so their
+// schedules agree and the reference is computed once per batch instead
+// of once per engine. Entries are keyed by the batch and its whole
+// schedule, every op's concrete type and fields included, so an engine
+// whose schedule differs gets its own reference.
+type oracleMemo struct {
+	mu    sync.Mutex
+	bytes map[string][]byte
+}
+
+// batch returns the oracle's bytes for key; a nil memo computes them
+// afresh.
+func (m *oracleMemo) batch(s *Service, key iterationKey) ([]byte, error) {
+	if m == nil {
+		return oracleBatch(s, key)
+	}
+	samples, err := s.scheduleFor(key)
+	if err != nil {
+		return nil, err
+	}
+	var id strings.Builder
+	fmt.Fprintf(&id, "%v", key)
+	for _, sm := range samples {
+		fmt.Fprintf(&id, "|%s %v", sm.Video, sm.FrameIndices)
+		for _, ch := range sm.Chains {
+			fmt.Fprintf(&id, " %v", ch.Reversed)
+			for _, op := range ch.Ops {
+				fmt.Fprintf(&id, " %T%+v", op.Op, op.Op)
+			}
+		}
+	}
+	m.mu.Lock()
+	want, ok := m.bytes[id.String()]
+	m.mu.Unlock()
+	if ok {
+		return want, nil
+	}
+	if want, err = oracleSamples(s, key, samples); err == nil {
+		m.mu.Lock()
+		m.bytes[id.String()] = want
+		m.mu.Unlock()
+	}
+	return want, err
+}
+
 // checkOracle reads every iteration of every task and epoch through the
 // engine's demand path and fails on the first batch whose bytes differ
-// from the oracle's.
-func checkOracle(t testing.TB, s *Service) {
+// from the oracle's (taken from memo when it is non-nil).
+func checkOracle(t testing.TB, s *Service, memo *oracleMemo) {
 	t.Helper()
 	tags := make([]string, 0, len(s.tasks))
 	for tag := range s.tasks {
@@ -94,7 +149,7 @@ func checkOracle(t testing.TB, s *Service) {
 				if err != nil {
 					t.Fatalf("engine %v: %v", key, err)
 				}
-				want, err := oracleBatch(s, key)
+				want, err := memo.batch(s, key)
 				if err != nil {
 					t.Fatalf("oracle %v: %v", key, err)
 				}
@@ -134,6 +189,7 @@ var oracleEnvs = []oracleEnv{
 // reuse counters; roomy reports a 64 MiB memory tier, where derived
 // frames stay cached long enough for hit counts to be meaningful.
 func oracleRows(t *testing.T, tasks []*config.Task, ds *dataset.Dataset, expect func(t *testing.T, s *Service, roomy bool)) {
+	memo := &oracleMemo{bytes: map[string][]byte{}}
 	for _, env := range oracleEnvs {
 		t.Run(env.name, func(t *testing.T) {
 			t.Parallel()
@@ -157,7 +213,7 @@ func oracleRows(t *testing.T, tasks []*config.Task, ds *dataset.Dataset, expect 
 				t.Fatal(err)
 			}
 			defer s.Close()
-			checkOracle(t, s)
+			checkOracle(t, s, memo)
 			if expect != nil {
 				expect(t, s, env.memBudget >= 64<<20)
 			}
@@ -197,7 +253,7 @@ func TestOracleGenerated(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			checkOracle(t, s)
+			checkOracle(t, s, nil)
 		})
 	}
 }

@@ -12,31 +12,24 @@ import (
 	"sand/internal/obs"
 )
 
-// Collector builds the fleet's single pane of glass: it pulls every
-// node's obs registry — over HTTP (/metrics.json) for registered nodes,
-// in-process for local registries — rebuilds each histogram from its
-// snapshot and folds the fleet aggregate together with
-// obs.Histogram.Merge, then serves one Prometheus-style exposition with
-// a `node` label on every series plus a merged `node="_fleet"` series.
-//
-// Two sources reporting under the same node name (a label collision) do
-// not shadow each other: their counters sum and their histograms merge,
-// exactly like the fleet aggregate — the "last registrant wins" failure
-// mode of a shared process-default registry cannot happen here.
+// Collector builds the fleet's single pane of glass: it scrapes every
+// registered node's obs registry over HTTP (/metrics.json), rebuilds
+// each histogram from its snapshot and folds the fleet aggregate
+// together with obs.Histogram.Merge, then serves one Prometheus-style
+// exposition with a `node` label on every series plus a merged
+// `node="_fleet"` series.
 type Collector struct {
 	opts CollectorOptions
 	hc   *http.Client
 
-	mu     sync.Mutex
-	locals map[string][]*obs.Registry
-
+	mu         sync.Mutex
 	scrapeErrs map[string]int64
 }
 
 // CollectorOptions tunes a Collector.
 type CollectorOptions struct {
-	// Lister discovers nodes (and their MetricsAddr) to scrape. Nil
-	// means only locally added registries are collected.
+	// Lister discovers nodes (and their MetricsAddr) to scrape.
+	// Required.
 	Lister NodeLister
 	// Timeout bounds one node scrape (default 3s).
 	Timeout time.Duration
@@ -50,20 +43,8 @@ func NewCollector(opts CollectorOptions) *Collector {
 	return &Collector{
 		opts:       opts,
 		hc:         &http.Client{Timeout: opts.Timeout},
-		locals:     map[string][]*obs.Registry{},
 		scrapeErrs: map[string]int64{},
 	}
-}
-
-// AddLocal collects an in-process registry under the node label. Adding
-// a second registry under the same name merges rather than replaces.
-func (c *Collector) AddLocal(node string, reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	c.mu.Lock()
-	c.locals[node] = append(c.locals[node], reg)
-	c.mu.Unlock()
 }
 
 // NodeSamples is one node's gathered metrics (or its scrape failure).
@@ -94,49 +75,29 @@ func (c *Collector) scrape(metricsAddr string) ([]obs.Sample, error) {
 	return obs.UnmarshalSamples(body)
 }
 
-// Pull gathers every source concurrently: registered nodes that
-// advertise a MetricsAddr (dead nodes are skipped — their serving
-// stopped; their history lives in the registry) and every local
-// registry. The result is sorted by node name; scrape failures are
-// reported per node, not fatal.
+// Pull scrapes every registered node that advertises a MetricsAddr,
+// concurrently (dead nodes are skipped — their serving stopped; their
+// history lives in the registry). The result is sorted by node name;
+// scrape failures are reported per node, not fatal.
 func (c *Collector) Pull() []NodeSamples {
-	type target struct {
-		node string
-		addr string          // non-empty: HTTP scrape
-		regs []*obs.Registry // non-empty: local gather
-	}
-	var targets []target
-	if c.opts.Lister != nil {
-		if nodes, err := c.opts.Lister.Nodes(); err == nil {
-			for _, n := range nodes {
-				if n.State == StateDead || n.Info.MetricsAddr == "" {
-					continue
-				}
-				targets = append(targets, target{node: n.Info.Name, addr: n.Info.MetricsAddr})
+	var targets []NodeInfo
+	if nodes, err := c.opts.Lister.Nodes(); err == nil {
+		for _, n := range nodes {
+			if n.State == StateDead || n.Info.MetricsAddr == "" {
+				continue
 			}
+			targets = append(targets, n.Info)
 		}
 	}
-	c.mu.Lock()
-	for node, regs := range c.locals {
-		targets = append(targets, target{node: node, regs: append([]*obs.Registry(nil), regs...)})
-	}
-	c.mu.Unlock()
 
 	out := make([]NodeSamples, len(targets))
 	var wg sync.WaitGroup
 	for i, t := range targets {
 		wg.Add(1)
-		go func(i int, t target) {
+		go func(i int, t NodeInfo) {
 			defer wg.Done()
-			ns := NodeSamples{Node: t.node}
-			if t.addr != "" {
-				ns.Samples, ns.Err = c.scrape(t.addr)
-			} else {
-				for _, reg := range t.regs {
-					ns.Samples = append(ns.Samples, reg.Gather()...)
-				}
-			}
-			out[i] = ns
+			samples, err := c.scrape(t.MetricsAddr)
+			out[i] = NodeSamples{Node: t.Name, Samples: samples, Err: err}
 		}(i, t)
 	}
 	wg.Wait()
@@ -269,24 +230,22 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	}
 
 	// Registry health: node counts by state.
-	if c.opts.Lister != nil {
-		if nodes, err := c.opts.Lister.Nodes(); err == nil {
-			counts := map[string]int{}
-			for _, n := range nodes {
-				counts[n.State.String()]++
-			}
-			states := make([]string, 0, len(counts))
-			for s := range counts {
-				states = append(states, s)
-			}
-			sort.Strings(states)
-			if _, err := fmt.Fprintf(w, "# TYPE sand_fleet_nodes gauge\n"); err != nil {
+	if nodes, err := c.opts.Lister.Nodes(); err == nil {
+		counts := map[string]int{}
+		for _, n := range nodes {
+			counts[n.State.String()]++
+		}
+		states := make([]string, 0, len(counts))
+		for s := range counts {
+			states = append(states, s)
+		}
+		sort.Strings(states)
+		if _, err := fmt.Fprintf(w, "# TYPE sand_fleet_nodes gauge\n"); err != nil {
+			return err
+		}
+		for _, s := range states {
+			if _, err := fmt.Fprintf(w, "sand_fleet_nodes{state=%q} %d\n", s, counts[s]); err != nil {
 				return err
-			}
-			for _, s := range states {
-				if _, err := fmt.Fprintf(w, "sand_fleet_nodes{state=%q} %d\n", s, counts[s]); err != nil {
-					return err
-				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -64,37 +65,46 @@ func TestCollectorMergeAssociativity(t *testing.T) {
 	}
 }
 
-// TestCollectorLabelCollision: two sources registered under the same
-// node name fold together (counters sum, histograms merge) instead of
-// the last registrant shadowing the first.
-func TestCollectorLabelCollision(t *testing.T) {
+// serveRegistries serves each registry's obs.Handler from its own
+// httptest server and lists them as healthy nodes with the given names.
+func serveRegistries(t *testing.T, regs []*obs.Registry, names ...string) *memLister {
+	t.Helper()
+	lister := &memLister{}
+	nodes := make([]NodeStatus, len(regs))
+	for i, reg := range regs {
+		srv := httptest.NewServer(reg.Handler())
+		t.Cleanup(srv.Close)
+		nodes[i] = NodeStatus{Info: NodeInfo{Name: names[i], Addr: "x", MetricsAddr: srv.URL}, State: StateHealthy}
+	}
+	lister.set(nodes...)
+	return lister
+}
+
+// TestCollectorNodeAndFleetSeries: each scraped node keeps its own
+// series, and the node="_fleet" series sums counters and merges
+// histograms across nodes.
+func TestCollectorNodeAndFleetSeries(t *testing.T) {
 	regs := threeRegistries(10)
-	c := NewCollector(CollectorOptions{})
-	c.AddLocal("a", regs[0])
-	c.AddLocal("b", regs[1])
-	c.AddLocal("b", regs[2]) // collision: must merge, not shadow
+	c := NewCollector(CollectorOptions{Lister: serveRegistries(t, regs, "a", "b", "c"), Timeout: time.Second})
 
 	var buf bytes.Buffer
 	if err := c.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	// Counter: node b carries 20+30, fleet carries 10+20+30.
-	if !strings.Contains(out, `sand_reqs{node="b"} 50`) {
-		t.Fatalf("collided counters did not sum:\n%s", out)
-	}
-	if !strings.Contains(out, `sand_reqs{node="a"} 10`) {
-		t.Fatalf("node a counter wrong:\n%s", out)
-	}
-	if !strings.Contains(out, `sand_reqs{node="_fleet"} 60`) {
-		t.Fatalf("fleet counter wrong:\n%s", out)
-	}
-	// Histogram: node b observed 10+10 samples, the fleet 30.
-	if !strings.Contains(out, `sand_req_seconds_count{node="b"} 20`) {
-		t.Fatalf("collided histograms did not merge:\n%s", out)
-	}
-	if !strings.Contains(out, `sand_req_seconds_count{node="_fleet"} 30`) {
-		t.Fatalf("fleet histogram wrong:\n%s", out)
+	// Counters: nodes carry 10, 20, 30; the fleet carries their sum.
+	for _, want := range []string{
+		`sand_reqs{node="a"} 10`,
+		`sand_reqs{node="b"} 20`,
+		`sand_reqs{node="c"} 30`,
+		`sand_reqs{node="_fleet"} 60`,
+		// Histograms: 10 samples per node, 30 merged.
+		`sand_req_seconds_count{node="b"} 10`,
+		`sand_req_seconds_count{node="_fleet"} 30`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition lacks %s:\n%s", want, out)
+		}
 	}
 	if got := c.MergedHistogram("req_ns").Count(); got != 30 {
 		t.Fatalf("MergedHistogram count = %d, want 30", got)
@@ -102,14 +112,11 @@ func TestCollectorLabelCollision(t *testing.T) {
 }
 
 // TestCollectorGatherUnderConcurrentMerge hammers the registries with
-// writers while the collector pulls and merges concurrently; the race
+// writers while the collector scrapes and merges concurrently; the race
 // detector owns the assertions, the final pull owns the totals.
 func TestCollectorGatherUnderConcurrentMerge(t *testing.T) {
 	regs := threeRegistries(0)
-	c := NewCollector(CollectorOptions{})
-	for i, r := range regs {
-		c.AddLocal([]string{"a", "b", "c"}[i], r)
-	}
+	c := NewCollector(CollectorOptions{Lister: serveRegistries(t, regs, "a", "b", "c"), Timeout: time.Second})
 	const writers, perWriter = 4, 500
 	var wg sync.WaitGroup
 	for _, r := range regs {

@@ -189,7 +189,6 @@ type Heartbeater struct {
 
 	mu      sync.Mutex
 	lastErr error
-	beats   int64
 }
 
 // StartHeartbeater announces info, beats once so the node is routable
@@ -227,7 +226,6 @@ func StartHeartbeater(ann Announcer, info NodeInfo) (*Heartbeater, error) {
 				}
 				h.mu.Lock()
 				h.lastErr = err
-				h.beats++
 				h.mu.Unlock()
 			}
 		}
@@ -253,11 +251,4 @@ func (h *Heartbeater) Err() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.lastErr
-}
-
-// Beats returns how many heartbeat attempts have run.
-func (h *Heartbeater) Beats() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.beats
 }

@@ -32,15 +32,6 @@ func New(w, h, c int) *Frame {
 	return &Frame{W: w, H: h, C: c, Pix: make([]byte, w*h*c), Index: -1}
 }
 
-// FromPix wraps an existing pixel buffer. The buffer length must equal
-// w*h*c; the frame takes ownership of the slice.
-func FromPix(w, h, c int, pix []byte) (*Frame, error) {
-	if len(pix) != w*h*c {
-		return nil, fmt.Errorf("frame: pixel buffer length %d != %d*%d*%d", len(pix), w, h, c)
-	}
-	return &Frame{W: w, H: h, C: c, Pix: pix, Index: -1}, nil
-}
-
 // Clone returns a deep copy of f.
 func (f *Frame) Clone() *Frame {
 	g := &Frame{W: f.W, H: f.H, C: f.C, Pix: make([]byte, len(f.Pix)), Index: f.Index, PTS: f.PTS}

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -50,19 +49,6 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	New(0, 1, 1)
-}
-
-func TestFromPixValidatesLength(t *testing.T) {
-	if _, err := FromPix(2, 2, 1, make([]byte, 3)); err == nil {
-		t.Fatal("FromPix accepted short buffer")
-	}
-	f, err := FromPix(2, 2, 1, []byte{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.At(1, 1, 0) != 4 {
-		t.Fatalf("At(1,1,0) = %d, want 4", f.At(1, 1, 0))
-	}
 }
 
 func TestSetAtRoundTrip(t *testing.T) {
@@ -345,23 +331,6 @@ func TestEncodeFrameStaysCompressed(t *testing.T) {
 	}
 	if !bytes.Equal(got, filtered) {
 		t.Fatal("compress/zlib inflates EncodeFrame's stream to bytes other than the Sub-filtered planes")
-	}
-}
-
-func TestPSNR(t *testing.T) {
-	a := New(8, 8, 1)
-	b := a.Clone()
-	v, err := PSNR(a, b)
-	if err != nil || !math.IsInf(v, 1) {
-		t.Fatalf("identical PSNR = %v, %v", v, err)
-	}
-	b.Pix[0] = 255
-	v, err = PSNR(a, b)
-	if err != nil || math.IsInf(v, 1) || v <= 0 {
-		t.Fatalf("PSNR of perturbed frame = %v, %v", v, err)
-	}
-	if _, err := PSNR(a, New(4, 4, 1)); err == nil {
-		t.Fatal("PSNR accepted shape mismatch")
 	}
 }
 

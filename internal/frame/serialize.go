@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"sand/internal/inflate"
 )
@@ -277,22 +276,4 @@ func DecodeClip(data []byte) (*Clip, error) {
 		}
 	}
 	return NewClip(frames)
-}
-
-// PSNR computes peak signal-to-noise ratio between two same-shape frames.
-// Identical frames yield +Inf.
-func PSNR(a, b *Frame) (float64, error) {
-	if !a.SameShape(b) {
-		return 0, fmt.Errorf("frame: PSNR shape mismatch %dx%dx%d vs %dx%dx%d", a.W, a.H, a.C, b.W, b.H, b.C)
-	}
-	var sum float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		sum += d * d
-	}
-	if sum == 0 {
-		return math.Inf(1), nil
-	}
-	mse := sum / float64(len(a.Pix))
-	return 10 * math.Log10(255*255/mse), nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sand/internal/augment"
@@ -56,63 +57,6 @@ func testVideos(n int) []VideoMeta {
 	return vids
 }
 
-func TestBuildAbstractChain(t *testing.T) {
-	task := taskWithPipeline(t, "t1", 8, 4)
-	g, err := BuildAbstract(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// video, frame, a0, a1, a2, view = 6 nodes.
-	if g.NodeCount() != 6 {
-		t.Fatalf("node count = %d, want 6", g.NodeCount())
-	}
-	if g.Root.Type != ViewVideo || g.Root.Name != "/data/shared" {
-		t.Fatalf("root %+v", g.Root)
-	}
-	fr, ok := g.Node("frame")
-	if !ok || fr.Type != ViewFrame {
-		t.Fatal("frame node missing")
-	}
-	if len(g.Root.Out) != 1 || g.Root.Out[0].Op != "decode" || g.Root.Out[0].To != fr {
-		t.Fatal("decode edge wrong")
-	}
-	view, ok := g.Node("view")
-	if !ok || view.Type != ViewBatch {
-		t.Fatal("view node missing")
-	}
-}
-
-func TestBuildAbstractRejectsInvalid(t *testing.T) {
-	task := taskWithPipeline(t, "t1", 8, 4)
-	task.Sampling.FrameStride = 0
-	if _, err := BuildAbstract(task); err == nil {
-		t.Fatal("BuildAbstract accepted invalid task")
-	}
-}
-
-func TestSharedPrefixDepth(t *testing.T) {
-	a, _ := BuildAbstract(taskWithPipeline(t, "a", 8, 4))
-	b, _ := BuildAbstract(taskWithPipeline(t, "b", 8, 2))
-	// Identical pipelines: decode + 3 stages shared.
-	if d := SharedPrefixDepth(a, b); d != 4 {
-		t.Fatalf("shared depth = %d, want 4", d)
-	}
-	// Different datasets: nothing shared.
-	other := taskWithPipeline(t, "c", 8, 4)
-	other.DatasetPath = "/data/other"
-	c, _ := BuildAbstract(other)
-	if d := SharedPrefixDepth(a, c); d != 0 {
-		t.Fatalf("different datasets shared depth = %d, want 0", d)
-	}
-	// Diverging first stage: only decode shared.
-	div := taskWithPipeline(t, "d", 8, 4)
-	div.Stages[0].Ops[0].Params = map[string]any{"shape": []any{32, 32}}
-	dg, _ := BuildAbstract(div)
-	if d := SharedPrefixDepth(a, dg); d != 1 {
-		t.Fatalf("diverging pipelines shared depth = %d, want 1", d)
-	}
-}
-
 func TestResolveStages(t *testing.T) {
 	task := taskWithPipeline(t, "t1", 8, 4)
 	rng := rand.New(rand.NewSource(1))
@@ -140,6 +84,13 @@ func TestResolveStages(t *testing.T) {
 		if op.Sig == "" {
 			t.Fatal("missing signature")
 		}
+	}
+
+	// A stage whose input view nothing produces cannot be walked.
+	task.Stages[1].Inputs = []string{"ghost"}
+	_, _, err = ResolveStages(task, config.TrainState{}, 96, 96, nil, rng)
+	if err == nil || !strings.Contains(err.Error(), `input "ghost" unresolved`) {
+		t.Fatalf("unresolved input: err = %v", err)
 	}
 }
 

@@ -1,8 +1,11 @@
 // Package graph implements SAND's materialization planning (§5.2–5.3 of
-// the paper): per-task abstract view dependency graphs, the unified
-// concrete object dependency graph for a k-epoch chunk, the coordinated
-// randomization mechanisms (shared frame pool, shared crop windows) that
-// make cross-task reuse possible without breaking training randomness, and
+// the paper). A task's stage list, whose stages name their input and
+// output views, is its abstract view graph: ResolveChains walks it by
+// view name into resolved per-frame op chains, and BuildChunkPlan lowers
+// those chains into the unified concrete object dependency graph for a
+// k-epoch chunk. The package also holds the coordinated randomization
+// mechanisms (shared frame pool, shared crop windows) that make
+// cross-task reuse possible without breaking training randomness, and
 // the storage-budget pruning of Algorithm 1.
 package graph
 

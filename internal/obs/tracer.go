@@ -14,7 +14,7 @@ import (
 type Event struct {
 	TS    int64
 	Dur   int64
-	Cat   string // subsystem: "sched", "storage", "core", "viewserver"
+	Cat   string // subsystem: "sched", "storage", "core", "scenario"
 	Name  string // event kind within the subsystem: "enqueue", "frame", ...
 	Arg   string // free-form detail ("" = none)
 	Trace TraceID

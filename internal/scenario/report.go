@@ -150,9 +150,9 @@ func SaveReport(dir string, r *Report) (string, error) {
 	return path, f.Close()
 }
 
-// dumpTrace writes the harness trace ring as a Chrome trace — the
-// flight recorder invoked when an assertion fails. Returns the path
-// ("" when the tracer is disabled or empty).
+// dumpTrace writes the scenario's trace ring as a Chrome trace
+// (<name>.trace.json) when an assertion fails. Returns the path ("" when
+// the tracer is disabled or empty).
 func dumpTrace(dir, name string, tr *obs.Tracer) (string, error) {
 	if !tr.Enabled() || tr.Len() == 0 {
 		return "", nil

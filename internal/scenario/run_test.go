@@ -56,7 +56,7 @@ func TestRunSimKillRecover(t *testing.T) {
 		t.Fatalf("run failed: %+v", rep.Assertions)
 	}
 	if trace != "" {
-		t.Fatalf("passing run wrote a flight-recorder trace: %s", trace)
+		t.Fatalf("passing run wrote a trace: %s", trace)
 	}
 	if rep.Kind != "sim" || rep.VirtualSec < 10 || rep.EventsFired != 2 {
 		t.Fatalf("report: %+v", rep)
@@ -122,8 +122,8 @@ assertions:
 	}
 }
 
-// A failing assertion must trip the flight recorder: the trace ring is
-// dumped as a Chrome trace next to the report.
+// A failing assertion dumps the scenario's trace ring as a Chrome trace
+// (<name>.trace.json) next to the report.
 func TestFlightRecorderOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	sc := mustParse(t, strings.Replace(killRecoverDoc,
@@ -136,7 +136,7 @@ func TestFlightRecorderOnFailure(t *testing.T) {
 		t.Fatal("expected assertion failure")
 	}
 	if trace == "" {
-		t.Fatal("flight recorder did not write a trace")
+		t.Fatal("failing run did not write a trace")
 	}
 	if filepath.Dir(trace) != dir {
 		t.Fatalf("trace written outside report dir: %s", trace)

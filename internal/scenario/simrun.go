@@ -70,8 +70,8 @@ type simRunner struct {
 	results []AssertionResult
 }
 
-// runSim executes a sim-mode scenario, stamping flight-recorder events
-// into tracer at virtual-time timestamps.
+// runSim executes a sim-mode scenario, stamping trace events into
+// tracer at virtual-time timestamps.
 func runSim(sc *Scenario, tracer *obs.Tracer) (*Report, error) {
 	r := &simRunner{
 		sc:      sc,
@@ -282,7 +282,7 @@ func (r *simRunner) beat(n *simNode) {
 	}
 }
 
-// instant stamps a flight-recorder event at the current virtual time.
+// instant stamps a trace event at the current virtual time.
 func (r *simRunner) instant(name, arg string) {
 	r.tracer.InstantAt("scenario", name, 0, int64(r.sim.Now()*1e9), arg)
 }

@@ -287,7 +287,6 @@ func (p *Pool) Promote(key string) bool {
 	t.enqueued = time.Now()
 	p.demand = append(p.demand, t)
 	p.stats.promotions++
-	p.tr.Instant("sched", "promote", t.Trace, t.Key)
 	p.cond.Signal()
 	return true
 }

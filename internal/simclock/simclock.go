@@ -12,12 +12,8 @@
 // real time or goroutine scheduling ever leaks into the event order, and
 // all randomness stays with the caller. Two runs that schedule the same
 // events from the same seeds execute identically — which is what makes
-// scenario replay ("same seed, same report") possible.
-//
-// Run drains the heap to emptiness; RunUntil executes only events up to
-// a horizon; Step executes exactly one event, giving callers that
-// interleave simulation with outside bookkeeping (the scenario runner's
-// stop conditions) a re-entrant loop primitive.
+// scenario replay ("same seed, same report") possible. Run drains the
+// event heap to emptiness.
 package simclock
 
 import (
@@ -72,37 +68,6 @@ func (s *Sim) Run() {
 		e.fn()
 	}
 }
-
-// Step executes the single earliest pending event, advancing the clock
-// to its timestamp. It returns false (leaving the clock untouched) when
-// no events are pending.
-func (s *Sim) Step() bool {
-	if s.events.Len() == 0 {
-		return false
-	}
-	e := heap.Pop(&s.events).(*event)
-	s.now = e.at
-	s.Steps++
-	e.fn()
-	return true
-}
-
-// RunUntil executes events with timestamps <= t, then advances the clock
-// to t.
-func (s *Sim) RunUntil(t float64) {
-	for s.events.Len() > 0 && s.events[0].at <= t {
-		e := heap.Pop(&s.events).(*event)
-		s.now = e.at
-		s.Steps++
-		e.fn()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.events.Len() }
 
 type event struct {
 	at  float64
@@ -175,7 +140,6 @@ type Resource struct {
 	busyTime     float64 // slot-seconds of service delivered
 	lastChange   float64
 	busyIntegral float64 // integral of busy slots over time
-	served       int
 }
 
 // NewResource creates a resource attached to the simulation.
@@ -220,7 +184,6 @@ func (r *Resource) dispatch() {
 			r.account()
 			r.busy--
 			r.busyTime += job.Work
-			r.served++
 			if job.OnDone != nil {
 				job.OnDone()
 			}
@@ -254,9 +217,6 @@ func (r *Resource) account() {
 
 // BusyTime returns total delivered slot-seconds.
 func (r *Resource) BusyTime() float64 { return r.busyTime }
-
-// Served returns the number of completed jobs.
-func (r *Resource) Served() int { return r.served }
 
 // Utilization returns mean busy-slot fraction over [0, Now].
 func (r *Resource) Utilization() float64 {

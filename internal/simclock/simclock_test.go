@@ -62,21 +62,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	s.After(-1, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	ran := 0
-	s.At(1, func() { ran++ })
-	s.At(5, func() { ran++ })
-	s.RunUntil(3)
-	if ran != 1 || s.Now() != 3 || s.Pending() != 1 {
-		t.Fatalf("ran=%d now=%v pending=%d", ran, s.Now(), s.Pending())
-	}
-	s.Run()
-	if ran != 2 || s.Now() != 5 {
-		t.Fatalf("after Run: ran=%d now=%v", ran, s.Now())
-	}
-}
-
 func TestResourceSingleSlot(t *testing.T) {
 	s := New()
 	r := NewResource(s, "gpu", 1, FIFO)
@@ -91,8 +76,8 @@ func TestResourceSingleSlot(t *testing.T) {
 			t.Fatalf("completions %v, want %v", done, want)
 		}
 	}
-	if r.BusyTime() != 6 || r.Served() != 3 {
-		t.Fatalf("busy=%v served=%d", r.BusyTime(), r.Served())
+	if r.BusyTime() != 6 {
+		t.Fatalf("busy=%v", r.BusyTime())
 	}
 	if u := r.Utilization(); math.Abs(u-1.0) > 1e-9 {
 		t.Fatalf("utilization %v, want 1", u)

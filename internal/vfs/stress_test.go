@@ -31,7 +31,7 @@ func (stressProvider) List(dir string) ([]string, error) {
 // TestFSConcurrentStress hammers one FS from many goroutines with
 // interleaved Open/Read/ReadAt/Seek/Getxattr/Listxattr/Size/Close on a
 // small set of shared paths, with concurrent Stats and Readdir readers.
-// Run under -race (the CI gate does) to catch fd-table and counter races.
+// Run under -race (the CI gate does) to catch fd-table races.
 func TestFSConcurrentStress(t *testing.T) {
 	fs := New(stressProvider{})
 	paths := make([]string, 8)
@@ -112,10 +112,10 @@ func TestFSConcurrentStress(t *testing.T) {
 				return
 			default:
 			}
-			st := fs.Stats()
-			if st.Closes > st.Opens {
+			// Each worker holds at most one descriptor at a time.
+			if st := fs.Stats(); st.OpenFDs > workers {
 				select {
-				case errCh <- fmt.Errorf("closes %d > opens %d", st.Closes, st.Opens):
+				case errCh <- fmt.Errorf("%d fds open with %d workers", st.OpenFDs, workers):
 				default:
 				}
 				return
@@ -135,14 +135,7 @@ func TestFSConcurrentStress(t *testing.T) {
 	default:
 	}
 
-	st := fs.Stats()
-	if st.OpenFDs != 0 {
+	if st := fs.Stats(); st.OpenFDs != 0 {
 		t.Fatalf("leaked %d fds", st.OpenFDs)
-	}
-	if want := int64(workers * iters); st.Opens != want || st.Closes != want {
-		t.Fatalf("opens=%d closes=%d, want %d", st.Opens, st.Closes, want)
-	}
-	if st.BytesRead == 0 {
-		t.Fatal("no bytes read")
 	}
 }

@@ -245,17 +245,12 @@ type FS struct {
 	mu     sync.Mutex
 	nextFD int
 	open   map[int]*file
-	stats  Stats
 }
 
-// Stats counts filesystem operations.
+// Stats is a snapshot of the descriptor table.
 type Stats struct {
-	Opens     int64
-	Reads     int64
-	BytesRead int64
-	Getxattrs int64
-	Closes    int64
-	OpenFDs   int
+	// OpenFDs is the number of descriptors opened and not yet closed.
+	OpenFDs int
 }
 
 type file struct {
@@ -291,8 +286,6 @@ func (fs *FS) Open(path string) (int, error) {
 	fd := fs.nextFD
 	fs.nextFD++
 	fs.open[fd] = &file{path: parsed, data: data, xattrs: xattrs}
-	fs.stats.Opens++
-	fs.stats.OpenFDs = len(fs.open)
 	return fd, nil
 }
 
@@ -319,11 +312,6 @@ func (fs *FS) OpenView(path string) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs.mu.Lock()
-	fs.stats.Opens++
-	fs.stats.Reads++
-	fs.stats.BytesRead += int64(len(v.Data))
-	fs.mu.Unlock()
 	return v, nil
 }
 
@@ -344,8 +332,6 @@ func (fs *FS) Read(fd int, buf []byte) (int, error) {
 	}
 	n := copy(buf, f.data[f.off:])
 	f.off += n
-	fs.stats.Reads++
-	fs.stats.BytesRead += int64(n)
 	fs.mu.Unlock()
 	return n, nil
 }
@@ -361,8 +347,6 @@ func (fs *FS) ReadAll(fd int) ([]byte, error) {
 	out := make([]byte, len(f.data)-f.off)
 	copy(out, f.data[f.off:])
 	f.off = len(f.data)
-	fs.stats.Reads++
-	fs.stats.BytesRead += int64(len(out))
 	return out, nil
 }
 
@@ -379,8 +363,6 @@ func (fs *FS) ReadAt(fd int, buf []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(buf, f.data[off:])
-	fs.stats.Reads++
-	fs.stats.BytesRead += int64(n)
 	if n < len(buf) {
 		return n, io.EOF
 	}
@@ -435,7 +417,6 @@ func (fs *FS) Getxattr(fd int, name string) (string, error) {
 	if !ok {
 		return "", ErrBadFD
 	}
-	fs.stats.Getxattrs++
 	v, ok := f.xattrs[name]
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrNoXattr, name)
@@ -477,8 +458,6 @@ func (fs *FS) Close(fd int) error {
 		return ErrBadFD
 	}
 	delete(fs.open, fd)
-	fs.stats.Closes++
-	fs.stats.OpenFDs = len(fs.open)
 	return nil
 }
 
@@ -487,11 +466,9 @@ func (fs *FS) Readdir(dir string) ([]string, error) {
 	return fs.provider.List(dir)
 }
 
-// Stats returns a snapshot of operation counters.
+// Stats returns a snapshot of the descriptor table.
 func (fs *FS) Stats() Stats {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	st := fs.stats
-	st.OpenFDs = len(fs.open)
-	return st
+	return Stats{OpenFDs: len(fs.open)}
 }

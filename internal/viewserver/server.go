@@ -32,8 +32,8 @@ type Options struct {
 	// socket, so backpressure propagates through TCP instead of growing
 	// an unbounded buffer. 0 uses the default.
 	MaxInflight int
-	// Obs receives the server's request spans, latency histogram and
-	// counters. Nil means no registration.
+	// Obs receives the server's request latency histogram and counters.
+	// Nil means no registration.
 	Obs *obs.Registry
 }
 
@@ -81,7 +81,6 @@ type Server struct {
 	mount vfs.Mount
 	opts  Options
 
-	tr      *obs.Tracer
 	histReq *obs.Histogram // per-request service time (ns)
 
 	// Counters behind Stats and the "viewserver" obs snapshot.
@@ -134,7 +133,6 @@ func New(m vfs.Mount, opts Options) *Server {
 		opts:     opts,
 		sessions: map[*session]struct{}{},
 		ra:       map[string]*raEntry{},
-		tr:       opts.Obs.Trace(),
 		histReq:  opts.Obs.Histogram("viewserver.request_ns"),
 	}
 	if r := opts.Obs; r != nil {
@@ -360,10 +358,6 @@ func (s *Server) handle(sess *session, req request) {
 	if s.histReq != nil {
 		reqStart := time.Now()
 		defer func() { s.histReq.Observe(time.Since(reqStart).Nanoseconds()) }()
-	}
-	if s.tr.Enabled() {
-		spanStart := s.tr.Now()
-		defer func() { s.tr.Span("viewserver", "req."+req.op.String(), 0, spanStart, req.path) }()
 	}
 	s.reqs[req.op].Add(1)
 	switch req.op {

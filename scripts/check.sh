@@ -63,6 +63,15 @@ go test -run=xxx -fuzz=FuzzResizeWindow -fuzztime=10s ./internal/augment/
 echo "== task config parser fuzz (10s)"
 go test -run=xxx -fuzz=FuzzLoadTask -fuzztime=10s ./internal/config/
 
+echo "== wire request decoder fuzz (10s)"
+go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/viewserver/
+
+echo "== wire response decoder fuzz, segmented against contiguous (10s)"
+go test -run=xxx -fuzz=FuzzReadResponse -fuzztime=10s ./internal/viewserver/
+
+echo "== scenario YAML parser fuzz (10s)"
+go test -run=xxx -fuzz=FuzzParse -fuzztime=10s ./internal/scenario/
+
 echo "== overlap-aware reuse smoke (superset hits)"
 # The four-view overlapping-crop quickstart must take the superset path
 # (nonzero superset hits) — see DESIGN.md §9. Byte identity to a naive
